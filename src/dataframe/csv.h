@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/statusor.h"
@@ -26,11 +27,70 @@ struct CsvOptions {
   double missing_numeric = 0.0;
 };
 
+namespace internal {
+
+/// The record tokenizer behind ReadCsv and CsvChunkReader.
+///
+/// Pulls the stream through one reused block buffer (kBlockBytes; it
+/// grows only while a single record is longer than it) and yields each
+/// record's fields as string_views into that buffer, so tokenizing
+/// allocates nothing per field or record. A refill never asks the
+/// streambuf for more bytes than in_avail() reports, and blocks in at
+/// most one underflow only when nothing is available: a reader of a
+/// paced (live) stream therefore returns as soon as its last record is
+/// complete. Records without a '"' are split by a structural-byte scan;
+/// a record containing one takes the RFC-4180 state machine ("" escapes,
+/// embedded delimiters and newlines), unescaping in place.
+class CsvTokenizer {
+ public:
+  static constexpr size_t kBlockBytes = 64 * 1024;
+
+  /// Reads `in` (not owned; must outlive the tokenizer). The tokenizer
+  /// buffers ahead: bytes it consumed but has not yet tokenized are lost
+  /// to other readers of `in`.
+  CsvTokenizer(std::istream* in, char delimiter);
+
+  /// Tokenizes the next record into fields(). Returns false at end of
+  /// stream (nothing consumed); InvalidArgument("unterminated quoted
+  /// field") when a quote is still open at end of stream, having consumed
+  /// the rest of the stream. A record ends at "\n", "\r\n", a lone "\r",
+  /// or end of stream.
+  StatusOr<bool> Next();
+
+  /// The last record's fields; valid until the next Next() call.
+  const std::vector<std::string_view>& fields() const { return fields_; }
+
+  /// Physical lines the last Next() consumed: newlines inside quoted
+  /// fields plus one, or 0 at end of stream.
+  size_t lines() const { return lines_; }
+
+ private:
+  // Appends what the stream has available after sliding the record in
+  // progress to the front of the buffer; false at end of stream.
+  bool Refill();
+  // Offset of the first '\n', '"', or '\r' in [from, end_), else end_.
+  size_t FindStructural(size_t from) const;
+  // The quote-aware state machine for the record at begin_.
+  StatusOr<bool> NextQuoted();
+
+  std::istream* in_;
+  char delimiter_;
+  std::vector<char> buffer_;
+  size_t begin_ = 0;  // First byte not yet tokenized.
+  size_t end_ = 0;    // One past the last buffered byte.
+  std::vector<std::string_view> fields_;
+  std::vector<size_t> field_ends_;  // Quoted path, relative to begin_.
+  size_t lines_ = 0;
+};
+
+}  // namespace internal
+
 /// Parses a CSV stream into a DataFrame.
 ///
 /// Supports RFC-4180-style double-quoted fields with embedded delimiters,
 /// quotes ("" escaping), and newlines. Returns InvalidArgument on ragged
-/// rows or unterminated quotes.
+/// rows (reporting the 1-based physical line and data row) or
+/// unterminated quotes.
 StatusOr<DataFrame> ReadCsv(std::istream& in,
                             const CsvOptions& options = CsvOptions());
 
@@ -48,7 +108,9 @@ StatusOr<DataFrame> ReadCsvFile(const std::string& path,
 /// every schema column: matched by header name when options.has_header
 /// is true (extra stream columns are ignored), positionally otherwise.
 /// Numeric cells must parse as doubles; empty numeric cells map to
-/// options.missing_numeric.
+/// options.missing_numeric. The reader buffers ahead of the rows it has
+/// returned (see internal::CsvTokenizer), so `in` belongs to it until it
+/// is destroyed.
 ///
 /// Categorical cells are interned at parse time into a per-column
 /// dictionary that persists across chunks: once a stream's categorical
@@ -90,13 +152,16 @@ class CsvChunkReader {
  private:
   Status ReadHeader();
 
-  std::istream* in_;
+  internal::CsvTokenizer tokenizer_;
   Schema schema_;
   CsvOptions options_;
   std::vector<size_t> col_map_;  // schema index -> stream field index
   // One persistent interner per categorical schema slot (unused entries
   // stay empty for numeric slots).
   std::vector<DictionaryBuilder> dicts_;
+  // Reused lookup key: Intern takes a std::string, and assigning each
+  // categorical cell here allocates only when a cell outgrows it.
+  std::string key_;
   size_t stream_columns_ = 0;
   bool header_done_ = false;
   size_t rows_read_ = 0;

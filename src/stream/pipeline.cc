@@ -292,8 +292,11 @@ Status StreamPipeline::CommitBatch(
   // depend only on the stream, never on thread scheduling). With sliding
   // windows the overlap is re-observed, weighting recent rows —
   // acceptable for a drift profile and documented in docs/streaming.md.
-  for (size_t i : committed) {
-    CCS_RETURN_IF_ERROR(profile_.ObserveAll(survivors[i]));
+  {
+    obs::ObsSpan fold_span("stream.fold", "stream");
+    for (size_t i : committed) {
+      CCS_RETURN_IF_ERROR(profile_.ObserveAll(survivors[i]));
+    }
   }
   // Cadence counts the monitor's whole history, not this Run's windows,
   // so a stream served in segments refreshes at the same absolute window

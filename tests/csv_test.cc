@@ -104,6 +104,27 @@ TEST(CsvTest, RaggedRowIsError) {
   EXPECT_EQ(df.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(CsvTest, RaggedRowReportsLineAndOneBasedDataRow) {
+  // The header occupies line 1, so data row 2 sits on line 3.
+  auto with_header = Parse("a,b\n1,2\n3\n");
+  ASSERT_FALSE(with_header.ok());
+  EXPECT_EQ(with_header.status().message(),
+            "CSV: line 3 (data row 2): has 1 fields, expected 2");
+
+  CsvOptions headerless;
+  headerless.has_header = false;
+  auto without_header = Parse("1,2\n3\n", headerless);
+  ASSERT_FALSE(without_header.ok());
+  EXPECT_EQ(without_header.status().message(),
+            "CSV: line 2 (data row 2): has 1 fields, expected 2");
+
+  // A quoted newline in an earlier row shifts the physical line only.
+  auto spanning = Parse("a,b\n\"x\ny\",1\n3\n");
+  ASSERT_FALSE(spanning.ok());
+  EXPECT_EQ(spanning.status().message(),
+            "CSV: line 4 (data row 2): has 1 fields, expected 2");
+}
+
 TEST(CsvTest, UnterminatedQuoteIsError) {
   EXPECT_FALSE(Parse("a\n\"oops\n").ok());
 }

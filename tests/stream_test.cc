@@ -574,6 +574,73 @@ TEST(CsvChunkReaderTest, HeaderlessMapsPositionally) {
   EXPECT_EQ(chunk->CategoricalValue(0, "tag").value(), "hot");
 }
 
+// A live source: each underflow releases exactly one more line (as a
+// paced stream does when the next row falls due) and is counted, and
+// every bulk read is checked against what the get area holds.
+class LinePerUnderflowStreambuf : public std::streambuf {
+ public:
+  explicit LinePerUnderflowStreambuf(std::vector<std::string> lines)
+      : lines_(std::move(lines)) {}
+
+  size_t underflows() const { return underflows_; }
+  // Bulk reads that asked for more bytes than were available.
+  size_t overreads() const { return overreads_; }
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    ++underflows_;
+    if (next_ == lines_.size()) return traits_type::eof();
+    std::string& line = lines_[next_++];
+    setg(line.data(), line.data(), line.data() + line.size());
+    return traits_type::to_int_type(*gptr());
+  }
+
+  std::streamsize xsgetn(char* s, std::streamsize n) override {
+    if (n > egptr() - gptr()) ++overreads_;
+    return std::streambuf::xsgetn(s, n);
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  size_t next_ = 0;
+  size_t underflows_ = 0;
+  size_t overreads_ = 0;
+};
+
+TEST(CsvChunkReaderTest, ReturnsOnceChunkCompleteWithoutWaitingForMore) {
+  // Blocking in an underflow the chunk does not need would hold every
+  // completed row of a live stream until the next row falls due.
+  dataframe::Schema schema;
+  CCS_CHECK(schema.AddAttribute("x", dataframe::AttributeType::kNumeric).ok());
+  CCS_CHECK(
+      schema.AddAttribute("tag", dataframe::AttributeType::kCategorical).ok());
+  LinePerUnderflowStreambuf buf(
+      {"x,tag\n", "1,a\n", "2,b\r\n", "3,c\n", "4,d\n", "5,e\n", "6,f\n"});
+  std::istream in(&buf);
+  dataframe::CsvChunkReader reader(&in, schema);
+
+  auto first = reader.ReadChunk(2);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(first->num_rows(), 2u);
+  EXPECT_EQ(buf.underflows(), 3u);  // Header + two rows, nothing more.
+
+  auto second = reader.ReadChunk(3);
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_EQ(second->num_rows(), 3u);
+  EXPECT_EQ(second->NumericValue(0, "x").value(), 3.0);
+  EXPECT_EQ(second->CategoricalValue(2, "tag").value(), "e");
+  EXPECT_EQ(buf.underflows(), 6u);
+
+  auto rest = reader.ReadChunk(10);
+  ASSERT_TRUE(rest.ok()) << rest.status();
+  ASSERT_EQ(rest->num_rows(), 1u);
+  EXPECT_EQ(buf.underflows(), 8u);  // The last row, then end of stream.
+  EXPECT_EQ(reader.rows_read(), 6u);
+  EXPECT_EQ(reader.lines_consumed(), 7u);
+  EXPECT_EQ(buf.overreads(), 0u);
+}
+
 // --------------------- StreamMonitor empty window ---------------------
 
 TEST(StreamMonitorTest, EmptyWindowIsCleanInvalidArgument) {
