@@ -87,6 +87,18 @@ class LogMessage {
 #define CCS_NOINLINE
 #endif
 
+// Starts a hot kernel on a 64-byte boundary, so where its inner loops
+// fall relative to cache lines (and decoded-instruction cache windows) is
+// fixed by the kernel's own code, not by the size of the code linked
+// before it. Without it, growing an unrelated function moved the batch
+// scoring loop across a line and cost AssessAll about 25% (GCC 12,
+// Sapphire Rapids Xeon).
+#if defined(__GNUC__) || defined(__clang__)
+#define CCS_CODE_ALIGN64 __attribute__((aligned(64)))
+#else
+#define CCS_CODE_ALIGN64
+#endif
+
 #define CCS_LOG_INFO ::ccs::internal::LogMessage("INFO").stream()
 #define CCS_LOG_WARNING ::ccs::internal::LogMessage("WARN").stream()
 #define CCS_LOG_ERROR ::ccs::internal::LogMessage("ERROR").stream()

@@ -102,21 +102,28 @@ class GramAccumulator {
 
   /// Overwrites the accumulator state with a previously captured
   /// (RawSum, count) pair — the checkpoint-resume hook. InvalidArgument
-  /// when `sum` is not (m+1) x (m+1) or `count` is negative.
+  /// when `sum` is not (m+1) x (m+1), `count` is negative, sum(0,0) is
+  /// not exactly `count`, or `sum` is not bitwise symmetric (accumulation
+  /// derives the lower triangle from the upper one, so an asymmetric
+  /// state could not be continued faithfully).
   Status RestoreState(const Matrix& sum, int64_t count);
 
  private:
-  // One tuple's worth of (1,t)(1,t)^T terms from a contiguous row of m_
-  // doubles — the single definition of the per-entry term order every
-  // ingest path (Add, AccumulateRows, AddMatrix, AddView) funnels into.
-  // Never inlined: one shared compilation is what guarantees identical
-  // bits (incl. NaN payloads) across the ingest paths.
-  CCS_NOINLINE void AccumulateRowTerms(const double* row);
+  // Adds the (1,t)(1,t)^T terms of n contiguous rows of m_ doubles — the
+  // one kernel every ingest path (Add, AccumulateRows, AddMatrix,
+  // AddView) funnels into, so the per-entry term order has exactly one
+  // definition. Loop-interchanged over register tiles of the upper
+  // triangle (each entry still takes its terms in row order), then the
+  // lower triangle is copied from the upper once per block. Never
+  // inlined: one shared compilation is what guarantees identical bits
+  // (incl. NaN payloads) across the ingest paths.
+  CCS_NOINLINE void AccumulateBlock(const double* rows, size_t n);
 
-  // Unchecked bodies of the Matrix / MatrixView entry points. The view
-  // body late-materializes kViewGatherBlockRows-row blocks into reused
-  // cache-resident scratch (MatrixView::GatherBlock) and feeds them to
-  // AccumulateRowTerms — no full-size Matrix per call.
+  // Unchecked bodies of the Matrix / MatrixView entry points. Both feed
+  // AccumulateBlock kViewGatherBlockRows-row blocks: the Matrix body
+  // passes its contiguous rows in place, the view body late-materializes
+  // each block into reused cache-resident scratch
+  // (MatrixView::GatherBlock) — no full-size Matrix per call.
   void AccumulateRowsImpl(const Matrix& data, size_t row_begin,
                           size_t row_end);
   void AccumulateRowsImpl(const MatrixView& data, size_t row_begin,
@@ -127,7 +134,8 @@ class GramAccumulator {
   size_t m_;
   int64_t n_;
   // Row-major (m+1)x(m+1) sum of (1,t)(1,t)^T. Entry (0,0) is the count,
-  // row/col 0 hold per-attribute sums.
+  // row/col 0 hold per-attribute sums. Always bitwise symmetric: only the
+  // upper triangle is accumulated, the lower is its copy.
   Matrix sum_;
 };
 

@@ -7,9 +7,9 @@ namespace ccs::linalg {
 
 namespace internal {
 
-CCS_NOINLINE void AccumulateRowsTimesMatrix(const double* rows,
-                                            size_t row_count, size_t k_count,
-                                            const Matrix& other, double* out) {
+CCS_NOINLINE CCS_CODE_ALIGN64 void AccumulateRowsTimesMatrix(
+    const double* rows, size_t row_count, size_t k_count, const Matrix& other,
+    double* out) {
   // i,k,j order: k ascending, each out entry accumulating in the same
   // term order as Vector::Dot (no zero-skipping).
   const size_t out_cols = other.cols();

@@ -93,8 +93,8 @@ void MatrixView::MaterializeColumn(size_t c, double* out) const {
   EvalDerivedColumn(columns_[c], 0, rows_, out, 1);
 }
 
-Matrix MatrixView::MultiplyRowRange(size_t row_begin, size_t row_end,
-                                    const Matrix& other) const {
+CCS_CODE_ALIGN64 Matrix MatrixView::MultiplyRowRange(
+    size_t row_begin, size_t row_end, const Matrix& other) const {
   CCS_CHECK_EQ(columns_.size(), other.rows());
   CCS_CHECK(row_begin <= row_end && row_end <= rows_);
   Matrix out(row_end - row_begin, other.cols());

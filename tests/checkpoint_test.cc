@@ -135,6 +135,34 @@ TEST_F(CheckpointResumeTest, RestoreGuardsGeometry) {
   EXPECT_TRUE(pipeline->Restore(snap).ok());
 }
 
+TEST_F(CheckpointResumeTest, RestoreRefusesAsymmetricGramSum) {
+  // The Gram fold keeps its sum bitwise symmetric, so a checkpoint whose
+  // sum is not (one bit flipped below the diagonal) is corrupt: it still
+  // parses, but Restore must refuse it with a Status, never a CHECK.
+  dataframe::DataFrame reference = TrendFrame(200, 3);
+  auto pipeline = StreamPipeline::Create(reference, Options());
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+  const std::string text = SerializeCheckpoint(pipeline->Snapshot());
+
+  // gram_row 2 of the 3 x 3 sum; its second value is entry (2, 1).
+  size_t row = text.find("gram_row");
+  for (int r = 0; r < 2; ++r) row = text.find("gram_row", row + 1);
+  ASSERT_NE(row, std::string::npos);
+  const size_t value = text.find(' ', text.find(' ', row) + 1) + 1;
+  std::string flipped = text;
+  const std::string kDigits = "0123456789abcdef";
+  char& last_digit = flipped[value + 15];
+  last_digit = kDigits[kDigits.find(last_digit) ^ 1];
+  ASSERT_NE(flipped, text);
+
+  auto corrupt = ParseCheckpoint(flipped);
+  ASSERT_TRUE(corrupt.ok()) << corrupt.status();
+  EXPECT_EQ(pipeline->Restore(*corrupt).code(), StatusCode::kInvalidArgument);
+  auto intact = ParseCheckpoint(text);
+  ASSERT_TRUE(intact.ok()) << intact.status();
+  EXPECT_TRUE(pipeline->Restore(*intact).ok());
+}
+
 TEST_F(CheckpointResumeTest, RestoreRefusedAfterCommits) {
   dataframe::DataFrame reference = TrendFrame(200, 3);
   auto pipeline = StreamPipeline::Create(reference, Options());

@@ -1,10 +1,21 @@
-// Tests for linalg/: Vector and Matrix.
+// Tests for linalg/: Vector, Matrix, and the GramAccumulator block
+// kernel (differentially, against the row-at-a-time loop it replaced).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "common/parallel.h"
+#include "common/random.h"
+#include "dataframe/dataframe.h"
+#include "linalg/gram.h"
 #include "linalg/matrix.h"
+#include "linalg/matrix_view.h"
 #include "linalg/vector.h"
 
 namespace ccs::linalg {
@@ -207,6 +218,228 @@ TEST(MatrixTest, MultiplyAssociatesWithTranspose) {
   Matrix left = a.Multiply(b).Transposed();
   Matrix right = b.Transposed().Multiply(a.Transposed());
   EXPECT_TRUE(Matrix::AlmostEqual(left, right, 1e-12));
+}
+
+// ------------------ GramAccumulator vs. row-at-a-time -------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The oracle: the row-at-a-time kernel the register-blocked
+// GramAccumulator kernel replaced. It adds one row's (1,t)(1,t)^T to the
+// full matrix, writing each off-diagonal product to both triangles.
+void OracleAccumulateRow(const double* row, size_t m, Matrix* sum) {
+  sum->At(0, 0) += 1.0;
+  for (size_t i = 0; i < m; ++i) {
+    double v = row[i];
+    sum->At(0, i + 1) += v;
+    sum->At(i + 1, 0) += v;
+    for (size_t j = i; j < m; ++j) {
+      double prod = v * row[j];
+      sum->At(i + 1, j + 1) += prod;
+      if (j != i) sum->At(j + 1, i + 1) += prod;
+    }
+  }
+}
+
+// `start` plus every row of `data`, summed by the oracle. `sharded`
+// reproduces the AddMatrix/AddView summation tree: past one
+// kGramShardRows shard, each shard is summed from zero and the partials
+// are folded into `start` in ascending shard order.
+Matrix OracleSum(const Matrix& data, const Matrix& start, bool sharded) {
+  const size_t n = data.rows();
+  const size_t m = data.cols();
+  const double* rows = data.data().data();
+  Matrix sum = start;
+  if (!sharded || n <= kGramShardRows) {
+    for (size_t r = 0; r < n; ++r) OracleAccumulateRow(rows + r * m, m, &sum);
+    return sum;
+  }
+  for (size_t b = 0; b < n; b += kGramShardRows) {
+    Matrix partial(m + 1, m + 1);
+    for (size_t r = b; r < std::min(n, b + kGramShardRows); ++r) {
+      OracleAccumulateRow(rows + r * m, m, &partial);
+    }
+    sum.AddInPlace(partial);
+  }
+  return sum;
+}
+
+// A finite value of random sign and magnitude in [1e-6, 1e6], so that
+// any reassociation of a sum changes its bits.
+double MixedMagnitude(Rng& rng) {
+  const double magnitude = std::pow(10.0, rng.Uniform(-6.0, 6.0));
+  return rng.Bernoulli(0.5) ? magnitude : -magnitude;
+}
+
+// n x m data, about 1% non-finite cells overall. They are concentrated in
+// every fifth column from the first (5% there), so the entries between
+// the other columns stay finite and keep the comparison sharp at large n.
+Matrix OracleData(size_t n, size_t m, Rng& rng) {
+  Matrix data(n, m);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < m; ++c) {
+      double v = MixedMagnitude(rng);
+      if (c % 5 == 0 && rng.Bernoulli(0.05)) {
+        const double u = rng.Uniform();
+        v = u < 0.4 ? kNaN : (u < 0.7 ? kInf : -kInf);
+      }
+      data.At(r, c) = v;
+    }
+  }
+  return data;
+}
+
+// A non-zero, symmetric start state whose (0,0) entry is its count.
+Matrix OracleStart(size_t m, int64_t count, Rng& rng) {
+  Matrix start(m + 1, m + 1);
+  for (size_t i = 0; i <= m; ++i) {
+    for (size_t j = i; j <= m; ++j) {
+      start.At(i, j) = start.At(j, i) = MixedMagnitude(rng);
+    }
+  }
+  start.At(0, 0) = static_cast<double>(count);
+  return start;
+}
+
+// Two frames whose numeric view over c0..c{m-1} is exactly `data`: one
+// owned, one a view of a view (a slice, then every second row) whose
+// skipped rows hold NaN so a mis-selected row cannot go unnoticed.
+std::vector<dataframe::DataFrame> OracleFrames(const Matrix& data) {
+  const size_t n = data.rows();
+  constexpr size_t kSkip = 3;
+  dataframe::DataFrame owned, base;
+  for (size_t c = 0; c < data.cols(); ++c) {
+    std::vector<double> column(n), padded(kSkip + 2 * n, kNaN);
+    for (size_t r = 0; r < n; ++r) {
+      column[r] = padded[kSkip + 2 * r] = data.At(r, c);
+    }
+    const std::string name = "c" + std::to_string(c);
+    CCS_CHECK(owned.AddNumericColumn(name, std::move(column)).ok());
+    CCS_CHECK(base.AddNumericColumn(name, std::move(padded)).ok());
+  }
+  dataframe::DataFrame view_of_view =
+      base.Slice(kSkip, base.num_rows()).Filter([](size_t i) {
+        return i % 2 == 0;
+      });
+  return {owned, view_of_view};
+}
+
+bool BitsEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Entries of `got` that break the oracle contract: a NaN reference entry
+// needs any NaN (payloads are a property of the compiled code), every
+// other entry must match bit for bit.
+size_t CountMismatches(const Matrix& got, const Matrix& want) {
+  CCS_CHECK(got.rows() == want.rows() && got.cols() == want.cols());
+  size_t bad = 0;
+  for (size_t i = 0; i < want.rows(); ++i) {
+    for (size_t j = 0; j < want.cols(); ++j) {
+      const double w = want.At(i, j);
+      const double g = got.At(i, j);
+      if (std::isnan(w) ? !std::isnan(g) : !BitsEqual(g, w)) ++bad;
+    }
+  }
+  return bad;
+}
+
+TEST(GramOracleTest, EveryEntryPointMatchesRowAtATimeBitwise) {
+  const size_t kAttrs[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 41, 47};
+  const size_t kRows[] = {0, 1, 2, 255, 256, 257, 1023, 1024, 1025, 2600};
+  constexpr int64_t kStartCount = 7;
+  Rng rng(20210620);
+  size_t cases = 0;
+  for (size_t m : kAttrs) {
+    std::vector<std::string> names;
+    for (size_t c = 0; c < m; ++c) names.push_back("c" + std::to_string(c));
+    for (size_t n : kRows) {
+      const Matrix data = OracleData(n, m, rng);
+      const Matrix start = OracleStart(m, kStartCount, rng);
+      const Matrix want_serial = OracleSum(data, start, /*sharded=*/false);
+      const Matrix want_sharded = OracleSum(data, start, /*sharded=*/true);
+      const std::vector<dataframe::DataFrame> frames = OracleFrames(data);
+      std::vector<MatrixView> views;
+      for (const dataframe::DataFrame& frame : frames) {
+        auto view = frame.NumericViewFor(names);
+        ASSERT_TRUE(view.ok()) << view.status();
+        ASSERT_EQ(view->rows(), n);
+        views.push_back(*view);
+      }
+      auto fresh = [&] {
+        GramAccumulator gram(m);
+        CCS_CHECK(gram.RestoreState(start, kStartCount).ok());
+        return gram;
+      };
+      auto check = [&](const GramAccumulator& gram, const Matrix& want,
+                       const char* path, size_t threads) {
+        ++cases;
+        EXPECT_EQ(gram.count(), kStartCount + static_cast<int64_t>(n));
+        EXPECT_EQ(CountMismatches(gram.AugmentedGram(), want), 0u)
+            << path << " m=" << m << " n=" << n << " threads=" << threads;
+      };
+      for (size_t threads : {1u, 4u}) {
+        common::SetDefaultThreadCount(threads);
+        GramAccumulator by_row = fresh();
+        for (size_t r = 0; r < n; ++r) by_row.Add(data.Row(r));
+        check(by_row, want_serial, "Add", threads);
+        GramAccumulator rows_matrix = fresh();
+        rows_matrix.AccumulateRows(data, 0, n);
+        check(rows_matrix, want_serial, "AccumulateRows(Matrix)", threads);
+        GramAccumulator by_matrix = fresh();
+        by_matrix.AddMatrix(data);
+        check(by_matrix, want_sharded, "AddMatrix", threads);
+        for (size_t v = 0; v < views.size(); ++v) {
+          const char* frame = v == 0 ? "owned" : "view-of-view";
+          GramAccumulator rows_view = fresh();
+          rows_view.AccumulateRows(views[v], 0, n);
+          check(rows_view, want_serial,
+                (std::string("AccumulateRows(MatrixView) ") + frame).c_str(),
+                threads);
+          GramAccumulator by_view = fresh();
+          by_view.AddView(views[v]);
+          check(by_view, want_sharded,
+                (std::string("AddView ") + frame).c_str(), threads);
+        }
+      }
+    }
+  }
+  common::SetDefaultThreadCount(0);
+  EXPECT_EQ(cases, 15u * 10u * 2u * 7u);
+}
+
+TEST(GramRestoreStateTest, RefusesAsymmetricOrMiscountedState) {
+  Rng rng(5);
+  const Matrix start = OracleStart(3, 4, rng);
+  GramAccumulator gram(3);
+  ASSERT_TRUE(gram.RestoreState(start, 4).ok());
+
+  // (0,0) is the count, exactly.
+  EXPECT_EQ(gram.RestoreState(start, 5).code(), StatusCode::kInvalidArgument);
+
+  // One flipped bit in the lower triangle.
+  Matrix flipped = start;
+  uint64_t bits;
+  std::memcpy(&bits, &flipped.At(3, 1), sizeof(bits));
+  bits ^= 1;
+  std::memcpy(&flipped.At(3, 1), &bits, sizeof(bits));
+  EXPECT_EQ(gram.RestoreState(flipped, 4).code(),
+            StatusCode::kInvalidArgument);
+
+  // NaN entries compare by bits: NaNs of different signs are asymmetric,
+  // the same NaN on both sides is not.
+  Matrix nan = start;
+  nan.At(1, 2) = kNaN;
+  nan.At(2, 1) = -kNaN;
+  EXPECT_EQ(gram.RestoreState(nan, 4).code(), StatusCode::kInvalidArgument);
+
+  // A refused state leaves the accumulator as it was.
+  EXPECT_EQ(gram.count(), 4);
+  EXPECT_EQ(CountMismatches(gram.AugmentedGram(), start), 0u);
+
+  nan.At(2, 1) = kNaN;
+  EXPECT_TRUE(gram.RestoreState(nan, 4).ok());
 }
 
 }  // namespace
