@@ -24,8 +24,10 @@ Status ChangeDetection::Fit(const dataframe::DataFrame& reference) {
   if (data.cols() == 0) {
     return Status::InvalidArgument("CD::Fit: no numeric attributes");
   }
-  linalg::GramAccumulator gram(data.cols());
-  gram.AddMatrix(data);
+  CCS_ASSIGN_OR_RETURN(linalg::MatrixView view,
+                       reference.NumericViewFor(reference.NumericNames()));
+  linalg::GramAccumulator gram(view.cols());
+  gram.AddView(view);
   mean_ = gram.Means();
   CCS_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
                        linalg::SymmetricEigen(gram.Covariance()));

@@ -22,12 +22,13 @@ Status PcaSpll::Fit(const dataframe::DataFrame& reference) {
   if (reference.num_rows() == 0) {
     return Status::InvalidArgument("PcaSpll::Fit: empty reference");
   }
-  linalg::Matrix data = reference.NumericMatrix();
+  CCS_ASSIGN_OR_RETURN(linalg::MatrixView data,
+                       reference.NumericViewFor(reference.NumericNames()));
   if (data.cols() == 0) {
     return Status::InvalidArgument("PcaSpll::Fit: no numeric attributes");
   }
   linalg::GramAccumulator gram(data.cols());
-  gram.AddMatrix(data);
+  gram.AddView(data);
   mean_ = gram.Means();
   CCS_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
                        linalg::SymmetricEigen(gram.Covariance()));

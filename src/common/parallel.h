@@ -12,7 +12,7 @@
 //
 // Determinism: neither entry point prescribes which lane runs which
 // index, so any cross-index reduction must be committed by the caller in
-// index order after the dispatch returns (see GramAccumulator::AddMatrix
+// index order after the dispatch returns (see GramAccumulator::AddView
 // for the canonical shard-then-ordered-merge pattern).
 
 #ifndef CCS_COMMON_PARALLEL_H_

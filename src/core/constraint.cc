@@ -34,6 +34,21 @@ BoundedConstraint::BoundedConstraint(Projection projection, double lb,
   alpha_ = (stddev_ > 0.0) ? std::min(1.0 / stddev_, kMaxAlpha) : kMaxAlpha;
 }
 
+StatusOr<BoundedConstraint> BoundedConstraint::Create(Projection projection,
+                                                     double lb, double ub,
+                                                     double mean,
+                                                     double stddev,
+                                                     double importance) {
+  if (!(lb <= ub)) {
+    return Status::InvalidArgument("BoundedConstraint: need lb <= ub");
+  }
+  if (!(stddev >= 0.0)) {
+    return Status::InvalidArgument("BoundedConstraint: need stddev >= 0");
+  }
+  return BoundedConstraint(std::move(projection), lb, ub, mean, stddev,
+                           importance);
+}
+
 bool BoundedConstraint::IsSatisfiedAligned(
     const linalg::Vector& numeric_tuple) const {
   double v = projection_.EvaluateAligned(numeric_tuple);
@@ -95,49 +110,29 @@ double SimpleConstraint::ViolationAligned(
   return std::clamp(acc, 0.0, 1.0);
 }
 
-namespace {
-
-// Shared body of the Matrix / MatrixView scoring kernels. DataLike only
-// needs rows() and MultiplyRowRange(begin, end, coef); both implement
-// the same exact i,k,j term order, so the two instantiations are
-// bitwise interchangeable.
-template <typename DataLike>
-linalg::Vector ViolationAllAlignedImpl(
-    const std::vector<std::string>& names,
-    const std::vector<BoundedConstraint>& conjuncts, const DataLike& data) {
+linalg::Vector SimpleConstraint::ViolationAllAligned(
+    const linalg::MatrixView& data) const {
   linalg::Vector out(data.rows());
-  if (conjuncts.empty() || data.rows() == 0) return out;
+  if (conjuncts_.empty() || data.rows() == 0) return out;
   // Column k holds conjunct k's projection, so one data * coef product
   // evaluates every projection on every row.
-  linalg::Matrix coef(names.size(), conjuncts.size());
-  for (size_t k = 0; k < conjuncts.size(); ++k) {
-    const linalg::Vector& c = conjuncts[k].projection().coefficients();
+  linalg::Matrix coef(names_.size(), conjuncts_.size());
+  for (size_t k = 0; k < conjuncts_.size(); ++k) {
+    const linalg::Vector& c = conjuncts_[k].projection().coefficients();
     for (size_t j = 0; j < c.size(); ++j) coef.At(j, k) = c[j];
   }
   common::ParallelFor(data.rows(), [&](size_t begin, size_t end) {
     linalg::Matrix values = data.MultiplyRowRange(begin, end, coef);
     for (size_t i = begin; i < end; ++i) {
       double acc = 0.0;
-      for (size_t k = 0; k < conjuncts.size(); ++k) {
-        acc += conjuncts[k].importance() *
-               conjuncts[k].ViolationOfValue(values.At(i - begin, k));
+      for (size_t k = 0; k < conjuncts_.size(); ++k) {
+        acc += conjuncts_[k].importance() *
+               conjuncts_[k].ViolationOfValue(values.At(i - begin, k));
       }
       out[i] = std::clamp(acc, 0.0, 1.0);
     }
   });
   return out;
-}
-
-}  // namespace
-
-linalg::Vector SimpleConstraint::ViolationAllAligned(
-    const linalg::Matrix& data) const {
-  return ViolationAllAlignedImpl(names_, conjuncts_, data);
-}
-
-linalg::Vector SimpleConstraint::ViolationAllAligned(
-    const linalg::MatrixView& data) const {
-  return ViolationAllAlignedImpl(names_, conjuncts_, data);
 }
 
 StatusOr<double> SimpleConstraint::Violation(const dataframe::DataFrame& df,

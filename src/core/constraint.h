@@ -39,6 +39,14 @@ class BoundedConstraint {
   BoundedConstraint(Projection projection, double lb, double ub, double mean,
                     double stddev, double importance);
 
+  /// The constructor for untrusted parameters (the profile and
+  /// checkpoint decoders): InvalidArgument, where the constructor would
+  /// CHECK-fail, unless lb <= ub and stddev >= 0 — so a NaN bound or
+  /// stddev is refused too.
+  static StatusOr<BoundedConstraint> Create(Projection projection, double lb,
+                                            double ub, double mean,
+                                            double stddev, double importance);
+
   const Projection& projection() const { return projection_; }
   double lb() const { return lb_; }
   double ub() const { return ub_; }
@@ -89,16 +97,12 @@ class SimpleConstraint {
   /// Quantitative semantics: gamma-weighted sum of conjunct violations.
   double ViolationAligned(const linalg::Vector& numeric_tuple) const;
 
-  /// Violations of every row of an aligned data matrix (columns in
+  /// Violations of every row of a non-owning columnar view (columns in
   /// attribute_names() order). All conjunct projections are evaluated as
-  /// one chunk-parallel matrix-matrix product; results are bitwise
-  /// identical to calling ViolationAligned row by row.
-  linalg::Vector ViolationAllAligned(const linalg::Matrix& data) const;
-
-  /// The same batched kernel over a non-owning columnar view: the
-  /// gather happens inside MatrixView::MultiplyRowRange, so scoring a
-  /// view-backed frame materializes no per-call matrix. Bitwise
-  /// identical to ViolationAllAligned(data.ToMatrix()).
+  /// one chunk-parallel matrix-matrix product whose gather happens inside
+  /// MatrixView::MultiplyRowRange, so scoring a view-backed frame
+  /// materializes no per-call matrix. Results are bitwise identical to
+  /// calling ViolationAligned row by row.
   linalg::Vector ViolationAllAligned(const linalg::MatrixView& data) const;
 
   /// Violation of row `row` of `df` (attributes located by name).

@@ -32,11 +32,6 @@ StatusOr<double> Projection::Evaluate(const dataframe::DataFrame& df,
   return acc;
 }
 
-linalg::Vector Projection::EvaluateAllAligned(
-    const linalg::Matrix& data) const {
-  return data.Multiply(coefficients_);
-}
-
 StatusOr<linalg::Vector> Projection::EvaluateAll(
     const dataframe::DataFrame& df) const {
   // Lazy path: one derived kCombine column over the named attributes,

@@ -36,11 +36,6 @@ class Projection {
     return coefficients_.Dot(numeric_tuple);
   }
 
-  /// Evaluates on every row of an aligned data matrix whose columns
-  /// follow attribute_names() order: returns F(D) = data * coefficients
-  /// as one matrix-vector product (the batched fast path).
-  linalg::Vector EvaluateAllAligned(const linalg::Matrix& data) const;
-
   /// Evaluates on row `row` of `df`, locating attributes by name.
   StatusOr<double> Evaluate(const dataframe::DataFrame& df, size_t row) const;
 

@@ -1,8 +1,11 @@
 #include "core/serialize.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/string_util.h"
 
@@ -132,6 +135,15 @@ void SerializeSimple(const SimpleConstraint& c, std::ostringstream& os) {
   }
 }
 
+// Parses one field Num wrote. from_chars reads back every %.17g form,
+// including the inf, -inf, nan and -nan of non-finite values, which
+// istream >> rejects; the whole field must be consumed.
+bool ParseNum(std::string_view field, double* out) {
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 class LineReader {
  public:
   explicit LineReader(const std::string& text) : stream_(text) {}
@@ -157,8 +169,9 @@ StatusOr<SimpleConstraint> ParseSimple(LineReader* reader,
   if (tag != "simple" || hs.fail()) {
     return Status::InvalidArgument("Deserialize: bad simple header");
   }
+  // No reserve() from the header's counts: they are untrusted, and a
+  // hostile count must fail on a missing line, not in the allocator.
   std::vector<std::string> names;
-  names.reserve(num_attrs);
   for (size_t i = 0; i < num_attrs; ++i) {
     CCS_ASSIGN_OR_RETURN(std::string line, reader->Next());
     if (!StartsWith(line, "a ")) {
@@ -167,26 +180,31 @@ StatusOr<SimpleConstraint> ParseSimple(LineReader* reader,
     names.push_back(line.substr(2));
   }
   std::vector<BoundedConstraint> conjuncts;
-  conjuncts.reserve(num_conjuncts);
   for (size_t i = 0; i < num_conjuncts; ++i) {
     CCS_ASSIGN_OR_RETURN(std::string line, reader->Next());
+    // "c lb ub mean stddev importance coef...": five statistics, then
+    // one coefficient per attribute, separated by whitespace.
     std::istringstream ls(line);
-    std::string ctag;
-    double lb, ub, mean, stddev, importance;
-    ls >> ctag >> lb >> ub >> mean >> stddev >> importance;
-    if (ctag != "c" || ls.fail()) {
+    std::vector<std::string> fields;
+    for (std::string field; ls >> field;) fields.push_back(std::move(field));
+    if (fields.size() != 6 + num_attrs || fields[0] != "c") {
       return Status::InvalidArgument("Deserialize: bad conjunct line");
     }
+    double stats[5];
     linalg::Vector coefs(num_attrs);
-    for (size_t j = 0; j < num_attrs; ++j) {
-      ls >> coefs[j];
-    }
-    if (ls.fail()) {
-      return Status::InvalidArgument("Deserialize: bad coefficients");
+    for (size_t f = 1; f < fields.size(); ++f) {
+      if (!ParseNum(fields[f], f < 6 ? &stats[f - 1] : &coefs[f - 6])) {
+        return Status::InvalidArgument("Deserialize: bad number '" +
+                                       fields[f] + "'");
+      }
     }
     CCS_ASSIGN_OR_RETURN(Projection proj,
                          Projection::Create(names, std::move(coefs)));
-    conjuncts.emplace_back(std::move(proj), lb, ub, mean, stddev, importance);
+    CCS_ASSIGN_OR_RETURN(
+        BoundedConstraint conjunct,
+        BoundedConstraint::Create(std::move(proj), stats[0], stats[1],
+                                  stats[2], stats[3], stats[4]));
+    conjuncts.push_back(std::move(conjunct));
   }
   return SimpleConstraint::Create(std::move(names), std::move(conjuncts));
 }

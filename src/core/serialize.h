@@ -26,8 +26,10 @@ std::string ToPrettyString(const ConformanceConstraint& constraint);
 std::string ToSqlCheck(const SimpleConstraint& constraint);
 std::string ToSqlCheck(const ConformanceConstraint& constraint);
 
-/// Versioned line-oriented serialization that round-trips exactly
-/// (numbers are written with enough digits to reparse bit-close).
+/// Versioned line-oriented serialization that round-trips exactly:
+/// numbers are written with %.17g, which reparses to the same bits, and
+/// non-finite values as inf, -inf, nan and -nan (a NaN keeps its sign,
+/// not its payload).
 std::string Serialize(const ConformanceConstraint& constraint);
 
 /// Parses the output of Serialize. Returns InvalidArgument on malformed

@@ -9,7 +9,7 @@
 // (§4.2).
 //
 // The pipeline is parallel end to end: Gram accumulation is sharded
-// across rows (GramAccumulator::AddMatrix) and disjunctive partitions
+// across rows (GramAccumulator::AddView) and disjunctive partitions
 // synthesize concurrently over a work queue (ParallelForEach). Both
 // stages commit their results in a fixed order that does not depend on
 // the thread count, so every synthesized constraint — coefficients,

@@ -133,29 +133,17 @@ void GramAccumulator::Add(const Vector& tuple) {
   AccumulateBlock(tuple.data().data(), 1);
 }
 
-void GramAccumulator::AccumulateRowsImpl(const Matrix& data, size_t row_begin,
-                                         size_t row_end) {
-  // Rows are contiguous in a row-major Matrix; accumulate them in place,
-  // in kViewGatherBlockRows-row blocks so a block stays cache-resident
-  // while every tile walks it.
-  const double* base = data.data().data();
-  for (size_t b = row_begin; b < row_end; b += kViewGatherBlockRows) {
-    const size_t e = std::min(row_end, b + kViewGatherBlockRows);
-    AccumulateBlock(base + b * m_, e - b);
-  }
-}
-
 void GramAccumulator::AccumulateRowsImpl(const MatrixView& data,
                                          size_t row_begin, size_t row_end) {
   if (row_begin == row_end) return;
   // Late materialization in cache-sized blocks: gather rows into reused
-  // scratch, then run the SAME compiled block kernel every other ingest
-  // path uses. No full-size Matrix is allocated/zeroed/re-read, and the
-  // bits are identical by construction: copying cells preserves them,
-  // and a single shared kernel sidesteps the one divergence source
-  // term-order reasoning cannot close — two structurally identical
-  // kernels compiled with different FP operand orderings propagate
-  // different NaN payloads.
+  // scratch, then run the SAME compiled block kernel Add uses. No
+  // full-size Matrix is allocated/zeroed/re-read, and the bits are
+  // identical by construction: copying cells preserves them, and a
+  // single shared kernel sidesteps the one divergence source term-order
+  // reasoning cannot close — two structurally identical kernels compiled
+  // with different FP operand orderings propagate different NaN
+  // payloads.
   std::vector<double> scratch(
       std::min(row_end - row_begin, kViewGatherBlockRows) * m_);
   for (size_t b = row_begin; b < row_end; b += kViewGatherBlockRows) {
@@ -165,24 +153,8 @@ void GramAccumulator::AccumulateRowsImpl(const MatrixView& data,
   }
 }
 
-void GramAccumulator::AccumulateRows(const Matrix& data, size_t row_begin,
-                                     size_t row_end) {
-  // A mismatched width would read out of bounds (Add and AddMatrix both
-  // validate; this public entry point must too).
-  CCS_CHECK_EQ(data.cols(), m_);
-  CCS_CHECK(row_begin <= row_end && row_end <= data.rows());
-  AccumulateRowsImpl(data, row_begin, row_end);
-}
-
-void GramAccumulator::AccumulateRows(const MatrixView& data, size_t row_begin,
-                                     size_t row_end) {
-  CCS_CHECK_EQ(data.cols(), m_);
-  CCS_CHECK(row_begin <= row_end && row_end <= data.rows());
-  AccumulateRowsImpl(data, row_begin, row_end);
-}
-
-template <typename DataLike>
-void GramAccumulator::AddRowsSharded(const DataLike& data) {
+void GramAccumulator::AddView(const MatrixView& data) {
+  // A mismatched width would read out of bounds.
   CCS_CHECK_EQ(data.cols(), m_);
   const size_t n = data.rows();
   const size_t shards = (n + kGramShardRows - 1) / kGramShardRows;
@@ -207,10 +179,6 @@ void GramAccumulator::AddRowsSharded(const DataLike& data) {
     CCS_CHECK(Merge(partial).ok());
   }
 }
-
-void GramAccumulator::AddMatrix(const Matrix& data) { AddRowsSharded(data); }
-
-void GramAccumulator::AddView(const MatrixView& data) { AddRowsSharded(data); }
 
 Status GramAccumulator::Merge(const GramAccumulator& other) {
   if (other.m_ != m_) {

@@ -10,13 +10,13 @@
 //   - per-attribute means,
 //   - the covariance matrix                       (for baselines).
 //
-// AddMatrix and AddView are the bulk paths and are chunk-parallel: rows
-// are split into fixed-size shards (kGramShardRows, independent of the
-// thread count), each shard accumulated into a thread-local partial, and
-// the partials merged in ascending shard order on the calling thread.
-// Because both the shard boundaries and the merge order are fixed, the
-// accumulated sums — and everything synthesized from them — are bitwise
-// identical at any thread count, including 1 (see docs/architecture.md,
+// AddView is the bulk path and is chunk-parallel: rows are split into
+// fixed-size shards (kGramShardRows, independent of the thread count),
+// each shard accumulated into a thread-local partial, and the partials
+// merged in ascending shard order on the calling thread. Because both
+// the shard boundaries and the merge order are fixed, the accumulated
+// sums — and everything synthesized from them — are bitwise identical
+// at any thread count, including 1 (see docs/architecture.md,
 // "Determinism contract"). AddView walks a non-owning MatrixView
 // (column buffers + selection vectors) directly, so view-backed
 // DataFrames are accumulated without materializing a per-call Matrix.
@@ -33,7 +33,7 @@
 
 namespace ccs::linalg {
 
-/// Rows per accumulation shard in GramAccumulator::AddMatrix. Fixed (not
+/// Rows per accumulation shard in GramAccumulator::AddView. Fixed (not
 /// derived from the thread count) so the floating-point summation tree —
 /// and therefore every synthesized constraint — is identical no matter
 /// how many lanes execute the shards.
@@ -49,29 +49,14 @@ class GramAccumulator {
   /// num_attributes().
   void Add(const Vector& tuple);
 
-  /// Adds every row of a data matrix (the bulk path), sharding rows into
-  /// kGramShardRows blocks accumulated in parallel and merged in fixed
-  /// shard order. Deterministic at any thread count.
+  /// Adds every row of a non-owning columnar view (the bulk path),
+  /// sharding rows into kGramShardRows blocks accumulated in parallel
+  /// and merged in fixed shard order. The gather happens inside the
+  /// accumulation loop — no per-call Matrix is materialized.
+  /// Deterministic at any thread count.
   ///
-  /// \param data  An n x num_attributes() matrix; rows are tuples.
-  void AddMatrix(const Matrix& data);
-
-  /// AddMatrix over a non-owning columnar view: the same sharded,
-  /// fixed-merge-order bulk path, but the gather happens inside the
-  /// accumulation loop — no per-call Matrix is materialized. Bitwise
-  /// identical to AddMatrix(data.ToMatrix()) at any thread count.
-  ///
-  /// \param data  An n x num_attributes() view; rows are tuples.
+  /// \param data  An n x num_attributes() view (checked); rows are tuples.
   void AddView(const MatrixView& data);
-
-  /// Accumulates rows [row_begin, row_end) of `data` directly into the
-  /// running sum, in row order with Add()'s per-entry term order — the
-  /// shard body AddMatrix/AddView dispatch in parallel, exposed for
-  /// callers that manage their own sharding. `data.cols()` must equal
-  /// num_attributes() (checked) and row_end must be <= data.rows().
-  void AccumulateRows(const Matrix& data, size_t row_begin, size_t row_end);
-  void AccumulateRows(const MatrixView& data, size_t row_begin,
-                      size_t row_end);
 
   /// Merges another accumulator built over the same schema (partition-wise
   /// parallel pattern from §4.3.2).
@@ -110,8 +95,7 @@ class GramAccumulator {
 
  private:
   // Adds the (1,t)(1,t)^T terms of n contiguous rows of m_ doubles — the
-  // one kernel every ingest path (Add, AccumulateRows, AddMatrix,
-  // AddView) funnels into, so the per-entry term order has exactly one
+  // one kernel both ingest paths (Add, AddView) funnel into, so the per-entry term order has exactly one
   // definition. Loop-interchanged over register tiles of the upper
   // triangle (each entry still takes its terms in row order), then the
   // lower triangle is copied from the upper once per block. Never
@@ -119,17 +103,12 @@ class GramAccumulator {
   // (incl. NaN payloads) across the ingest paths.
   CCS_NOINLINE void AccumulateBlock(const double* rows, size_t n);
 
-  // Unchecked bodies of the Matrix / MatrixView entry points. Both feed
-  // AccumulateBlock kViewGatherBlockRows-row blocks: the Matrix body
-  // passes its contiguous rows in place, the view body late-materializes
-  // each block into reused cache-resident scratch
-  // (MatrixView::GatherBlock) — no full-size Matrix per call.
-  void AccumulateRowsImpl(const Matrix& data, size_t row_begin,
-                          size_t row_end);
+  // AddView's unchecked shard body: rows [row_begin, row_end) of `data`
+  // in row order, late-materialized kViewGatherBlockRows rows at a time
+  // into reused cache-resident scratch (MatrixView::GatherBlock) and fed
+  // to AccumulateBlock — no full-size Matrix per call.
   void AccumulateRowsImpl(const MatrixView& data, size_t row_begin,
                           size_t row_end);
-  template <typename DataLike>
-  void AddRowsSharded(const DataLike& data);
 
   size_t m_;
   int64_t n_;

@@ -64,25 +64,14 @@ Matrix Matrix::Identity(size_t n) {
 
 Matrix Matrix::Multiply(const Matrix& other) const {
   CCS_CHECK_EQ(cols_, other.rows_);
-  // No zero-skipping: 0 * NaN and 0 * Inf are NaN, so skipping aik == 0
-  // terms would make Multiply diverge from MultiplyRowRange (and per-row
-  // Vector::Dot) exactly when the data contains non-finite cells,
-  // breaking the exact-term-order determinism contract.
-  return MultiplyRowRange(0, rows_, other);
-}
-
-Matrix Matrix::MultiplyRowRange(size_t row_begin, size_t row_end,
-                                const Matrix& other) const {
-  CCS_CHECK_EQ(cols_, other.rows_);
-  CCS_CHECK(row_begin <= row_end && row_end <= rows_);
-  Matrix out(row_end - row_begin, other.cols_);
-  if (other.cols_ == 0 || row_begin == row_end) return out;
-  // i,k,j loop order: out(i,j) accumulates over k in increasing order,
-  // matching Vector::Dot term order exactly (no zero-skipping), so the
-  // batched path reproduces per-row results bit for bit — via the
-  // shared out-of-line kernel MatrixView::MultiplyRowRange also runs.
-  internal::AccumulateRowsTimesMatrix(data_.data() + row_begin * cols_,
-                                      row_end - row_begin, cols_, other,
+  Matrix out(rows_, other.cols_);
+  if (other.cols_ == 0 || rows_ == 0) return out;
+  // i,k,j loop order with no zero-skipping: out(i,j) accumulates over k
+  // in increasing order, matching Vector::Dot term order exactly (0 * NaN
+  // and 0 * Inf are NaN, so skipping aik == 0 terms would diverge from
+  // per-row evaluation on non-finite cells) — via the shared out-of-line
+  // kernel MatrixView::MultiplyRowRange also runs.
+  internal::AccumulateRowsTimesMatrix(data_.data(), rows_, cols_, other,
                                       &out.At(0, 0));
   return out;
 }

@@ -16,8 +16,8 @@ class Matrix;
 
 namespace internal {
 
-/// The single compiled i,k,j block kernel behind BOTH
-/// Matrix::MultiplyRowRange and MatrixView::MultiplyRowRange:
+/// The single compiled i,k,j block kernel behind BOTH Matrix::Multiply
+/// and MatrixView::MultiplyRowRange:
 /// out[i*other.cols() + j] += rows[i*k_count + k] * other(k, j), with i
 /// outer, k ascending, j inner — Vector::Dot's term order per output
 /// entry, no zero-skipping. Never inlined (CCS_NOINLINE): both entry
@@ -26,7 +26,7 @@ namespace internal {
 /// the bitwise path-equivalence contract.
 ///
 /// \param rows      row_count contiguous row-major rows of k_count
-///                  doubles (a Matrix row range, or a gathered block).
+///                  doubles (a whole Matrix, or a gathered view block).
 /// \param row_count Number of left-factor rows.
 /// \param k_count   Inner dimension; must equal other.rows().
 /// \param other     Right factor.
@@ -82,23 +82,10 @@ class Matrix {
   static Matrix Identity(size_t n);
 
   /// this * other. Inner dimensions must agree. Accumulates in the same
-  /// i,k,j term order as MultiplyRowRange and Vector::Dot — no
-  /// zero-skipping — so the product is bitwise identical to per-row
+  /// i,k,j term order as MatrixView::MultiplyRowRange and Vector::Dot —
+  /// no zero-skipping — so the product is bitwise identical to per-row
   /// evaluation even when either factor holds NaN or Inf cells.
   Matrix Multiply(const Matrix& other) const;
-
-  /// rows [row_begin, row_end) of this * other, as a
-  /// (row_end - row_begin) x other.cols() matrix. The kernel behind the
-  /// batched (chunk-parallel) violation scoring path; accumulates in the
-  /// same k-order as Vector::Dot so results are bitwise identical to
-  /// per-row evaluation.
-  ///
-  /// \param row_begin  First row of this to multiply (inclusive).
-  /// \param row_end    One past the last row; must be <= rows().
-  /// \param other      Right factor; other.rows() must equal cols().
-  /// \return The product slice, with row 0 holding row_begin's result.
-  Matrix MultiplyRowRange(size_t row_begin, size_t row_end,
-                          const Matrix& other) const;
 
   /// this * v.
   Vector Multiply(const Vector& v) const;

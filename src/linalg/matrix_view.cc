@@ -102,14 +102,14 @@ CCS_CODE_ALIGN64 Matrix MatrixView::MultiplyRowRange(
   // Late materialization in cache-sized blocks: gather
   // kViewGatherBlockRows rows into reused scratch (column-at-a-time,
   // one stream per column), then run the SAME compiled i,k,j kernel
-  // Matrix::MultiplyRowRange runs. Copying cells preserves their bits,
+  // Matrix::Multiply runs. Copying cells preserves their bits,
   // and sharing one out-of-line kernel — rather than re-stating "the
   // same loop" here — removes the one divergence source term-order
   // reasoning cannot close: two compilations of an identical-looking
   // kernel may order FP operands differently and propagate different
-  // NaN payloads. Unlike the materializing path, the scratch block
-  // never grows with the row count and no full-size Matrix is
-  // allocated, zero-filled, written, and re-read per call. Derived
+  // NaN payloads. The scratch block never grows with the row count, and
+  // no full-size Matrix is allocated, zero-filled, written, and re-read
+  // per call. Derived
   // columns are evaluated into the same scratch block by their op's
   // kernel as part of the gather — a lazy view multiplies without ever
   // materializing the derived columns either.

@@ -122,10 +122,9 @@ CCS_NOINLINE void EvalCombineColumn(const ViewSource* sources, size_t count,
 /// `DataFrame::DerivedViewFor` produce it in O(columns).
 ///
 /// Determinism: `MultiplyRowRange` accumulates in the same i,k,j term
-/// order as `Matrix::MultiplyRowRange` and per-row `Vector::Dot`, with
-/// no zero-skipping, so walking the view is bitwise identical to
-/// materializing a Matrix and multiplying that — including on NaN/Inf
-/// cells (see docs/architecture.md, "Determinism contract"). Derived
+/// order as `Matrix::Multiply` and per-row `Vector::Dot`, with no
+/// zero-skipping, so walking the view is bitwise identical to
+/// evaluating it row by row — including on NaN/Inf cells (see docs/architecture.md, "Determinism contract"). Derived
 /// cells are row-independent and evaluated by one compiled kernel per
 /// op, so block evaluation, single-cell At, and full-column
 /// materialization all produce identical bits.
@@ -230,9 +229,9 @@ class MatrixView {
 
   /// rows [row_begin, row_end) of this * other, as a
   /// (row_end - row_begin) x other.cols() matrix — the same kernel
-  /// contract as Matrix::MultiplyRowRange: exact i,k,j accumulation
-  /// order, no zero-skipping, bitwise identical to materializing the
-  /// view first.
+  /// contract as Matrix::Multiply: exact i,k,j accumulation order, no
+  /// zero-skipping, bitwise identical to Multiply of the materialized
+  /// rows and to per-row Vector::Dot.
   ///
   /// \param row_begin  First logical row to multiply (inclusive).
   /// \param row_end    One past the last row; must be <= rows().

@@ -171,11 +171,11 @@ Histogram* Registry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
-namespace {
+namespace internal {
 
-// Minimal JSON string escape: metric names are dotted identifiers, but
-// stay safe for anything a caller interns.
-std::string EscapeJson(const std::string& s) {
+// Metric names are dotted identifiers and span names string literals,
+// but stay safe for anything a caller interns.
+std::string EscapeJson(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -198,6 +198,10 @@ std::string EscapeJson(const std::string& s) {
   return out;
 }
 
+}  // namespace internal
+
+namespace {
+
 std::string JsonNumber(double v) {
   if (!std::isfinite(v)) return "0";  // JSON has no inf/nan.
   return FormatDouble(v);
@@ -212,14 +216,14 @@ std::string Registry::ToJson() const {
   for (const auto& [name, counter] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + EscapeJson(name) + "\":" + std::to_string(counter->value());
+    out += "\"" + internal::EscapeJson(name) + "\":" + std::to_string(counter->value());
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + EscapeJson(name) + "\":" + std::to_string(gauge->value());
+    out += "\"" + internal::EscapeJson(name) + "\":" + std::to_string(gauge->value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -227,7 +231,7 @@ std::string Registry::ToJson() const {
     if (!first) out += ",";
     first = false;
     HistogramSnapshot snap = histogram->Snapshot();
-    out += "\"" + EscapeJson(name) + "\":{\"count\":" +
+    out += "\"" + internal::EscapeJson(name) + "\":{\"count\":" +
            std::to_string(snap.total_count) +
            ",\"sum\":" + JsonNumber(snap.sum) +
            ",\"p50\":" + JsonNumber(snap.p50()) +

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/mutex.h"
@@ -50,6 +51,11 @@ namespace internal {
 /// use), bounding contention on striped metric shards.
 size_t StripeIndex();
 constexpr size_t kStripes = 16;
+
+/// `s` escaped for the inside of a JSON string literal: quote, backslash
+/// and control characters (\n, \r, \t by name, the rest as \u00XX).
+/// Shared by Registry::ToJson and ObsSession::ToChromeTraceJson.
+std::string EscapeJson(std::string_view s);
 }  // namespace internal
 
 /// Monotonically increasing event count. Striped: Add touches only the

@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "common/logging.h"
@@ -130,33 +129,6 @@ std::map<std::string, SpanStats> ObsSession::AggregateByName() const {
   return by_name;
 }
 
-namespace {
-
-std::string EscapeJson(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string ObsSession::ToChromeTraceJson() const {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
@@ -168,8 +140,9 @@ std::string ObsSession::ToChromeTraceJson() const {
     const double ts_us =
         static_cast<double>(ev.start_ns - start_ns_) / 1000.0;
     const double dur_us = static_cast<double>(ev.dur_ns) / 1000.0;
-    out += "{\"name\":\"" + EscapeJson(ev.name) + "\",\"cat\":\"" +
-           EscapeJson(ev.category) + "\",\"ph\":\"X\",\"ts\":" +
+    out += "{\"name\":\"" + internal::EscapeJson(ev.name) +
+           "\",\"cat\":\"" + internal::EscapeJson(ev.category) +
+           "\",\"ph\":\"X\",\"ts\":" +
            FormatDouble(ts_us) + ",\"dur\":" + FormatDouble(dur_us) +
            ",\"pid\":1,\"tid\":" + std::to_string(ev.tid) + "}";
   }

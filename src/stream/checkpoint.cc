@@ -270,8 +270,11 @@ StatusOr<CheckpointData> ParseCheckpoint(const std::string& text) {
       // BoundedConstraint re-derives its alpha scaling from the stddev
       // bits deterministically, so round-tripped constraints stay
       // ConstraintsBitwiseEqual to the originals.
-      conjuncts.emplace_back(std::move(projection), lb, ub, mean, stddev,
-                             importance);
+      CCS_ASSIGN_OR_RETURN(
+          core::BoundedConstraint conjunct,
+          core::BoundedConstraint::Create(std::move(projection), lb, ub,
+                                          mean, stddev, importance));
+      conjuncts.push_back(std::move(conjunct));
     }
     CCS_ASSIGN_OR_RETURN(
         data.profile,

@@ -90,6 +90,34 @@ TEST(CheckpointFormatTest, ParseRejectsCorruption) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(CheckpointFormatTest, ParseRefusesConjunctWithSwappedBounds) {
+  // lb > ub would CHECK-fail in the BoundedConstraint constructor; the
+  // parser must hand back a Status instead.
+  CheckpointData data = SampleData();
+  auto projection = core::Projection::Create(data.attribute_names,
+                                             linalg::Vector({1.0, -1.0}));
+  ASSERT_TRUE(projection.ok());
+  std::vector<core::BoundedConstraint> conjuncts;
+  conjuncts.emplace_back(std::move(*projection), -1.5, 2.5, 0.5, 0.75, 1.0);
+  auto profile = core::SimpleConstraint::Create(data.attribute_names,
+                                                std::move(conjuncts));
+  ASSERT_TRUE(profile.ok());
+  data.profile = std::move(profile).value();
+  data.has_profile = true;
+  const std::string text = SerializeCheckpoint(data);
+  ASSERT_TRUE(ParseCheckpoint(text).ok());
+
+  const size_t lb = text.find(" lb=") + 4;
+  const size_t ub = text.find(" ub=") + 4;
+  ASSERT_NE(lb, std::string::npos + 4);
+  ASSERT_NE(ub, std::string::npos + 4);
+  std::string swapped = text;
+  swapped.replace(lb, 16, text.substr(ub, 16));
+  swapped.replace(ub, 16, text.substr(lb, 16));
+  EXPECT_EQ(ParseCheckpoint(swapped).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(CheckpointFormatTest, FileRoundTripAndNotFound) {
   const std::string path = ::testing::TempDir() + "/ccs_checkpoint_test.ck";
   std::remove(path.c_str());

@@ -234,7 +234,7 @@ TEST(GramTest, GramMatchesExplicitXtX) {
     for (size_t j = 0; j < 3; ++j) x.At(i, j) = rng.Uniform(-3.0, 3.0);
   }
   GramAccumulator gram(3);
-  gram.AddMatrix(x);
+  for (size_t i = 0; i < 20; ++i) gram.Add(x.Row(i));
   Matrix expected = x.Transposed().Multiply(x);
   EXPECT_TRUE(Matrix::AlmostEqual(gram.Gram(), expected, 1e-9));
 }

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "core/explain.h"
 #include "core/kernel.h"
@@ -174,6 +180,96 @@ TEST(SerializeTest, RejectsCorruptedInput) {
   std::string text = Serialize(phi);
   text.resize(text.size() / 2);  // Truncate mid-stream.
   EXPECT_FALSE(Deserialize(text).ok());
+}
+
+TEST(SerializeTest, HostileConjunctIsAnErrorNotACrash) {
+  // lb > ub: the BoundedConstraint constructor would CHECK-fail.
+  auto swapped = Deserialize(
+      "ccs-constraint v1\nglobal 1\nsimple 1 1\na x\nc 2 1 0 1 1 1\nend\n");
+  EXPECT_EQ(swapped.status().code(), StatusCode::kInvalidArgument);
+  // A NaN bound, a negative stddev and a NaN stddev fail the same way.
+  for (const char* conjunct :
+       {"c nan 1 0 1 1 1", "c 0 1 0 -1 1 1", "c 0 1 0 nan 1 1"}) {
+    auto parsed =
+        Deserialize(std::string("ccs-constraint v1\nglobal 1\nsimple 1 1\n"
+                                "a x\n") +
+                    conjunct + "\nend\n");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << conjunct;
+  }
+  // A number that does not fill its field, and a missing coefficient.
+  EXPECT_FALSE(Deserialize("ccs-constraint v1\nglobal 1\nsimple 1 1\na x\n"
+                           "c 0 1x 0 1 1 1\nend\n")
+                   .ok());
+  EXPECT_FALSE(Deserialize("ccs-constraint v1\nglobal 1\nsimple 1 1\na x\n"
+                           "c 0 1 0 1 1\nend\n")
+                   .ok());
+}
+
+// A random double: finite across the whole exponent range (subnormals
+// included), or, when `non_finite`, one of +-inf and +-NaN a third of
+// the time.
+double RandomDouble(Rng& rng, bool non_finite) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  if (non_finite && rng.Bernoulli(1.0 / 3.0)) {
+    const double special[] = {kInf, -kInf, kNaN, -kNaN};
+    return special[rng.UniformInt(0, 3)];
+  }
+  return std::ldexp(rng.Uniform(-1.0, 1.0),
+                    static_cast<int>(rng.UniformInt(-1074, 1023)));
+}
+
+// A simple constraint over `names` whose bounds are often +-inf and
+// whose mean, importance and coefficients are often +-inf or +-NaN.
+SimpleConstraint RandomNonFiniteSimple(Rng& rng,
+                                       const std::vector<std::string>& names) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<BoundedConstraint> conjuncts;
+  const int64_t count = rng.UniformInt(1, 3);
+  for (int64_t k = 0; k < count; ++k) {
+    Vector coefs(names.size());
+    for (size_t j = 0; j < names.size(); ++j) {
+      coefs[j] = RandomDouble(rng, /*non_finite=*/true);
+    }
+    auto projection = Projection::Create(names, std::move(coefs));
+    CCS_CHECK(projection.ok());
+    const double center = RandomDouble(rng, /*non_finite=*/false);
+    const double lb = rng.Bernoulli(0.5) ? -kInf : center;
+    const double ub = rng.Bernoulli(0.5) ? kInf : center;
+    const double stddev =
+        rng.Bernoulli(0.2) ? kInf
+                           : std::abs(RandomDouble(rng, /*non_finite=*/false));
+    conjuncts.emplace_back(std::move(*projection), lb, ub,
+                           RandomDouble(rng, /*non_finite=*/true), stddev,
+                           RandomDouble(rng, /*non_finite=*/true));
+  }
+  auto simple = SimpleConstraint::Create(names, std::move(conjuncts));
+  CCS_CHECK(simple.ok());
+  return std::move(simple).value();
+}
+
+TEST(SerializeTest, NonFiniteValuesRoundTripBitwise) {
+  Rng rng(20210620);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::string> names;
+    const int64_t arity = rng.UniformInt(1, 4);
+    for (int64_t j = 0; j < arity; ++j) {
+      names.push_back("a" + std::to_string(j));
+    }
+    std::map<std::string, SimpleConstraint> cases;
+    cases.emplace("u", RandomNonFiniteSimple(rng, names));
+    cases.emplace("v", RandomNonFiniteSimple(rng, names));
+    std::vector<DisjunctiveConstraint> disjunctions;
+    disjunctions.emplace_back("g", std::move(cases));
+    ConformanceConstraint phi(RandomNonFiniteSimple(rng, names),
+                              std::move(disjunctions));
+    const std::string text = Serialize(phi);
+    auto back = Deserialize(text);
+    ASSERT_TRUE(back.ok()) << back.status() << "\n" << text;
+    EXPECT_TRUE(ConstraintsBitwiseEqual(*back, phi)) << text;
+    EXPECT_EQ(Serialize(*back), text);
+  }
 }
 
 TEST(SerializeTest, PrettyStringMentionsAttributesAndBounds) {

@@ -3,10 +3,11 @@
 // entry points of the scoring and Gram-accumulation hot paths.
 //
 // The contract under test is bitwise: walking a (buffer, selection)
-// view inside a kernel must produce the SAME DOUBLES as materializing a
-// Matrix first — on owned frames, views, and views of views, at 1 and 4
-// threads, and on data containing NaN and ±Inf cells (where any
-// zero-skipping or term reordering shows up as divergent bits).
+// view inside a kernel must produce the SAME DOUBLES as evaluating the
+// materialized rows one at a time (or multiplying them as a Matrix) —
+// on owned frames, views, and views of views, at 1 and 4 threads, and
+// on data containing NaN and ±Inf cells (where any zero-skipping or
+// term reordering shows up as divergent bits).
 
 #include <gtest/gtest.h>
 
@@ -194,22 +195,36 @@ TEST(MatrixViewTest, MultiplyRowRangeBitwiseMatchesMaterializedKernel) {
     const std::vector<std::pair<size_t, size_t>> ranges = {
         {0, n}, {0, n / 2}, {n / 3, n - 1}, {n, n}};
     for (const auto& [begin, end] : ranges) {
-      ExpectMatricesBitwiseEqual(
-          view->MultiplyRowRange(begin, end, coef),
-          materialized.MultiplyRowRange(begin, end, coef));
+      // The same rows, materialized, through Matrix::Multiply.
+      Matrix slice(end - begin, names.size());
+      for (size_t r = begin; r < end; ++r) {
+        slice.SetRow(r - begin, materialized.Row(r));
+      }
+      ExpectMatricesBitwiseEqual(view->MultiplyRowRange(begin, end, coef),
+                                 slice.Multiply(coef));
     }
   }
 }
 
 // Regression for the Matrix::Multiply zero-skip: with a NaN/Inf in the
 // RHS, skipping aik == 0 terms turns 0*NaN (= NaN) into 0, so Multiply
-// and MultiplyRowRange disagreed. They must be bitwise identical.
-TEST(MatrixMultiplyTest, MultiplyMatchesMultiplyRowRangeOnNonFinite) {
+// disagreed with per-row Vector::Dot. Every entry must match the dot
+// product bit for bit (a NaN entry needs a NaN: payloads are a property
+// of the compiled code).
+TEST(MatrixMultiplyTest, MultiplyMatchesPerRowDotOnNonFinite) {
   Matrix a = {{0.0, 1.0}, {2.0, 0.0}, {0.0, 0.0}};
   Matrix b = {{kNaN, 1.0, kInf}, {2.0, -kInf, 0.5}};
   Matrix whole = a.Multiply(b);
-  Matrix ranged = a.MultiplyRowRange(0, a.rows(), b);
-  ExpectMatricesBitwiseEqual(whole, ranged);
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      const double dot = a.Row(i).Dot(b.Col(j));
+      if (std::isnan(dot)) {
+        EXPECT_TRUE(std::isnan(whole.At(i, j))) << i << "," << j;
+      } else {
+        EXPECT_TRUE(BitsEqual(whole.At(i, j), dot)) << i << "," << j;
+      }
+    }
+  }
   // The zero rows must propagate NaN (0*NaN and Inf + -Inf are NaN),
   // not report clean zeros.
   EXPECT_TRUE(std::isnan(whole.At(0, 0)));  // 0*NaN + 1*2
@@ -222,7 +237,7 @@ TEST(MatrixMultiplyTest, MultiplyMatchesMultiplyRowRangeOnNonFinite) {
 
 // ------------------------- Gram accumulation ---------------------------
 
-TEST(GramViewTest, AddViewBitwiseMatchesAddMatrixAndPerRowAdd) {
+TEST(GramViewTest, AddViewBitwiseMatchesPerRowAdd) {
   // > 2 shards of kGramShardRows so the parallel path really shards.
   const size_t n = 2 * kGramShardRows + 513;
   DataFrame owned = MakeFrame(n, 6, /*non_finite=*/true);
@@ -237,14 +252,9 @@ TEST(GramViewTest, AddViewBitwiseMatchesAddMatrixAndPerRowAdd) {
       for (size_t r = 0; r < materialized.rows(); ++r) {
         by_row.Add(materialized.Row(r));
       }
-      GramAccumulator by_matrix(names.size());
-      by_matrix.AddMatrix(materialized);
       GramAccumulator by_view(names.size());
       by_view.AddView(*view);
-      EXPECT_EQ(by_view.count(), by_matrix.count());
       EXPECT_EQ(by_view.count(), by_row.count());
-      ExpectMatricesBitwiseEqual(by_view.AugmentedGram(),
-                                 by_matrix.AugmentedGram());
       ExpectMatricesBitwiseEqual(by_view.AugmentedGram(),
                                  by_row.AugmentedGram());
     }
@@ -252,31 +262,29 @@ TEST(GramViewTest, AddViewBitwiseMatchesAddMatrixAndPerRowAdd) {
   common::SetDefaultThreadCount(0);
 }
 
-TEST(GramViewTest, PublicAccumulateRowsMatchesAdd) {
+TEST(GramViewTest, RowSubsetAddViewMatchesAdd) {
   DataFrame df = MakeFrame(64, 7, /*non_finite=*/true);
-  auto view = df.NumericViewFor({"x", "y", "z"});
+  std::vector<size_t> rows;
+  for (size_t r = 8; r < 40; ++r) rows.push_back(r);
+  auto view = df.NumericViewFor({"x", "y", "z"}, rows);
   ASSERT_TRUE(view.ok());
   Matrix materialized = view->ToMatrix();
-  GramAccumulator from_matrix(3), from_view(3), by_row(3);
-  from_matrix.AccumulateRows(materialized, 8, 40);
-  from_view.AccumulateRows(*view, 8, 40);
-  for (size_t r = 8; r < 40; ++r) by_row.Add(materialized.Row(r));
-  ExpectMatricesBitwiseEqual(from_matrix.AugmentedGram(),
-                             by_row.AugmentedGram());
+  GramAccumulator from_view(3), by_row(3);
+  from_view.AddView(*view);
+  for (size_t r = 0; r < materialized.rows(); ++r) {
+    by_row.Add(materialized.Row(r));
+  }
+  EXPECT_EQ(from_view.count(), 32);
   ExpectMatricesBitwiseEqual(from_view.AugmentedGram(),
                              by_row.AugmentedGram());
 }
 
-TEST(GramViewDeathTest, AccumulateRowsValidatesWidthAndRange) {
-  Matrix wide(4, 5);
-  GramAccumulator gram(3);  // Expects 3 attributes; wide has 5.
-  EXPECT_DEATH(gram.AccumulateRows(wide, 0, wide.rows()), "CHECK failed");
-  Matrix ok(4, 3);
-  EXPECT_DEATH(gram.AccumulateRows(ok, 0, ok.rows() + 1), "CHECK failed");
+TEST(GramViewDeathTest, AddViewValidatesWidth) {
+  GramAccumulator gram(3);  // Expects 3 attributes; the view has 2.
   DataFrame df = MakeFrame(8, 8, /*non_finite=*/false);
   auto view = df.NumericViewFor({"x", "y"});
   ASSERT_TRUE(view.ok());
-  EXPECT_DEATH(gram.AccumulateRows(*view, 0, view->rows()), "CHECK failed");
+  EXPECT_DEATH(gram.AddView(*view), "CHECK failed");
 }
 
 // ------------------- scoring: per-row vs batch vs view -----------------
@@ -288,7 +296,6 @@ TEST(ViewScoringTest, PerRowBatchAndViewKernelsBitwiseAgreeOnNonFinite) {
        {owned, owned.Gather({17, 3, 3, 250, 299, 0}), ViewOfView(owned, 5)}) {
     auto view = frame.NumericViewFor(constraint.attribute_names());
     ASSERT_TRUE(view.ok());
-    Matrix materialized = view->ToMatrix();
     for (size_t threads : {1u, 4u}) {
       common::SetDefaultThreadCount(threads);
       // Per-row reference semantics.
@@ -298,13 +305,10 @@ TEST(ViewScoringTest, PerRowBatchAndViewKernelsBitwiseAgreeOnNonFinite) {
         ASSERT_TRUE(v.ok());
         per_row[r] = *v;
       }
-      // Batched kernel over a materialized matrix.
-      Vector batch = constraint.ViolationAllAligned(materialized);
       // Batched kernel walking the view (and the DataFrame entry point).
       Vector via_view = constraint.ViolationAllAligned(*view);
       auto via_frame = constraint.ViolationAll(frame);
       ASSERT_TRUE(via_frame.ok());
-      ExpectVectorsBitwiseEqual(batch, per_row);
       ExpectVectorsBitwiseEqual(via_view, per_row);
       ExpectVectorsBitwiseEqual(*via_frame, per_row);
     }
@@ -437,16 +441,28 @@ TEST(DerivedColumnTest, GramAddViewOnDerivedBitwiseMatchesMaterialized) {
   for (const DataFrame& frame : {owned, ViewOfView(owned, 9)}) {
     auto view = frame.DerivedViewFor(exprs);
     ASSERT_TRUE(view.ok());
+    // The derived columns computed once and stored in a frame of their
+    // own, then walked as plain stored columns.
     Matrix materialized = view->ToMatrix();
+    DataFrame stored;
+    std::vector<std::string> names;
+    for (size_t c = 0; c < exprs.size(); ++c) {
+      names.push_back("d" + std::to_string(c));
+      CCS_CHECK(stored.AddNumericColumn(names.back(),
+                                        materialized.Col(c).data())
+                    .ok());
+    }
+    auto stored_view = stored.NumericViewFor(names);
+    ASSERT_TRUE(stored_view.ok());
     for (size_t threads : {1u, 4u}) {
       common::SetDefaultThreadCount(threads);
-      GramAccumulator by_matrix(exprs.size());
-      by_matrix.AddMatrix(materialized);
+      GramAccumulator by_stored(exprs.size());
+      by_stored.AddView(*stored_view);
       GramAccumulator by_view(exprs.size());
       by_view.AddView(*view);
-      EXPECT_EQ(by_view.count(), by_matrix.count());
+      EXPECT_EQ(by_view.count(), by_stored.count());
       ExpectMatricesBitwiseEqual(by_view.AugmentedGram(),
-                                 by_matrix.AugmentedGram());
+                                 by_stored.AugmentedGram());
     }
   }
   common::SetDefaultThreadCount(0);
@@ -462,11 +478,14 @@ TEST(DerivedColumnTest, ScoringWalksDerivedViewsBitwiseOnNonFinite) {
     auto view = frame.DerivedViewFor(exprs);
     ASSERT_TRUE(view.ok());
     Matrix materialized = view->ToMatrix();
+    Vector per_row(materialized.rows());
+    for (size_t r = 0; r < materialized.rows(); ++r) {
+      per_row[r] = constraint.ViolationAligned(materialized.Row(r));
+    }
     for (size_t threads : {1u, 4u}) {
       common::SetDefaultThreadCount(threads);
-      Vector batch = constraint.ViolationAllAligned(materialized);
       Vector lazy = constraint.ViolationAllAligned(*view);
-      ExpectVectorsBitwiseEqual(lazy, batch);
+      ExpectVectorsBitwiseEqual(lazy, per_row);
     }
   }
   common::SetDefaultThreadCount(0);

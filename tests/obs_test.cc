@@ -210,11 +210,14 @@ TEST(SpanRingTest, OverwritesOldestAndCountsDrops) {
 TEST(ObsSessionTest, ChromeTraceJsonShape) {
   ObsSession session;
   { ObsSpan span("alpha \"quoted\"", "test"); }
+  // A control character without a short escape takes the \u00XX form.
+  { ObsSpan span("bell\x07" "end\ttab", "test"); }
   std::string json = session.ToChromeTraceJson();
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_NE(json.find("alpha \\\"quoted\\\""), std::string::npos);
+  EXPECT_NE(json.find("bell\\u0007end\\ttab"), std::string::npos);
 }
 
 TEST(ObsSessionTest, AggregateByNameSumsDurations) {

@@ -162,8 +162,10 @@ TEST_P(SeedPropertyTest, GramMergeInvariantOnRandomPartitions) {
   DataFrame df = RandomDataset(GetParam() + 5000, false);
   size_t m = df.NumericNames().size();
   auto data = df.NumericMatrix();
+  auto view = df.NumericViewFor(df.NumericNames());
+  ASSERT_TRUE(view.ok());
   linalg::GramAccumulator whole(m);
-  whole.AddMatrix(data);
+  whole.AddView(*view);
 
   Rng rng(GetParam() * 13 + 5);
   size_t parts = static_cast<size_t>(rng.UniformInt(2, 5));

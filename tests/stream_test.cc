@@ -9,11 +9,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bounded_queue.h"
@@ -225,6 +228,69 @@ TEST(WindowerTest, SlidingWindowsOverlap) {
     for (size_t r = 0; r < 10; ++r) {
       EXPECT_EQ((*out)[w].NumericValue(r, "y").value(),
                 df.NumericValue(w * 5 + r, "y").value());
+    }
+  }
+}
+
+// Every cell of `a` and `b` equal: numeric cells bit for bit (NaN
+// included), categorical cells by value.
+void ExpectFramesBitwiseEqual(const DataFrame& a, const DataFrame& b) {
+  ASSERT_TRUE(a.schema() == b.schema());
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    const dataframe::Column& ca = a.column(c);
+    const dataframe::Column& cb = b.column(c);
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      if (ca.is_numeric()) {
+        const double va = ca.NumericAt(r);
+        const double vb = cb.NumericAt(r);
+        EXPECT_EQ(std::memcmp(&va, &vb, sizeof(double)), 0)
+            << "column " << c << " row " << r;
+      } else {
+        EXPECT_EQ(ca.CategoricalAt(r), cb.CategoricalAt(r))
+            << "column " << c << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(WindowerTest, SlidingChunkedWindowsMatchStreamSlices) {
+  // Sliding windows fed in chunks that do not divide the slide, so
+  // windows complete mid-chunk and chunks straddle the buffer's
+  // compactions: each window must equal its slice of the stream in
+  // every column, a categorical and non-finite cells included.
+  constexpr size_t kRows = 500;
+  DataFrame df = TrendFrame(kRows, 0.0, 44);
+  std::vector<double> z(kRows);
+  std::vector<std::string> label(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    z[i] = i % 9 == 4    ? std::numeric_limits<double>::quiet_NaN()
+           : i % 11 == 2 ? -std::numeric_limits<double>::infinity()
+                         : 0.25 * static_cast<double>(i);
+    label[i] = "v" + std::to_string(i * 7 % 5);
+  }
+  CCS_CHECK(df.AddCategoricalColumn("label", std::move(label)).ok());
+  CCS_CHECK(df.AddNumericColumn("z", std::move(z)).ok());
+  const std::pair<size_t, size_t> kGeometries[] = {{64, 10}, {50, 16}};
+  for (const auto& [window, slide] : kGeometries) {
+    for (size_t chunk : {3u, 7u, 13u, 33u}) {
+      auto windower = Windower::Create(window, slide);
+      ASSERT_TRUE(windower.ok());
+      std::vector<DataFrame> windows;
+      for (size_t begin = 0; begin < kRows; begin += chunk) {
+        auto out = windower->Push(df.Slice(begin, begin + chunk));
+        ASSERT_TRUE(out.ok()) << out.status();
+        for (auto& w : *out) windows.push_back(std::move(w));
+      }
+      ASSERT_EQ(windows.size(), (kRows - window) / slide + 1)
+          << "window " << window << " slide " << slide << " chunk " << chunk;
+      for (size_t w = 0; w < windows.size(); ++w) {
+        SCOPED_TRACE("window " + std::to_string(window) + " slide " +
+                     std::to_string(slide) + " chunk " +
+                     std::to_string(chunk) + " index " + std::to_string(w));
+        ExpectFramesBitwiseEqual(windows[w],
+                                 df.Slice(w * slide, w * slide + window));
+      }
     }
   }
 }

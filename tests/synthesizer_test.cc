@@ -181,9 +181,9 @@ TEST(SynthesizerTest, GramPathMatchesDataFramePath) {
   ASSERT_TRUE(direct.ok());
 
   linalg::GramAccumulator gram(2);
-  auto data = df.NumericMatrixFor({"x", "y"});
+  auto data = df.NumericViewFor({"x", "y"});
   ASSERT_TRUE(data.ok());
-  gram.AddMatrix(*data);
+  gram.AddView(*data);
   auto from_gram = synth.SynthesizeSimpleFromGram({"x", "y"}, gram);
   ASSERT_TRUE(from_gram.ok());
 
@@ -545,23 +545,28 @@ TEST(ParallelSynthesisTest, SinglePartitionsBelowMinimumFailIdentically) {
   }
 }
 
-TEST(ParallelSynthesisTest, GramMatrixPathIdenticalAcrossThreads) {
-  // The layer below the synthesizer: AddMatrix itself must produce the
+TEST(ParallelSynthesisTest, GramViewPathIdenticalAcrossThreads) {
+  // The layer below the synthesizer: AddView itself must produce the
   // same bits at any thread count (fixed shards, ordered merge).
   ThreadCountGuard guard;
   const size_t n = 2 * linalg::kGramShardRows + 11;
   Rng rng(59);
-  linalg::Matrix data(n, 3);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < 3; ++c) data.At(r, c) = rng.Gaussian();
+  DataFrame df;
+  const std::vector<std::string> names = {"a", "b", "c"};
+  for (const std::string& name : names) {
+    std::vector<double> column(n);
+    for (double& v : column) v = rng.Gaussian();
+    ASSERT_TRUE(df.AddNumericColumn(name, std::move(column)).ok());
   }
+  auto data = df.NumericViewFor(names);
+  ASSERT_TRUE(data.ok());
   common::SetDefaultThreadCount(1);
   linalg::GramAccumulator serial(3);
-  serial.AddMatrix(data);
+  serial.AddView(*data);
   for (size_t threads : {2u, 8u}) {
     common::SetDefaultThreadCount(threads);
     linalg::GramAccumulator parallel(3);
-    parallel.AddMatrix(data);
+    parallel.AddView(*data);
     ASSERT_EQ(parallel.count(), serial.count());
     linalg::Matrix serial_gram = serial.AugmentedGram();
     linalg::Matrix parallel_gram = parallel.AugmentedGram();

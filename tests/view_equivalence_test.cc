@@ -429,14 +429,15 @@ TEST(DerivedPipelineTest, ProjectionEvaluateAllMatchesAlignedKernel) {
   auto matrix = df.NumericMatrixFor(names);
   ASSERT_TRUE(matrix.ok());
   // Finite data: the lazy Combine kernel and the materialized
-  // matrix-multiply kernel run the same accumulation order (ascending
+  // matrix-vector kernel run the same accumulation order (ascending
   // term index, multiply-then-add, no FMA), so the bits agree even
   // though they are separately compiled.
-  linalg::Vector aligned = projection->EvaluateAllAligned(*matrix);
+  linalg::Vector aligned = matrix->Multiply(projection->coefficients());
   DataFrame view = df.Filter([](size_t i) { return i % 3 != 1; });
   auto view_matrix = view.NumericMatrixFor(names);
   ASSERT_TRUE(view_matrix.ok());
-  linalg::Vector view_aligned = projection->EvaluateAllAligned(*view_matrix);
+  linalg::Vector view_aligned =
+      view_matrix->Multiply(projection->coefficients());
   for (size_t threads : {1u, 4u}) {
     common::SetDefaultThreadCount(threads);
     auto lazy = projection->EvaluateAll(df);
@@ -491,9 +492,9 @@ TEST(DerivedPipelineTest, ExpandedDriftScoringBitwiseMatchesMaterialized) {
     ASSERT_TRUE(simple.ok()) << simple.status();
     auto flat_window = core::ExpandPolynomial(window, expansion);
     ASSERT_TRUE(flat_window.ok());
-    auto matrix = flat_window->NumericMatrixFor(simple->attribute_names());
-    ASSERT_TRUE(matrix.ok());
-    linalg::Vector expected = simple->ViolationAllAligned(*matrix);
+    auto flat_tuples = simple->ViolationAll(*flat_window);
+    ASSERT_TRUE(flat_tuples.ok()) << flat_tuples.status();
+    const linalg::Vector& expected = *flat_tuples;
     auto tuples = lazy.TupleViolations(window);
     ASSERT_TRUE(tuples.ok()) << tuples.status();
     ExpectVectorsBitwiseEqual(*tuples, expected);
