@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
 #include <vector>
 
 #include "common/parallel.h"
@@ -110,28 +109,41 @@ double SimpleConstraint::ViolationAligned(
   return std::clamp(acc, 0.0, 1.0);
 }
 
-linalg::Vector SimpleConstraint::ViolationAllAligned(
-    const linalg::MatrixView& data) const {
-  linalg::Vector out(data.rows());
-  if (conjuncts_.empty() || data.rows() == 0) return out;
-  // Column k holds conjunct k's projection, so one data * coef product
-  // evaluates every projection on every row.
+linalg::Matrix SimpleConstraint::CoefficientMatrix() const {
   linalg::Matrix coef(names_.size(), conjuncts_.size());
   for (size_t k = 0; k < conjuncts_.size(); ++k) {
     const linalg::Vector& c = conjuncts_[k].projection().coefficients();
     for (size_t j = 0; j < c.size(); ++j) coef.At(j, k) = c[j];
   }
-  common::ParallelFor(data.rows(), [&](size_t begin, size_t end) {
-    linalg::Matrix values = data.MultiplyRowRange(begin, end, coef);
-    for (size_t i = begin; i < end; ++i) {
-      double acc = 0.0;
-      for (size_t k = 0; k < conjuncts_.size(); ++k) {
-        acc += conjuncts_[k].importance() *
-               conjuncts_[k].ViolationOfValue(values.At(i - begin, k));
-      }
-      out[i] = std::clamp(acc, 0.0, 1.0);
+  return coef;
+}
+
+CCS_NOINLINE void SimpleConstraint::ViolationRowRange(
+    const linalg::MatrixView& data, const linalg::Matrix& coef, size_t begin,
+    size_t end, double* out) const {
+  const linalg::Matrix values = data.MultiplyRowRange(begin, end, coef);
+  for (size_t i = 0; i < end - begin; ++i) {
+    // The per-row fold of ViolationAligned, term for term.
+    double acc = 0.0;
+    for (size_t k = 0; k < conjuncts_.size(); ++k) {
+      acc += conjuncts_[k].importance() *
+             conjuncts_[k].ViolationOfValue(values.At(i, k));
     }
-  });
+    out[i] = std::clamp(acc, 0.0, 1.0);
+  }
+}
+
+linalg::Vector SimpleConstraint::ViolationAllAligned(
+    const linalg::MatrixView& data, size_t num_threads) const {
+  linalg::Vector out(data.rows());
+  if (conjuncts_.empty() || data.rows() == 0) return out;
+  const linalg::Matrix coef = CoefficientMatrix();
+  common::ParallelFor(
+      data.rows(),
+      [&](size_t begin, size_t end) {
+        ViolationRowRange(data, coef, begin, end, &out[begin]);
+      },
+      common::ParallelOptions{num_threads});
   return out;
 }
 
@@ -148,11 +160,11 @@ StatusOr<double> SimpleConstraint::Violation(const dataframe::DataFrame& df,
 }
 
 StatusOr<linalg::Vector> SimpleConstraint::ViolationAll(
-    const dataframe::DataFrame& df) const {
+    const dataframe::DataFrame& df, size_t num_threads) const {
   // Walk the frame's columnar storage in place (zero-copy even when df
   // is a view); the view borrows df and dies before it.
   CCS_ASSIGN_OR_RETURN(linalg::MatrixView data, df.NumericViewFor(names_));
-  return ViolationAllAligned(data);
+  return ViolationAllAligned(data, num_threads);
 }
 
 StatusOr<const SimpleConstraint*> DisjunctiveConstraint::Simplify(
@@ -185,7 +197,7 @@ StatusOr<bool> DisjunctiveConstraint::IsSatisfied(
 }
 
 StatusOr<linalg::Vector> DisjunctiveConstraint::ViolationAll(
-    const dataframe::DataFrame& df) const {
+    const dataframe::DataFrame& df, size_t num_threads) const {
   CCS_ASSIGN_OR_RETURN(const dataframe::Column* col,
                        df.ColumnByName(attribute_));
   if (col->is_numeric()) {
@@ -196,35 +208,76 @@ StatusOr<linalg::Vector> DisjunctiveConstraint::ViolationAll(
   linalg::Vector out(df.num_rows(), 1.0);
   if (cases_.empty() || df.num_rows() == 0) return out;
 
-  // Group rows by switch value in one pass over the dictionary codes:
-  // the case map is consulted once per *distinct* value (dictionary
-  // entry), and the per-row loop compares integers — no string hashing.
-  // Each case is then scored through the batched kernel over a
-  // zero-copy row-subset view (no per-case matrix is materialized).
-  // Mixed attribute orders across cases cost nothing extra — each group
-  // aligns independently, instead of re-simplifying and re-aligning per
-  // row.
+  // One plan per case named by a dictionary entry, built before any lane
+  // starts: its coefficient matrix and its aligned view of the whole
+  // frame (zero-copy, borrowing df). The case map is consulted once per
+  // distinct value; the per-row passes below compare integer codes.
+  struct CasePlan {
+    const SimpleConstraint* constraint;
+    linalg::Matrix coef;
+    linalg::MatrixView data;
+    Status aligned;
+  };
+  constexpr size_t kNoCase = ~size_t{0};
   const std::vector<std::string>& dict = col->dictionary();
-  std::vector<const SimpleConstraint*> code_case(dict.size(), nullptr);
+  std::vector<size_t> code_plan(dict.size(), kNoCase);
+  std::vector<CasePlan> plans;
+  bool all_aligned = true;
   for (size_t c = 0; c < dict.size(); ++c) {
     auto it = cases_.find(dict[c]);
-    if (it != cases_.end()) code_case[c] = &it->second;
+    if (it == cases_.end()) continue;
+    const SimpleConstraint& constraint = it->second;
+    StatusOr<linalg::MatrixView> data =
+        df.NumericViewFor(constraint.attribute_names());
+    code_plan[c] = plans.size();
+    plans.push_back({&constraint, constraint.CoefficientMatrix(), {},
+                     data.status()});
+    if (data.ok()) plans.back().data = *data;
+    all_aligned = all_aligned && data.ok();
   }
-  std::map<const SimpleConstraint*, std::vector<size_t>> groups;
-  for (size_t i = 0; i < df.num_rows(); ++i) {
-    const SimpleConstraint* constraint = code_case[col->CodeAt(i)];
-    if (constraint == nullptr) continue;
-    groups[constraint].push_back(i);
+  if (!all_aligned) {
+    // A case that cannot be aligned fails the call only when some row
+    // selects it, as scoring that row alone would.
+    for (size_t i = 0; i < df.num_rows(); ++i) {
+      const size_t p = code_plan[col->CodeAt(i)];
+      if (p != kNoCase && !plans[p].aligned.ok()) return plans[p].aligned;
+    }
   }
-  for (const auto& [constraint, rows] : groups) {
-    // The view borrows `rows` (alive in the map) and df's buffers for
-    // exactly this iteration.
-    CCS_ASSIGN_OR_RETURN(
-        linalg::MatrixView data,
-        df.NumericViewFor(constraint->attribute_names(), rows));
-    linalg::Vector violations = constraint->ViolationAllAligned(data);
-    for (size_t g = 0; g < rows.size(); ++g) out[rows[g]] = violations[g];
-  }
+
+  // One pass over contiguous row blocks. Each block counting-sorts its
+  // rows by case, then scores each case's rows through the serial body
+  // over a zero-copy row-subset view. A row's violation depends on its
+  // case and its cells alone, so block boundaries cannot change a bit.
+  common::ParallelFor(
+      df.num_rows(),
+      [&](size_t begin, size_t end) {
+        std::vector<size_t> offset(plans.size() + 1, 0);
+        for (size_t i = begin; i < end; ++i) {
+          const size_t p = code_plan[col->CodeAt(i)];
+          if (p != kNoCase) ++offset[p + 1];
+        }
+        for (size_t p = 0; p < plans.size(); ++p) offset[p + 1] += offset[p];
+        std::vector<size_t> order(offset.back());
+        std::vector<size_t> next(offset.begin(), offset.end() - 1);
+        for (size_t i = begin; i < end; ++i) {
+          const size_t p = code_plan[col->CodeAt(i)];
+          if (p != kNoCase) order[next[p]++] = i;
+        }
+        std::vector<size_t> rows;
+        std::vector<double> violations;
+        for (size_t p = 0; p < plans.size(); ++p) {
+          if (offset[p] == offset[p + 1]) continue;
+          rows.assign(order.begin() + offset[p], order.begin() + offset[p + 1]);
+          violations.resize(rows.size());
+          plans[p].constraint->ViolationRowRange(
+              plans[p].data.RowSubset(&rows), plans[p].coef, 0, rows.size(),
+              violations.data());
+          for (size_t g = 0; g < rows.size(); ++g) {
+            out[rows[g]] = violations[g];
+          }
+        }
+      },
+      common::ParallelOptions{num_threads});
   return out;
 }
 
@@ -250,7 +303,7 @@ StatusOr<double> ConformanceConstraint::Violation(
 }
 
 StatusOr<linalg::Vector> ConformanceConstraint::ViolationAll(
-    const dataframe::DataFrame& df) const {
+    const dataframe::DataFrame& df, size_t num_threads) const {
   size_t groups = num_groups();
   if (groups == 0) {
     return Status::FailedPrecondition(
@@ -258,11 +311,12 @@ StatusOr<linalg::Vector> ConformanceConstraint::ViolationAll(
   }
   linalg::Vector acc(df.num_rows());
   if (has_global()) {
-    CCS_ASSIGN_OR_RETURN(linalg::Vector v, global_.ViolationAll(df));
+    CCS_ASSIGN_OR_RETURN(linalg::Vector v,
+                         global_.ViolationAll(df, num_threads));
     acc.Axpy(1.0, v);
   }
   for (const DisjunctiveConstraint& d : disjunctions_) {
-    CCS_ASSIGN_OR_RETURN(linalg::Vector v, d.ViolationAll(df));
+    CCS_ASSIGN_OR_RETURN(linalg::Vector v, d.ViolationAll(df, num_threads));
     acc.Axpy(1.0, v);
   }
   // Divide (not multiply by the reciprocal): Violation() computes
@@ -272,11 +326,11 @@ StatusOr<linalg::Vector> ConformanceConstraint::ViolationAll(
 }
 
 StatusOr<double> ConformanceConstraint::MeanViolation(
-    const dataframe::DataFrame& df) const {
+    const dataframe::DataFrame& df, size_t num_threads) const {
   if (df.num_rows() == 0) {
     return Status::InvalidArgument("MeanViolation: empty dataset");
   }
-  CCS_ASSIGN_OR_RETURN(linalg::Vector v, ViolationAll(df));
+  CCS_ASSIGN_OR_RETURN(linalg::Vector v, ViolationAll(df, num_threads));
   return v.Mean();
 }
 

@@ -98,21 +98,42 @@ class SimpleConstraint {
   double ViolationAligned(const linalg::Vector& numeric_tuple) const;
 
   /// Violations of every row of a non-owning columnar view (columns in
-  /// attribute_names() order). All conjunct projections are evaluated as
-  /// one chunk-parallel matrix-matrix product whose gather happens inside
+  /// attribute_names() order). Contiguous row blocks run in parallel
+  /// through one serial row-range body, whose conjunct projections are
+  /// one matrix-matrix product gathered inside
   /// MatrixView::MultiplyRowRange, so scoring a view-backed frame
   /// materializes no per-call matrix. Results are bitwise identical to
-  /// calling ViolationAligned row by row.
-  linalg::Vector ViolationAllAligned(const linalg::MatrixView& data) const;
+  /// calling ViolationAligned row by row, at any lane count.
+  ///
+  /// \param num_threads  Scoring lanes; 0 means DefaultThreadCount().
+  linalg::Vector ViolationAllAligned(const linalg::MatrixView& data,
+                                     size_t num_threads = 0) const;
 
   /// Violation of row `row` of `df` (attributes located by name).
   StatusOr<double> Violation(const dataframe::DataFrame& df,
                              size_t row) const;
 
-  /// Violations of every row of `df`.
-  StatusOr<linalg::Vector> ViolationAll(const dataframe::DataFrame& df) const;
+  /// Violations of every row of `df`; `num_threads` as for
+  /// ViolationAllAligned.
+  StatusOr<linalg::Vector> ViolationAll(const dataframe::DataFrame& df,
+                                        size_t num_threads = 0) const;
 
  private:
+  friend class DisjunctiveConstraint;
+
+  // Column k holds conjunct k's projection coefficients, so one
+  // data * coef product evaluates every projection on every row.
+  linalg::Matrix CoefficientMatrix() const;
+
+  // The one serial scoring body behind global and disjunctive batch
+  // scoring: writes the violations of logical rows [begin, end) of
+  // `data` to out[0 .. end - begin). `coef` is CoefficientMatrix().
+  // Never inlined, so every caller runs the same compiled fold.
+  CCS_NOINLINE void ViolationRowRange(const linalg::MatrixView& data,
+                                      const linalg::Matrix& coef,
+                                      size_t begin, size_t end,
+                                      double* out) const;
+
   std::vector<std::string> names_;
   std::vector<BoundedConstraint> conjuncts_;
 };
@@ -147,8 +168,14 @@ class DisjunctiveConstraint {
   StatusOr<bool> IsSatisfied(const dataframe::DataFrame& df,
                              size_t row) const;
 
-  /// Quantitative semantics of every row (grouped fast path).
-  StatusOr<linalg::Vector> ViolationAll(const dataframe::DataFrame& df) const;
+  /// Quantitative semantics of every row: one parallel pass over
+  /// contiguous row blocks, each grouping its own rows by switch value
+  /// and scoring every group through its case's serial row-range body.
+  /// Bitwise identical to Violation row by row, at any lane count.
+  ///
+  /// \param num_threads  Scoring lanes; 0 means DefaultThreadCount().
+  StatusOr<linalg::Vector> ViolationAll(const dataframe::DataFrame& df,
+                                        size_t num_threads = 0) const;
 
  private:
   std::string attribute_;
@@ -185,12 +212,16 @@ class ConformanceConstraint {
   StatusOr<double> Violation(const dataframe::DataFrame& df,
                              size_t row) const;
 
-  /// Violations of every row.
-  StatusOr<linalg::Vector> ViolationAll(const dataframe::DataFrame& df) const;
+  /// Violations of every row; each group's pass uses at most
+  /// `num_threads` lanes (0 means DefaultThreadCount()).
+  StatusOr<linalg::Vector> ViolationAll(const dataframe::DataFrame& df,
+                                        size_t num_threads = 0) const;
 
   /// Mean violation over the whole frame — the dataset-level
-  /// non-conformance used to quantify drift (§2).
-  StatusOr<double> MeanViolation(const dataframe::DataFrame& df) const;
+  /// non-conformance used to quantify drift (§2). `num_threads` as for
+  /// ViolationAll.
+  StatusOr<double> MeanViolation(const dataframe::DataFrame& df,
+                                 size_t num_threads = 0) const;
 
   /// Boolean semantics of row `row`.
   StatusOr<bool> IsSatisfied(const dataframe::DataFrame& df,

@@ -36,7 +36,7 @@ void ConformanceDriftQuantifier::Adopt(ConformanceConstraint constraint) {
 }
 
 StatusOr<double> ConformanceDriftQuantifier::Score(
-    const dataframe::DataFrame& window) const {
+    const dataframe::DataFrame& window, size_t num_threads) const {
   if (!fitted_) {
     return Status::FailedPrecondition("Score called before Fit");
   }
@@ -44,14 +44,15 @@ StatusOr<double> ConformanceDriftQuantifier::Score(
     if (window.num_rows() == 0) {
       return Status::InvalidArgument("MeanViolation: empty dataset");
     }
-    CCS_ASSIGN_OR_RETURN(linalg::Vector v, TupleViolations(window));
+    CCS_ASSIGN_OR_RETURN(linalg::Vector v,
+                         TupleViolations(window, num_threads));
     return v.Mean();
   }
-  return constraint_.MeanViolation(window);
+  return constraint_.MeanViolation(window, num_threads);
 }
 
 StatusOr<linalg::Vector> ConformanceDriftQuantifier::TupleViolations(
-    const dataframe::DataFrame& window) const {
+    const dataframe::DataFrame& window, size_t num_threads) const {
   if (!fitted_) {
     return Status::FailedPrecondition("TupleViolations called before Fit");
   }
@@ -64,9 +65,10 @@ StatusOr<linalg::Vector> ConformanceDriftQuantifier::TupleViolations(
     // exactly.
     CCS_ASSIGN_OR_RETURN(ExpandedView expanded,
                          ExpandPolynomialView(window, expansion_));
-    return constraint_.global().ViolationAllAligned(expanded.view);
+    return constraint_.global().ViolationAllAligned(expanded.view,
+                                                    num_threads);
   }
-  return constraint_.ViolationAll(window);
+  return constraint_.ViolationAll(window, num_threads);
 }
 
 StatusOr<std::vector<double>> DriftSeries(

@@ -50,11 +50,17 @@ class ConformanceDriftQuantifier {
 
   /// Mean violation of `window` against the reference constraints — the
   /// drift magnitude, in [0, 1].
-  StatusOr<double> Score(const dataframe::DataFrame& window) const;
+  ///
+  /// \param num_threads  Lanes the window's scoring passes may use; 0
+  ///                     means DefaultThreadCount(). Never changes the
+  ///                     score.
+  StatusOr<double> Score(const dataframe::DataFrame& window,
+                         size_t num_threads = 0) const;
 
-  /// Per-tuple violations (for tuple-level analysis, e.g. Fig. 5).
-  StatusOr<linalg::Vector> TupleViolations(
-      const dataframe::DataFrame& window) const;
+  /// Per-tuple violations (for tuple-level analysis, e.g. Fig. 5);
+  /// `num_threads` as for Score.
+  StatusOr<linalg::Vector> TupleViolations(const dataframe::DataFrame& window,
+                                           size_t num_threads = 0) const;
 
   /// The learned constraint, available after Fit.
   const ConformanceConstraint& constraint() const { return constraint_; }

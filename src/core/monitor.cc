@@ -144,7 +144,7 @@ StatusOr<std::vector<WindowScore>> StreamMonitor::ObserveWindows(
       windows.size(),
       [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
-          drifts[i] = quantifier_.Score(windows[i]);
+          drifts[i] = quantifier_.Score(windows[i], num_threads);
         }
       },
       common::ParallelOptions{num_threads, /*min_chunk=*/1});

@@ -135,8 +135,10 @@ class StreamMonitor {
   /// prefix.
   ///
   /// \param num_threads  Scoring lanes; 0 means DefaultThreadCount().
-  ///                     Scores are independent per window, so the lane
-  ///                     count never changes the result.
+  ///                     Bounds both the spread across windows and each
+  ///                     window's own scoring passes. Scores are
+  ///                     independent per window, so the lane count never
+  ///                     changes the result.
   StatusOr<std::vector<WindowScore>> ObserveWindows(
       const std::vector<dataframe::DataFrame>& windows, size_t num_threads = 0)
       CCS_EXCLUDES(mu_);

@@ -2,38 +2,23 @@
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "common/parallel.h"
+#include "linalg/simd.h"
 
 namespace ccs::linalg {
 
-namespace {
-
-// Two doubles per SSE2 register via the GCC/Clang vector extension. Its
-// lane arithmetic is plain IEEE double arithmetic (no -march, no FMA
-// under -ffp-contract=off), so a lane computes exactly the scalar bits.
-typedef double V2 __attribute__((vector_size(16)));
-
-template <int N>
-using Const = std::integral_constant<int, N>;
-
-inline V2 LoadV2(const double* p) {
-  V2 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void StoreV2(double* p, V2 v) { std::memcpy(p, &v, sizeof(v)); }
-
-}  // namespace
+using simd::Const;
+using simd::LoadV2;
+using simd::StoreV2;
+using simd::V2;
 
 GramAccumulator::GramAccumulator(size_t num_attributes)
     : m_(num_attributes), n_(0), sum_(num_attributes + 1, num_attributes + 1) {}
 
-CCS_NOINLINE void GramAccumulator::AccumulateBlock(const double* rows,
-                                                   size_t n) {
+CCS_NOINLINE CCS_CODE_ALIGN64 void GramAccumulator::AccumulateBlock(
+    const double* rows, size_t n) {
   // The augmented tuple is (1, t0, ..., t_{m-1}). Entry (i+1, j+1) of the
   // sum receives t_i * t_j, entry (0, j+1) receives t_j, and (0, 0)
   // receives 1.0 — one term per row, added as `sum += term` in row order.

@@ -16,14 +16,19 @@ class Matrix;
 
 namespace internal {
 
-/// The single compiled i,k,j block kernel behind BOTH Matrix::Multiply
-/// and MatrixView::MultiplyRowRange:
-/// out[i*other.cols() + j] += rows[i*k_count + k] * other(k, j), with i
-/// outer, k ascending, j inner — Vector::Dot's term order per output
-/// entry, no zero-skipping. Never inlined (CCS_NOINLINE): both entry
-/// points must execute the same machine code, or compiler-chosen FP
-/// operand orderings could propagate different NaN payloads and break
-/// the bitwise path-equivalence contract.
+/// The single compiled block kernel behind BOTH Matrix::Multiply and
+/// MatrixView::MultiplyRowRange:
+/// out[i*other.cols() + j] += rows[i*k_count + k] * other(k, j), each
+/// entry taking its terms in ascending k — Vector::Dot's term order per
+/// output entry, no zero-skipping. Register-blocked: a tile of 3 rows x
+/// up to 8 outputs (GCC/Clang vector_size(16) doubles, no -march, no
+/// intrinsics) loads its out entries once, runs k over all of them, and
+/// stores them once. Tiles mix outputs but never rows, so a row's
+/// values never depend on the rows that share its call. Never inlined
+/// (CCS_NOINLINE): both entry points must execute the same machine
+/// code, or compiler-chosen FP operand orderings could propagate
+/// different NaN payloads and break the bitwise path-equivalence
+/// contract.
 ///
 /// \param rows      row_count contiguous row-major rows of k_count
 ///                  doubles (a whole Matrix, or a gathered view block).
@@ -81,10 +86,11 @@ class Matrix {
   /// The n x n identity.
   static Matrix Identity(size_t n);
 
-  /// this * other. Inner dimensions must agree. Accumulates in the same
-  /// i,k,j term order as MatrixView::MultiplyRowRange and Vector::Dot —
-  /// no zero-skipping — so the product is bitwise identical to per-row
-  /// evaluation even when either factor holds NaN or Inf cells.
+  /// this * other. Inner dimensions must agree. Accumulates each entry
+  /// in the same ascending-k term order as MatrixView::MultiplyRowRange
+  /// and Vector::Dot — no zero-skipping — so the product is bitwise
+  /// identical to per-row evaluation even when either factor holds NaN
+  /// or Inf cells.
   Matrix Multiply(const Matrix& other) const;
 
   /// this * v.

@@ -101,7 +101,7 @@ CCS_CODE_ALIGN64 Matrix MatrixView::MultiplyRowRange(
   if (other.cols() == 0 || row_begin == row_end) return out;
   // Late materialization in cache-sized blocks: gather
   // kViewGatherBlockRows rows into reused scratch (column-at-a-time,
-  // one stream per column), then run the SAME compiled i,k,j kernel
+  // one stream per column), then run the SAME compiled tile kernel
   // Matrix::Multiply runs. Copying cells preserves their bits,
   // and sharing one out-of-line kernel — rather than re-stating "the
   // same loop" here — removes the one divergence source term-order

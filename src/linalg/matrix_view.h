@@ -121,13 +121,14 @@ CCS_NOINLINE void EvalCombineColumn(const ViewSource* sources, size_t count,
 /// argument, not a storage type; `DataFrame::NumericViewFor` /
 /// `DataFrame::DerivedViewFor` produce it in O(columns).
 ///
-/// Determinism: `MultiplyRowRange` accumulates in the same i,k,j term
-/// order as `Matrix::Multiply` and per-row `Vector::Dot`, with no
-/// zero-skipping, so walking the view is bitwise identical to
-/// evaluating it row by row — including on NaN/Inf cells (see docs/architecture.md, "Determinism contract"). Derived
-/// cells are row-independent and evaluated by one compiled kernel per
-/// op, so block evaluation, single-cell At, and full-column
-/// materialization all produce identical bits.
+/// Determinism: `MultiplyRowRange` accumulates each entry in the same
+/// ascending-k term order as `Matrix::Multiply` and per-row
+/// `Vector::Dot`, with no zero-skipping, so walking the view is bitwise
+/// identical to evaluating it row by row — including on NaN/Inf cells
+/// (see docs/architecture.md, "Determinism contract"). Derived cells
+/// are row-independent and evaluated by one compiled kernel per op, so
+/// block evaluation, single-cell At, and full-column materialization
+/// all produce identical bits.
 class MatrixView {
  public:
   /// One column of the view. `selection == nullptr` means the buffer is
@@ -173,6 +174,18 @@ class MatrixView {
         sources_(std::move(sources)),
         row_indices_(row_indices) {
     CCS_DCHECK(row_indices_ == nullptr || row_indices_->size() == rows_);
+  }
+
+  /// This view restricted to logical rows `*row_indices` (borrowed, and
+  /// each < rows()): logical row r of the result is row
+  /// (*row_indices)[r] of this one. Columns and the source pool are
+  /// shared as they are. This view must not carry a row list itself.
+  MatrixView RowSubset(const std::vector<size_t>* row_indices) const {
+    CCS_DCHECK(row_indices_ == nullptr);
+    MatrixView out = *this;
+    out.rows_ = row_indices->size();
+    out.row_indices_ = row_indices;
+    return out;
   }
 
   size_t rows() const { return rows_; }
@@ -229,8 +242,8 @@ class MatrixView {
 
   /// rows [row_begin, row_end) of this * other, as a
   /// (row_end - row_begin) x other.cols() matrix — the same kernel
-  /// contract as Matrix::Multiply: exact i,k,j accumulation order, no
-  /// zero-skipping, bitwise identical to Multiply of the materialized
+  /// contract as Matrix::Multiply: exact ascending-k accumulation order,
+  /// no zero-skipping, bitwise identical to Multiply of the materialized
   /// rows and to per-row Vector::Dot.
   ///
   /// \param row_begin  First logical row to multiply (inclusive).

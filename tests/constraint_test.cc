@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/random.h"
@@ -305,6 +309,159 @@ TEST(DisjunctiveConstraintTest, MixedAttributeOrderMatchesPerRow) {
     EXPECT_EQ((*all)[i], d.Violation(df, i).value()) << "row " << i;
   }
   EXPECT_EQ((*all)[4], 1.0);  // Unseen switch value.
+}
+
+// ------------------- disjunctive row-block pass ----------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// `n` rows over x, y, z (about 1% NaN cells in each) and a switch m
+// skewed across six values, two of which ("u1", "u2") no case covers.
+DataFrame SkewedSwitchFrame(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<std::string> values = {"a", "b", "c", "d", "u1", "u2"};
+  const std::vector<double> weights = {0.70, 0.15, 0.06, 0.04, 0.03, 0.02};
+  std::vector<double> x(n), y(n), z(n);
+  std::vector<std::string> m(n);
+  auto maybe_nan = [&rng](double v) {
+    return rng.Bernoulli(0.01) ? std::nan("") : v;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const double xi = rng.Gaussian(0.0, 1.0);
+    x[i] = maybe_nan(xi);
+    y[i] = maybe_nan(xi + rng.Gaussian(0.0, 0.3));
+    z[i] = maybe_nan(rng.Uniform(-2.0, 2.0));
+    m[i] = values[rng.Categorical(weights)];
+  }
+  DataFrame df;
+  CCS_CHECK(df.AddNumericColumn("x", std::move(x)).ok());
+  CCS_CHECK(df.AddNumericColumn("y", std::move(y)).ok());
+  CCS_CHECK(df.AddNumericColumn("z", std::move(z)).ok());
+  CCS_CHECK(df.AddCategoricalColumn("m", std::move(m)).ok());
+  return df;
+}
+
+// Three conjuncts over `names` with random projections and bounds tight
+// enough that a good share of rows violate them.
+SimpleConstraint RandomSimple(const std::vector<std::string>& names,
+                              Rng& rng) {
+  std::vector<BoundedConstraint> conjuncts;
+  for (int k = 0; k < 3; ++k) {
+    Vector coefs(names.size());
+    for (size_t j = 0; j < names.size(); ++j) {
+      coefs[j] = rng.Uniform(-1.0, 1.0);
+    }
+    conjuncts.emplace_back(MakeProjection(names, std::move(coefs)), -0.8,
+                           0.8, 0.0, rng.Uniform(0.2, 1.0), 1.0 / 3.0);
+  }
+  auto c = SimpleConstraint::Create(names, std::move(conjuncts));
+  CCS_CHECK(c.ok());
+  return std::move(c).value();
+}
+
+// A global constraint over (x, y, z) and a disjunction on m whose case
+// "d" lists the same attributes in another order.
+ConformanceConstraint SkewedSwitchConstraint(uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<std::string> global_order = {"x", "y", "z"};
+  std::map<std::string, SimpleConstraint> cases;
+  for (const char* value : {"a", "b", "c"}) {
+    cases.emplace(value, RandomSimple(global_order, rng));
+  }
+  cases.emplace("d", RandomSimple({"z", "x", "y"}, rng));
+  return ConformanceConstraint(
+      RandomSimple(global_order, rng),
+      {DisjunctiveConstraint("m", std::move(cases))});
+}
+
+// The row-block pass at 1, 2 and 4 lanes over 5 x 2048 + 300 rows (six
+// blocks at 2 lanes, so blocks split every case's rows), on the frame
+// and on a view of it: bit for bit the per-row Violation.
+TEST(DisjunctiveConstraintTest, RowBlockPassMatchesPerRowAtAnyLaneCount) {
+  const DataFrame owned = SkewedSwitchFrame(5 * 2048 + 300, 31);
+  const DataFrame view = owned.Slice(77, owned.num_rows()).Filter(
+      [](size_t i) { return i % 7 != 3; });
+  const ConformanceConstraint phi = SkewedSwitchConstraint(32);
+  const DisjunctiveConstraint& psi = phi.disjunctions()[0];
+  for (const DataFrame* df : {&owned, &view}) {
+    std::vector<double> psi_rows, phi_rows;
+    size_t unseen = 0, nan_rows = 0;
+    for (size_t i = 0; i < df->num_rows(); ++i) {
+      psi_rows.push_back(psi.Violation(*df, i).value());
+      phi_rows.push_back(phi.Violation(*df, i).value());
+      const std::string m = df->CategoricalValue(i, "m").value();
+      if (m == "u1" || m == "u2") ++unseen;
+      if (std::isnan(df->NumericValue(i, "x").value())) ++nan_rows;
+    }
+    ASSERT_GT(unseen, 0u);
+    ASSERT_GT(nan_rows, 0u);
+    for (size_t lanes : {size_t{1}, size_t{2}, size_t{4}}) {
+      auto psi_all = psi.ViolationAll(*df, lanes);
+      auto phi_all = phi.ViolationAll(*df, lanes);
+      ASSERT_TRUE(psi_all.ok()) << psi_all.status();
+      ASSERT_TRUE(phi_all.ok()) << phi_all.status();
+      size_t psi_bad = 0, phi_bad = 0;
+      for (size_t i = 0; i < df->num_rows(); ++i) {
+        if (!SameBits((*psi_all)[i], psi_rows[i])) ++psi_bad;
+        if (!SameBits((*phi_all)[i], phi_rows[i])) ++phi_bad;
+      }
+      EXPECT_EQ(psi_bad, 0u) << lanes << " lane(s)";
+      EXPECT_EQ(phi_bad, 0u) << lanes << " lane(s)";
+    }
+  }
+}
+
+// A case whose attribute the frame lacks (or holds as categorical)
+// fails ViolationAll with the frame's own lookup Status once a row
+// selects it, and costs nothing while no row does.
+TEST(DisjunctiveConstraintTest, UnalignableCaseFailsOnlyWhenSelected) {
+  auto make_case = [](std::vector<std::string> names) {
+    std::vector<BoundedConstraint> cs;
+    cs.emplace_back(MakeProjection(names, Vector(names.size(), 1.0)), -1.0,
+                    1.0, 0.0, 1.0, 1.0);
+    auto c = SimpleConstraint::Create(std::move(names), std::move(cs));
+    CCS_CHECK(c.ok());
+    return std::move(c).value();
+  };
+  std::map<std::string, SimpleConstraint> cases;
+  cases.emplace("a", make_case({"x"}));
+  cases.emplace("b", make_case({"x", "w"}));  // No column w.
+  cases.emplace("c", make_case({"m"}));       // m is categorical.
+  const DisjunctiveConstraint d("m", std::move(cases));
+
+  DataFrame df;
+  ASSERT_TRUE(df.AddNumericColumn("x", {0.5, 0.1, 2.0, 0.3}).ok());
+  ASSERT_TRUE(df.AddCategoricalColumn("m", {"a", "a", "b", "c"}).ok());
+  const Status missing = df.ColumnByName("w").status();
+  ASSERT_FALSE(missing.ok());
+  const DataFrame no_c = df.Slice(0, 3);
+  for (size_t lanes : {size_t{1}, size_t{4}}) {
+    auto all = d.ViolationAll(no_c, lanes);
+    ASSERT_FALSE(all.ok());
+    EXPECT_EQ(all.status().code(), missing.code());
+    EXPECT_EQ(all.status().message(), missing.message());
+  }
+
+  const DataFrame no_b = df.Filter([](size_t i) { return i != 2; });
+  auto categorical = d.ViolationAll(no_b);
+  ASSERT_FALSE(categorical.ok());
+  EXPECT_EQ(categorical.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(categorical.status().message(), "column is not numeric: m");
+
+  // Both selected: the first row that selects a broken case decides.
+  auto both = d.ViolationAll(df);
+  ASSERT_FALSE(both.ok());
+  EXPECT_EQ(both.status().message(), missing.message());
+
+  // No row selects either broken case: they are never aligned.
+  const DataFrame only_a = df.Slice(0, 2);
+  auto fine = d.ViolationAll(only_a);
+  ASSERT_TRUE(fine.ok()) << fine.status();
+  for (size_t i = 0; i < only_a.num_rows(); ++i) {
+    EXPECT_TRUE(SameBits((*fine)[i], d.Violation(only_a, i).value()));
+  }
 }
 
 // --------------------- ConformanceConstraint -------------------------

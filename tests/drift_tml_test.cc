@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/parallel.h"
 #include "common/random.h"
 #include "core/drift.h"
 #include "core/monitor.h"
 #include "core/tml.h"
+#include "obs/trace.h"
 
 namespace ccs::core {
 namespace {
@@ -26,6 +32,24 @@ DataFrame TrendFrame(size_t n, double offset, uint64_t seed) {
   CCS_CHECK(df.AddNumericColumn("x", std::move(x)).ok());
   CCS_CHECK(df.AddNumericColumn("y", std::move(y)).ok());
   return df;
+}
+
+// TrendFrame plus a categorical switch g skewed across three values, so
+// scoring runs the global pass and the disjunctive row-block pass.
+DataFrame SwitchedTrendFrame(size_t n, double offset, uint64_t seed) {
+  DataFrame df = TrendFrame(n, offset, seed);
+  Rng rng(seed + 1000);
+  std::vector<std::string> g(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double u = rng.Uniform();
+    g[i] = u < 0.8 ? "p" : (u < 0.95 ? "q" : "r");
+  }
+  CCS_CHECK(df.AddCategoricalColumn("g", std::move(g)).ok());
+  return df;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 // ------------------------ drift quantifier ----------------------------
@@ -135,6 +159,32 @@ TEST(SafetyEnvelopeTest, TrustIsOneMinusViolation) {
   EXPECT_NEAR(verdict->trust, 1.0 - verdict->violation, 1e-12);
 }
 
+// Batch verdicts over 8192 tuples (several row blocks per scoring pass)
+// are bit for bit the per-row ones at 1 and 4 lanes.
+TEST(SafetyEnvelopeTest, AssessAllMatchesPerRowOnEveryLane) {
+  auto envelope = SafetyEnvelope::Fit(SwitchedTrendFrame(1000, 0.0, 17), {});
+  ASSERT_TRUE(envelope.ok());
+  ASSERT_EQ(envelope->constraint().disjunctions().size(), 1u);
+  const DataFrame serving = SwitchedTrendFrame(8192, 0.3, 18);
+  for (size_t lanes : {size_t{1}, size_t{4}}) {
+    common::SetDefaultThreadCount(lanes);
+    auto all = envelope->AssessAll(serving);
+    ASSERT_TRUE(all.ok()) << all.status();
+    size_t bad = 0;
+    for (size_t i = 0; i < serving.num_rows(); ++i) {
+      auto one = envelope->Assess(serving, i);
+      ASSERT_TRUE(one.ok()) << one.status();
+      if (!SameBits(one->violation, (*all)[i].violation) ||
+          !SameBits(one->trust, (*all)[i].trust) ||
+          one->unsafe != (*all)[i].unsafe) {
+        ++bad;
+      }
+    }
+    EXPECT_EQ(bad, 0u) << lanes << " lane(s)";
+  }
+  common::SetDefaultThreadCount(0);
+}
+
 TEST(SafetyEnvelopeTest, InvalidThresholdIsError) {
   DataFrame train = TrendFrame(50, 0.0, 16);
   EXPECT_FALSE(SafetyEnvelope::Fit(train, {}, -0.1).ok());
@@ -216,6 +266,37 @@ TEST(StreamMonitorTest, AlarmsOnDriftedWindowOnly) {
 
   ASSERT_EQ(monitor->history().size(), 2u);
   EXPECT_EQ(monitor->history()[1].window_index, 1u);
+}
+
+// ObserveWindows' lane count bounds every scoring pass, not only the
+// spread across windows: one lane never touches the pool, even for a
+// window large enough to split, and the scores match those at 4 lanes.
+TEST(StreamMonitorTest, ThreadCountBoundsEveryScoringLane) {
+  const DataFrame reference = SwitchedTrendFrame(1000, 0.0, 24);
+  const std::vector<DataFrame> windows = {SwitchedTrendFrame(8192, 0.5, 25),
+                                          SwitchedTrendFrame(8192, 2.0, 26)};
+  auto observe = [&](size_t lanes, uint64_t* pool_tasks) {
+    auto monitor = StreamMonitor::Create(reference, 0.1);
+    CCS_CHECK(monitor.ok());
+    CCS_CHECK_EQ(monitor->reference_constraint().disjunctions().size(), 1u);
+    obs::ObsSession session;
+    auto scores = monitor->ObserveWindows(windows, lanes);
+    CCS_CHECK(scores.ok());
+    *pool_tasks = session.AggregateByName()["pool.task"].count;
+    std::vector<double> drifts;
+    for (const WindowScore& score : *scores) drifts.push_back(score.drift);
+    return drifts;
+  };
+  uint64_t serial_tasks = 0, parallel_tasks = 0;
+  const std::vector<double> serial = observe(1, &serial_tasks);
+  const std::vector<double> parallel = observe(4, &parallel_tasks);
+  EXPECT_EQ(serial_tasks, 0u);
+  // The probe sees the pool whenever it is used.
+  EXPECT_GT(parallel_tasks, 0u);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(SameBits(serial[i], parallel[i])) << "window " << i;
+  }
 }
 
 TEST(StreamMonitorTest, InvalidThresholdIsError) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -302,27 +303,33 @@ Matrix OracleStart(size_t m, int64_t count, Rng& rng) {
   return start;
 }
 
-// Two frames whose numeric view over c0..c{m-1} is exactly `data`: one
-// owned, one a view of a view (a slice, then every second row) whose
-// skipped rows hold NaN so a mis-selected row cannot go unnoticed.
+// Rows of the padded base frame OracleFrames builds: data row r sits at
+// base row kOracleSkip + 2r, every other base row is NaN.
+constexpr size_t kOracleSkip = 3;
+
+// Three frames whose numeric view over c0..c{m-1} is exactly `data`:
+// owned, a view of a view (a slice, then every second row), and the
+// padded base the view selects from, whose skipped rows hold NaN so a
+// mis-selected row cannot go unnoticed. Each also holds a column "pad",
+// so the row count survives m = 0.
 std::vector<dataframe::DataFrame> OracleFrames(const Matrix& data) {
   const size_t n = data.rows();
-  constexpr size_t kSkip = 3;
   dataframe::DataFrame owned, base;
-  for (size_t c = 0; c < data.cols(); ++c) {
-    std::vector<double> column(n), padded(kSkip + 2 * n, kNaN);
-    for (size_t r = 0; r < n; ++r) {
-      column[r] = padded[kSkip + 2 * r] = data.At(r, c);
+  for (size_t c = 0; c <= data.cols(); ++c) {
+    std::vector<double> column(n), padded(kOracleSkip + 2 * n, kNaN);
+    for (size_t r = 0; c < data.cols() && r < n; ++r) {
+      column[r] = padded[kOracleSkip + 2 * r] = data.At(r, c);
     }
-    const std::string name = "c" + std::to_string(c);
+    const std::string name =
+        c < data.cols() ? "c" + std::to_string(c) : "pad";
     CCS_CHECK(owned.AddNumericColumn(name, std::move(column)).ok());
     CCS_CHECK(base.AddNumericColumn(name, std::move(padded)).ok());
   }
   dataframe::DataFrame view_of_view =
-      base.Slice(kSkip, base.num_rows()).Filter([](size_t i) {
+      base.Slice(kOracleSkip, base.num_rows()).Filter([](size_t i) {
         return i % 2 == 0;
       });
-  return {owned, view_of_view};
+  return {owned, view_of_view, base};
 }
 
 bool BitsEqual(double a, double b) {
@@ -361,8 +368,8 @@ TEST(GramOracleTest, EveryEntryPointMatchesRowAtATimeBitwise) {
       const Matrix want_sharded = OracleSum(data, start, /*sharded=*/true);
       const std::vector<dataframe::DataFrame> frames = OracleFrames(data);
       std::vector<MatrixView> views;
-      for (const dataframe::DataFrame& frame : frames) {
-        auto view = frame.NumericViewFor(names);
+      for (size_t f = 0; f < 2; ++f) {
+        auto view = frames[f].NumericViewFor(names);
         ASSERT_TRUE(view.ok()) << view.status();
         ASSERT_EQ(view->rows(), n);
         views.push_back(*view);
@@ -396,6 +403,169 @@ TEST(GramOracleTest, EveryEntryPointMatchesRowAtATimeBitwise) {
   }
   common::SetDefaultThreadCount(0);
   EXPECT_EQ(cases, 15u * 10u * 2u * 3u);
+}
+
+// ------------- Scoring kernel vs. row-at-a-time i,k,j loop -------------
+
+// The oracle: the row-at-a-time i,k,j loop the register-blocked
+// internal::AccumulateRowsTimesMatrix replaced. Every out entry starts
+// at +0.0 and takes a_ik * b_kj for k ascending, with no zero-skipping.
+Matrix OracleMultiply(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t k = 0; k < a.cols(); ++k) {
+      const double aik = a.At(i, k);
+      for (size_t j = 0; j < b.cols(); ++j) out.At(i, j) += aik * b.At(k, j);
+    }
+  }
+  return out;
+}
+
+// Mixed-magnitude cells with about 2% zeros and 1% non-finite ones:
+// zeros against the Inf coefficients below make 0 * Inf = NaN terms a
+// zero-skipping kernel would drop, and the magnitudes make any k
+// reordering change the bits.
+Matrix KernelData(size_t n, size_t k, Rng& rng) {
+  Matrix data(n, k);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < k; ++c) {
+      const double u = rng.Uniform();
+      data.At(r, c) = u < 0.02 ? 0.0
+                      : u < 0.025 ? kNaN
+                      : u < 0.03 ? (rng.Bernoulli(0.5) ? kInf : -kInf)
+                                  : MixedMagnitude(rng);
+    }
+  }
+  return data;
+}
+
+// k x outs coefficients of mixed magnitude, with one +Inf in the last
+// output column (for k > 0), as a scoring coefficient matrix might hold.
+Matrix KernelCoefficients(size_t k, size_t outs, Rng& rng) {
+  Matrix coef(k, outs);
+  for (size_t r = 0; r < k; ++r) {
+    for (size_t c = 0; c < outs; ++c) coef.At(r, c) = MixedMagnitude(rng);
+  }
+  if (k > 0) coef.At(k / 2, outs - 1) = kInf;
+  return coef;
+}
+
+// Runs a * coef through every entry point of the scoring kernel —
+// Matrix::Multiply, and MultiplyRowRange over owned, view-of-view,
+// row-subset and derived views, whole and split into row blocks on 1
+// and 4 lanes — and expects the oracle's bits everywhere (a NaN oracle
+// entry needs any NaN: payloads are a property of the compiled code).
+void ExpectKernelMatchesOracle(const Matrix& a, const Matrix& coef) {
+  const size_t n = a.rows();
+  const size_t k = a.cols();
+  const Matrix want = OracleMultiply(a, coef);
+  const std::string shape = " n=" + std::to_string(n) +
+                            " k=" + std::to_string(k) +
+                            " outs=" + std::to_string(coef.cols());
+  EXPECT_EQ(CountMismatches(a.Multiply(coef), want), 0u)
+      << "Matrix::Multiply" << shape;
+
+  std::vector<std::string> names;
+  std::vector<dataframe::ColumnExpr> identity;
+  for (size_t c = 0; c < k; ++c) {
+    names.push_back("c" + std::to_string(c));
+    // (x - 0) / 1 is x, bit for bit, for every x (NaN stays NaN).
+    identity.push_back(dataframe::ColumnExpr::Scale(names.back(), 0.0, 1.0));
+  }
+  const std::vector<dataframe::DataFrame> frames = OracleFrames(a);
+  std::vector<size_t> base_rows(n);
+  for (size_t r = 0; r < n; ++r) base_rows[r] = kOracleSkip + 2 * r;
+  const std::vector<std::pair<std::string, StatusOr<MatrixView>>> views = {
+      {"owned", frames[0].NumericViewFor(names)},
+      {"view-of-view", frames[1].NumericViewFor(names)},
+      {"row-subset", frames[2].NumericViewFor(names, base_rows)},
+      {"derived", frames[1].DerivedViewFor(identity)}};
+  for (const auto& [label, view] : views) {
+    ASSERT_TRUE(view.ok()) << label << ": " << view.status();
+    ASSERT_EQ(view->rows(), n) << label;
+    EXPECT_EQ(CountMismatches(view->MultiplyRowRange(0, n, coef), want), 0u)
+        << label << shape;
+    for (size_t threads : {1u, 4u}) {
+      // Row blocks of about 64 rows, split wherever the lanes put them:
+      // rows land at any position of the kernel's row tiles.
+      Matrix blocks(n, coef.cols());
+      common::ParallelFor(
+          n,
+          [&](size_t begin, size_t end) {
+            const Matrix part = view->MultiplyRowRange(begin, end, coef);
+            for (size_t r = begin; r < end; ++r) {
+              for (size_t j = 0; j < coef.cols(); ++j) {
+                blocks.At(r, j) = part.At(r - begin, j);
+              }
+            }
+          },
+          common::ParallelOptions{threads, /*min_chunk=*/64});
+      EXPECT_EQ(CountMismatches(blocks, want), 0u)
+          << label << " in row blocks" << shape << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ScoringKernelOracleTest, RowCountsAroundTileEdges) {
+  Rng rng(11);
+  for (size_t n : {1, 2, 3, 4, 5, 6, 7, 255, 256, 257, 513}) {
+    ExpectKernelMatchesOracle(KernelData(n, 40, rng),
+                              KernelCoefficients(40, 41, rng));
+  }
+}
+
+TEST(ScoringKernelOracleTest, OutputCountsAroundTileEdges) {
+  Rng rng(12);
+  for (size_t outs = 1; outs <= 17; ++outs) {
+    ExpectKernelMatchesOracle(KernelData(257, 40, rng),
+                              KernelCoefficients(40, outs, rng));
+  }
+  ExpectKernelMatchesOracle(KernelData(257, 40, rng),
+                            KernelCoefficients(40, 41, rng));
+}
+
+TEST(ScoringKernelOracleTest, InnerDimensions) {
+  Rng rng(13);
+  for (size_t k : {0, 1, 2, 40}) {
+    for (size_t outs : {7, 41}) {
+      ExpectKernelMatchesOracle(KernelData(257, k, rng),
+                                KernelCoefficients(k, outs, rng));
+    }
+  }
+}
+
+// Cells drawn from NaN, +-Inf, +-0.0 and magnitudes near 1e+300 and
+// 1e-300 among ordinary ones, so every special-value rule of the term
+// order is exercised: 0 * Inf, Inf + -Inf, -0.0 + -0.0, products that
+// overflow to Inf or underflow to subnormals and zero, and tiny terms
+// absorbed by huge sums. Non-finite cells stay sparse enough that most
+// rows keep finite, order-sensitive outputs.
+TEST(ScoringKernelOracleTest, NonFiniteSignedZerosAndExtremeMagnitudes) {
+  Rng rng(14);
+  auto special = [&rng](double non_finite) {
+    const double u = rng.Uniform();
+    if (u < non_finite) return kNaN;
+    if (u < 2 * non_finite) return kInf;
+    if (u < 3 * non_finite) return -kInf;
+    const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+    const double v = rng.Uniform();
+    if (v < 0.15) return sign * 0.0;
+    if (v < 0.40) return sign * rng.Uniform(1.0, 10.0) * 1e300;
+    if (v < 0.65) return sign * rng.Uniform(1.0, 10.0) * 1e-300;
+    return MixedMagnitude(rng);
+  };
+  for (size_t n : {5, 257}) {
+    for (size_t outs : {9, 41}) {
+      Matrix a(n, 40), coef(40, outs);
+      for (size_t r = 0; r < n; ++r) {
+        for (size_t c = 0; c < 40; ++c) a.At(r, c) = special(0.005);
+      }
+      for (size_t r = 0; r < 40; ++r) {
+        for (size_t c = 0; c < outs; ++c) coef.At(r, c) = special(0.002);
+      }
+      ExpectKernelMatchesOracle(a, coef);
+    }
+  }
 }
 
 TEST(GramRestoreStateTest, RefusesAsymmetricOrMiscountedState) {
