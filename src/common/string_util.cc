@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace ccs {
 
@@ -83,6 +84,30 @@ std::string FormatDouble(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.10g", value);
   return buf;
+}
+
+uint64_t DoubleBits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+std::string HexBits(uint64_t bits) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
+
+std::optional<double> ParseHexBits(std::string_view text) {
+  if (text.size() != 16) return std::nullopt;
+  uint64_t bits = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, bits, 16);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
 }
 
 std::string ToLower(std::string_view text) {

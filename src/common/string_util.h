@@ -3,6 +3,7 @@
 #ifndef CCS_COMMON_STRING_UTIL_H_
 #define CCS_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,6 +34,17 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 /// Formats a double compactly (shortest representation round-tripping to
 /// 10 significant digits, trailing zeros trimmed).
 std::string FormatDouble(double value);
+
+/// The raw IEEE-754 bits of `value`, sign and NaN payload included.
+uint64_t DoubleBits(double value);
+
+/// `bits` as 16 lowercase hex digits. HexBits(DoubleBits(v)) is the
+/// exact text form of a double that golden traces and checkpoints store.
+std::string HexBits(uint64_t bits);
+
+/// The double whose bits are the 16 hex digits `text` (the inverse of
+/// HexBits(DoubleBits(v))); nullopt for any other text.
+std::optional<double> ParseHexBits(std::string_view text);
 
 /// Lowercases ASCII characters.
 std::string ToLower(std::string_view text);

@@ -138,25 +138,36 @@ StatusOr<std::vector<WindowScore>> StreamMonitor::ObserveWindows(
           "StreamMonitor::ObserveWindows: empty window");
     }
   }
-  std::vector<StatusOr<double>> drifts(windows.size(),
+  std::vector<StatusOr<double>> scored(windows.size(),
                                        Status::Internal("window not scored"));
   common::ParallelFor(
       windows.size(),
       [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
-          drifts[i] = quantifier_.Score(windows[i], num_threads);
+          scored[i] = quantifier_.Score(windows[i], num_threads);
         }
       },
       common::ParallelOptions{num_threads, /*min_chunk=*/1});
-  std::vector<WindowScore> out;
-  out.reserve(windows.size());
-  for (StatusOr<double>& drift : drifts) {
+  std::vector<double> drifts;
+  drifts.reserve(windows.size());
+  for (StatusOr<double>& drift : scored) {
     if (!drift.ok()) return std::move(drift).status();
+    drifts.push_back(*drift);
   }
+  return CommitDrifts(drifts);
+}
+
+StatusOr<linalg::Vector> StreamMonitor::TupleViolations(
+    const dataframe::DataFrame& rows, size_t num_threads) const {
+  return quantifier_.TupleViolations(rows, num_threads);
+}
+
+std::vector<WindowScore> StreamMonitor::CommitDrifts(
+    const std::vector<double>& drifts) {
+  std::vector<WindowScore> out;
+  out.reserve(drifts.size());
   common::MutexLock lock(&mu_);
-  for (size_t i = 0; i < windows.size(); ++i) {
-    out.push_back(CommitScore(drifts[i].value()));
-  }
+  for (double drift : drifts) out.push_back(CommitScore(drift));
   return out;
 }
 

@@ -143,6 +143,22 @@ class StreamMonitor {
       const std::vector<dataframe::DataFrame>& windows, size_t num_threads = 0)
       CCS_EXCLUDES(mu_);
 
+  /// Per-tuple violations of `rows` under the current reference profile,
+  /// in row order. A window's drift is exactly these values' Vector::Mean
+  /// — each depends only on (profile, row) — so a caller that knows its
+  /// window geometry can score every row once, reuse the values of rows
+  /// shared between windows, and commit the means with CommitDrifts
+  /// (the stream pipeline's score-once path). Reads the profile
+  /// lock-free, as ObserveWindows' lanes do; `num_threads` as there.
+  StatusOr<linalg::Vector> TupleViolations(const dataframe::DataFrame& rows,
+                                           size_t num_threads = 0) const;
+
+  /// Appends precomputed window drifts to the history in order, under
+  /// the lock, and returns their scores — the commit half of
+  /// ObserveWindows.
+  std::vector<WindowScore> CommitDrifts(const std::vector<double>& drifts)
+      CCS_EXCLUDES(mu_);
+
   /// Swaps the reference profile for a freshly synthesized global
   /// constraint — the serving half of the §4.3.2 refresh loop, fed by
   /// IncrementalSynthesizer::Synthesize. The alarm threshold and the

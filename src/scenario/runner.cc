@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -20,20 +18,6 @@ namespace ccs::scenario {
 using dataframe::DataFrame;
 
 namespace {
-
-// Raw IEEE-754 bits, NaN canonicalized to one quiet-NaN pattern: NaN
-// *payloads* are not stable across separate compilations of FP kernels
-// (observed on GCC — docs/architecture.md), but NaN-ness is.
-std::string ScoreBits(double score) {
-  double canonical =
-      std::isnan(score) ? std::numeric_limits<double>::quiet_NaN() : score;
-  uint64_t bits = 0;
-  std::memcpy(&bits, &canonical, sizeof(bits));
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(bits));
-  return buf;
-}
 
 std::string ScoreHuman(double score) {
   if (std::isnan(score)) return "nan";
@@ -89,9 +73,15 @@ std::string ScenarioTrace::ToString() const {
       out += QuarantineLine(e.stage, e.window_index, e.rows_lost, e.reason);
       continue;
     }
+    // Raw bits with NaN canonicalized to one quiet-NaN pattern: NaN
+    // *payloads* are not stable across separate compilations of FP
+    // kernels (observed on GCC — docs/architecture.md), but NaN-ness is.
+    const double canonical =
+        std::isnan(e.score) ? std::numeric_limits<double>::quiet_NaN()
+                            : e.score;
     out += "window " + std::to_string(e.window_index) +
-           " score=" + ScoreBits(e.score) + " (" + ScoreHuman(e.score) +
-           ") alarm=" + (e.alarm ? "1" : "0") + "\n";
+           " score=" + HexBits(DoubleBits(canonical)) + " (" +
+           ScoreHuman(e.score) + ") alarm=" + (e.alarm ? "1" : "0") + "\n";
   }
   for (const stream::QuarantineRecord& q : stage_quarantine) {
     out += QuarantineLine(q.stage, q.index, q.rows_lost, q.reason.code());

@@ -1,9 +1,8 @@
 #include "stream/checkpoint.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -17,31 +16,17 @@ namespace {
 constexpr char kMagic[] = "ccsynth-checkpoint v1";
 
 // Raw IEEE-754 bits as 16 hex chars — the exact-round-trip double form
-// (the golden-trace idiom, scenario/runner.cc). No NaN canonicalization
+// golden traces use too (common/string_util.h). No NaN canonicalization
 // here: a checkpoint stores state bits verbatim.
-std::string Hex(double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(bits));
-  return buf;
-}
+std::string Hex(double value) { return HexBits(DoubleBits(value)); }
 
 StatusOr<double> FromHex(const std::string& text) {
-  if (text.size() != 16) {
+  std::optional<double> value = ParseHexBits(text);
+  if (!value.has_value()) {
     return Status::InvalidArgument("checkpoint: bad double bits '" + text +
                                    "'");
   }
-  char* end = nullptr;
-  uint64_t bits = std::strtoull(text.c_str(), &end, 16);
-  if (end != text.c_str() + text.size()) {
-    return Status::InvalidArgument("checkpoint: bad double bits '" + text +
-                                   "'");
-  }
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
+  return *value;
 }
 
 // "key=value" fields on a space-separated line.
@@ -98,14 +83,7 @@ std::string SerializeCheckpoint(const CheckpointData& data) {
   out += "geometry window_rows=" + std::to_string(data.window_rows) +
          " slide_rows=" + std::to_string(data.slide_rows) +
          " refresh_every=" + std::to_string(data.refresh_every) +
-         " threshold=";
-  {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(data.threshold_bits));
-    out += buf;
-  }
-  out += "\n";
+         " threshold=" + HexBits(data.threshold_bits) + "\n";
   out += "progress windows_committed=" + std::to_string(data.windows_committed) +
          " windows_consumed=" + std::to_string(data.windows_consumed) +
          " rows_consumed=" + std::to_string(data.rows_consumed) +
@@ -161,9 +139,8 @@ StatusOr<CheckpointData> ParseCheckpoint(const std::string& text) {
     CCS_ASSIGN_OR_RETURN(data.slide_rows, SizeField(fields, "slide_rows"));
     CCS_ASSIGN_OR_RETURN(data.refresh_every,
                          SizeField(fields, "refresh_every"));
-    CCS_ASSIGN_OR_RETURN(std::string threshold, Field(fields, "threshold"));
-    CCS_ASSIGN_OR_RETURN(double t, FromHex(threshold));
-    std::memcpy(&data.threshold_bits, &t, sizeof(t));
+    CCS_ASSIGN_OR_RETURN(double threshold, HexField(fields, "threshold"));
+    data.threshold_bits = DoubleBits(threshold);
   }
 
   CCS_ASSIGN_OR_RETURN(line, reader.Next());

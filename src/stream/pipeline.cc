@@ -1,7 +1,6 @@
 #include "stream/pipeline.h"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -9,6 +8,8 @@
 #include "common/bounded_queue.h"
 #include "common/fault.h"
 #include "common/mutex.h"
+#include "common/parallel.h"
+#include "common/string_util.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -40,12 +41,6 @@ struct StageResult {
   size_t buffer_reallocs CCS_GUARDED_BY(mu) = 0;
   size_t buffer_capacity CCS_GUARDED_BY(mu) = 0;
 };
-
-uint64_t DoubleBits(double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
 
 }  // namespace
 
@@ -158,6 +153,7 @@ Status StreamPipeline::Restore(const CheckpointData& data) {
     CCS_RETURN_IF_ERROR(monitor_.RefreshReference(data.profile));
   }
   windows_consumed_ = data.windows_consumed;
+  chain_ordinal_ = 0;
   refreshes_total_ = data.refreshes;
   resume_skip_rows_ = data.rows_consumed;
   last_checkpoint_windows_ = data.windows_consumed;
@@ -228,26 +224,85 @@ Status StreamPipeline::CommitBatch(
     return gate_failure;
   }
 
-  // ---- Phase B: batch scoring. ObserveWindows is all-or-nothing, so
-  // under a quarantine policy a batch failure falls back to scoring each
-  // window alone — the same Score function, so the committed bits are
-  // identical — and quarantines only the windows that actually fail.
+  // ---- Phase B: score each row once. A window that chains onto the
+  // previous one (emitted next by the same Windower, under the same
+  // profile) shares all but its last `slide` rows with it, so only those
+  // rows are scored and the shared rows' violations are reused. A row's
+  // violation depends only on (profile, row), and the drift is
+  // Vector::Mean over the window's violations in row order — exactly
+  // what ObserveWindow computes — so the committed bits are identical.
+  // The batch is all-or-nothing: under a quarantine policy a failure
+  // falls back to scoring each window whole through ObserveWindow and
+  // quarantines only the windows that actually fail.
   std::vector<WindowScore> scores;
   std::vector<size_t> committed;  // Indices into `survivors`.
   {
     obs::ObsSpan score_span("stream.score", "stream");
-    StatusOr<std::vector<WindowScore>> batch_scores =
-        monitor_.ObserveWindows(survivors, options_.num_threads);
-    if (batch_scores.ok()) {
-      scores = std::move(*batch_scores);
+    const size_t slide = step_rows();
+    const size_t overlap = options_.window_rows - slide;
+    // fresh_from[i]: the first row of survivors[i] not shared with the
+    // window scored before it (0 = score the whole window).
+    std::vector<size_t> fresh_from(survivors.size(), 0);
+    for (size_t i = 0; i < survivors.size(); ++i) {
+      const size_t prev = i == 0 ? chain_ordinal_ : survivor_ordinals[i - 1];
+      if (overlap > 0 && prev != 0 && survivor_ordinals[i] == prev + 1) {
+        fresh_from[i] = overlap;
+      }
+    }
+    std::vector<StatusOr<linalg::Vector>> fresh(
+        survivors.size(), Status::Internal("window not scored"));
+    common::ParallelFor(
+        survivors.size(),
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            const DataFrame& window = survivors[i];
+            if (fresh_from[i] == 0) {
+              fresh[i] = monitor_.TupleViolations(window, options_.num_threads);
+            } else {
+              fresh[i] = monitor_.TupleViolations(
+                  window.Slice(fresh_from[i], window.num_rows()),
+                  options_.num_threads);
+            }
+          }
+        },
+        common::ParallelOptions{options_.num_threads, /*min_chunk=*/1});
+    Status batch_status;
+    for (const StatusOr<linalg::Vector>& rows : fresh) {
+      if (!rows.ok()) {
+        batch_status = rows.status();
+        break;
+      }
+    }
+    if (batch_status.ok()) {
+      // Assemble each window's violations in order: shift out the
+      // previous window's first `slide` values, append the fresh rows.
+      std::vector<double> drifts;
+      drifts.reserve(survivors.size());
+      for (size_t i = 0; i < survivors.size(); ++i) {
+        std::vector<double>& rows = fresh[i]->data();
+        stats->rows_scored += rows.size();
+        if (fresh_from[i] == 0) {
+          window_violations_ = std::move(*fresh[i]);
+        } else {
+          std::vector<double>& window = window_violations_.data();
+          std::copy(window.begin() + slide, window.end(), window.begin());
+          std::copy(rows.begin(), rows.end(), window.begin() + overlap);
+        }
+        drifts.push_back(window_violations_.Mean());
+      }
+      chain_ordinal_ = survivor_ordinals.back();
+      scores = monitor_.CommitDrifts(drifts);
       committed.reserve(survivors.size());
       for (size_t i = 0; i < survivors.size(); ++i) committed.push_back(i);
-    } else if (options_.score_policy.mode != FailureMode::kQuarantine) {
-      return std::move(batch_scores).status();
     } else {
+      chain_ordinal_ = 0;
+      if (options_.score_policy.mode != FailureMode::kQuarantine) {
+        return batch_status;
+      }
       for (size_t i = 0; i < survivors.size(); ++i) {
         StatusOr<WindowScore> score = monitor_.ObserveWindow(survivors[i]);
         if (score.ok()) {
+          stats->rows_scored += survivors[i].num_rows();
           committed.push_back(i);
           scores.push_back(*score);
         } else {
@@ -330,6 +385,7 @@ Status StreamPipeline::CommitBatch(
       record.reason = std::move(supervised.status);
       RecordQuarantine(std::move(record), stats);
     } else {
+      chain_ordinal_ = 0;  // Rows scored under the old profile are stale.
       ++stats->refreshes;
       ++refreshes_total_;
       if (options_.on_refresh) options_.on_refresh(monitor_.history_size());
@@ -360,6 +416,10 @@ PipelineRunResult StreamPipeline::Run(
 
   const size_t skip_rows = resume_skip_rows_;
   resume_skip_rows_ = 0;
+  // Every Run windows its stream afresh, but consumed ordinals continue
+  // across Runs: the first window of this Run must not chain onto the
+  // last window of the previous one.
+  chain_ordinal_ = 0;
   const std::atomic<bool>* stop = options_.stop;
 
   // ---- Stage 1: ingest. Parses schema-shaped chunks until EOF; each
@@ -627,6 +687,7 @@ PipelineRunResult StreamPipeline::Run(
   // Mirrored even on error: the counters describe work actually done.
   registry.GetCounter("stream.rows_ingested")->Add(stats.rows_ingested);
   registry.GetCounter("stream.windows_scored")->Add(stats.windows_scored);
+  registry.GetCounter("stream.rows_scored")->Add(stats.rows_scored);
   registry.GetCounter("stream.alarms")->Add(stats.alarms);
   registry.GetCounter("stream.refreshes")->Add(stats.refreshes);
   registry.GetCounter("stream.rows_quarantined")->Add(stats.rows_quarantined);

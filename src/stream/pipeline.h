@@ -8,8 +8,10 @@
 //   windowing (thread)  Windower completes tumbling/sliding windows
 //      │  BoundedQueue<DataFrame>
 //   scoring + commit    the calling thread drains ready windows, scores
-//   (caller + pool)     them with StreamMonitor::ObserveWindows (fanned
-//                       out over common::ParallelFor's pool lanes), and
+//   (caller + pool)     each row once (a sliding window scores only the
+//                       rows it adds and reuses the violations of the rows
+//                       it shares with the previous window; fanned out
+//                       over common::ParallelFor's pool lanes), and
 //                       commits WindowScores strictly in arrival order;
 //                       every `refresh_every` windows it folds the scored
 //                       rows into an IncrementalSynthesizer and swaps the
@@ -24,12 +26,14 @@
 // failures through exactly these paths.
 //
 // Determinism: window contents depend only on the row stream (Windower),
-// per-window scores are pure functions of (profile, window), batches
-// never span a refresh boundary, and refreshes happen at fixed window
-// indices with rows ingested in window order — so the committed
-// WindowScore history is bitwise identical to a serial ObserveWindow
-// loop with the same refresh cadence, at any thread count (see
-// docs/streaming.md and the equivalence test in tests/stream_test.cc).
+// per-row violations are pure functions of (profile, row), a window's
+// score is their Vector::Mean in row order however many were reused
+// from the previous window, batches never span a refresh boundary, and
+// refreshes happen at fixed window indices with rows ingested in window
+// order — so the committed WindowScore history is bitwise identical to
+// a serial ObserveWindow loop with the same refresh cadence, at any
+// thread count (see docs/streaming.md and the equivalence tests in
+// tests/stream_test.cc).
 // Supervision preserves this: each stage's quarantine decisions depend
 // only on its own deterministic unit ordinals, and checkpoint-resume
 // (stream/checkpoint.h, docs/robustness.md) extends the contract to
@@ -50,6 +54,7 @@
 #include "core/synthesizer.h"
 #include "dataframe/csv.h"
 #include "dataframe/dataframe.h"
+#include "linalg/vector.h"
 #include "stream/checkpoint.h"
 #include "stream/supervisor.h"
 #include "stream/windower.h"
@@ -75,7 +80,7 @@ struct StreamPipelineOptions {
   /// Capacity of each inter-stage queue, in chunks / windows. This bounds
   /// how far ingest can run ahead of scoring.
   size_t queue_capacity = 4;
-  /// Upper bound on windows scored per batch (one ObserveWindows call).
+  /// Upper bound on windows scored per batch (one parallel scoring pass).
   size_t max_batch_windows = 32;
   /// Constraint-synthesis configuration for the reference profile and
   /// its refreshes.
@@ -142,6 +147,10 @@ struct StreamPipelineOptions {
 struct PipelineStats {
   size_t rows_ingested = 0;
   size_t windows_scored = 0;
+  /// Rows whose violation was computed for a committed window: all of
+  /// a window that starts a chain, only the `slide` rows it adds when it
+  /// chains onto the previous window (score-once).
+  size_t rows_scored = 0;
   size_t alarms = 0;
   size_t refreshes = 0;
   /// High-water marks of the two queues: how deep backpressure buffered.
@@ -286,6 +295,11 @@ class StreamPipeline {
   size_t resume_skip_rows_ = 0;
   // Consumed-window count at the last checkpoint write (cadence base).
   size_t last_checkpoint_windows_ = 0;
+  // Score-once state: the violations of the last scored window's rows,
+  // in row order, and that window's consumed ordinal. 0 means the next
+  // window must be scored whole (docs/streaming.md, "Determinism").
+  linalg::Vector window_violations_;
+  size_t chain_ordinal_ = 0;
 };
 
 }  // namespace ccs::stream

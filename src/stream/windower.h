@@ -5,9 +5,11 @@
 // bridges the two: chunks go in, every window they complete comes out,
 // independent of how chunk boundaries fall. Tumbling windows
 // (slide == window) partition the stream; sliding windows (slide <
-// window) overlap, re-scoring recent rows each step. A trailing partial
-// window at end of stream is never emitted (it would score a different
-// population than every other window).
+// window) overlap: each shares all but `slide` rows with the window
+// before it, and the pipeline scores only the rows a window adds
+// (docs/streaming.md, "Determinism"). A trailing partial window at end
+// of stream is never emitted (it would score a different population
+// than every other window).
 //
 // Rows are held in per-column rolling buffers (raw doubles and
 // dictionary codes, never whole DataFrames), consumed by advancing a

@@ -4,6 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -203,6 +208,34 @@ TEST(StringUtilTest, ToLower) {
 }
 
 // --------------------------- Rng -------------------------------------
+
+TEST(StringUtilTest, HexBitsRoundTripsEveryBit) {
+  // Sign, NaN payload and all: the form golden traces and checkpoints
+  // store must bring back the exact double.
+  const double quiet = std::numeric_limits<double>::quiet_NaN();
+  double payload_nan = 0.0;
+  const uint64_t payload_bits = 0xfff8000000000123ull;
+  std::memcpy(&payload_nan, &payload_bits, sizeof(payload_nan));
+  for (double v : {0.0, -0.0, 1.0, -2.5, 1e-310, quiet, payload_nan,
+                   std::numeric_limits<double>::infinity()}) {
+    const std::string text = HexBits(DoubleBits(v));
+    ASSERT_EQ(text.size(), 16u);
+    std::optional<double> back = ParseHexBits(text);
+    ASSERT_TRUE(back.has_value()) << text;
+    EXPECT_EQ(DoubleBits(*back), DoubleBits(v)) << text;
+  }
+  EXPECT_EQ(HexBits(DoubleBits(1.0)), "3ff0000000000000");
+  EXPECT_EQ(HexBits(DoubleBits(-0.0)), "8000000000000000");
+  EXPECT_NE(DoubleBits(0.0), DoubleBits(-0.0));
+}
+
+TEST(StringUtilTest, ParseHexBitsRejectsOtherText) {
+  for (const char* text : {"", "3ff000000000000", "3ff00000000000000",
+                           "3ff000000000000g", " 3ff000000000000",
+                           "0x3ff00000000000", "+3ff000000000000"}) {
+    EXPECT_FALSE(ParseHexBits(text).has_value()) << "'" << text << "'";
+  }
+}
 
 TEST(RngTest, DeterministicForFixedSeed) {
   Rng a(123), b(123);

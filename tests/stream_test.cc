@@ -23,6 +23,7 @@
 #include "common/fault.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/monitor.h"
 #include "dataframe/csv.h"
 #include "obs/metrics.h"
@@ -817,35 +818,44 @@ TEST(IncrementalSynthesizerTest, SynthesizeWithNoObservationsFails) {
 // --------------------------- StreamPipeline ---------------------------
 
 // The serial reference implementation the pipeline must match bitwise:
-// parse everything, window it, ObserveWindow each window in order, and
-// mirror the pipeline's refresh cadence.
-std::vector<WindowScore> SerialLoop(const DataFrame& reference,
-                                    const std::string& csv_text,
-                                    const StreamPipelineOptions& options) {
-  auto monitor = StreamMonitor::Create(reference, options.alarm_threshold,
-                                       options.synthesis);
+// parse each segment, window it afresh (as each Run does), ObserveWindow
+// every window in order, and mirror the pipeline's expansion setting and
+// its refresh cadence over the whole history.
+std::vector<WindowScore> SerialLoop(
+    const DataFrame& reference, const std::vector<std::string>& segments,
+    const StreamPipelineOptions& options,
+    const dataframe::CsvOptions& csv_options = dataframe::CsvOptions()) {
+  auto monitor = StreamMonitor::Create(
+      reference, options.alarm_threshold, options.synthesis,
+      options.expand_polynomial ? &options.expansion : nullptr);
   CCS_CHECK(monitor.ok());
-  IncrementalSynthesizer profile(reference.NumericNames(), options.synthesis);
+  StatusOr<IncrementalSynthesizer> profile =
+      options.expand_polynomial
+          ? IncrementalSynthesizer::WithExpansion(
+                reference.NumericNames(), options.expansion, options.synthesis)
+          : StatusOr<IncrementalSynthesizer>(IncrementalSynthesizer(
+                reference.NumericNames(), options.synthesis));
+  CCS_CHECK(profile.ok());
   if (options.refresh_every > 0) {
-    CCS_CHECK(profile.ObserveAll(reference).ok());
+    CCS_CHECK(profile->ObserveAll(reference).ok());
   }
-  std::istringstream in(csv_text);
-  auto stream_df = dataframe::ReadCsv(in);
-  CCS_CHECK(stream_df.ok());
-  auto windower = Windower::Create(options.window_rows, options.slide_rows);
-  CCS_CHECK(windower.ok());
-  auto windows = windower->Push(*stream_df);
-  CCS_CHECK(windows.ok());
-  size_t scored = 0;
-  for (const DataFrame& window : *windows) {
-    CCS_CHECK(monitor->ObserveWindow(window).ok());
-    ++scored;
-    if (options.refresh_every > 0) {
-      CCS_CHECK(profile.ObserveAll(window).ok());
-      if (scored % options.refresh_every == 0) {
-        auto refreshed = profile.Synthesize();
-        CCS_CHECK(refreshed.ok());
-        CCS_CHECK(monitor->RefreshReference(*refreshed).ok());
+  for (const std::string& csv_text : segments) {
+    std::istringstream in(csv_text);
+    auto stream_df = dataframe::ReadCsv(in, csv_options);
+    CCS_CHECK(stream_df.ok());
+    auto windower = Windower::Create(options.window_rows, options.slide_rows);
+    CCS_CHECK(windower.ok());
+    auto windows = windower->Push(*stream_df);
+    CCS_CHECK(windows.ok());
+    for (const DataFrame& window : *windows) {
+      CCS_CHECK(monitor->ObserveWindow(window).ok());
+      if (options.refresh_every > 0) {
+        CCS_CHECK(profile->ObserveAll(window).ok());
+        if (monitor->history_size() % options.refresh_every == 0) {
+          auto refreshed = profile->Synthesize();
+          CCS_CHECK(refreshed.ok());
+          CCS_CHECK(monitor->RefreshReference(*refreshed).ok());
+        }
       }
     }
   }
@@ -857,7 +867,10 @@ void ExpectHistoriesBitwiseEqual(const std::vector<WindowScore>& a,
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].window_index, b[i].window_index) << "window " << i;
-    EXPECT_EQ(a[i].drift, b[i].drift) << "window " << i;  // Exact doubles.
+    // Bit patterns, not ==: -0.0 must not pass for +0.0, and a NaN must
+    // match its own copy.
+    EXPECT_EQ(DoubleBits(a[i].drift), DoubleBits(b[i].drift))
+        << "window " << i << ": " << a[i].drift << " vs " << b[i].drift;
     EXPECT_EQ(a[i].alarm, b[i].alarm) << "window " << i;
   }
 }
@@ -881,7 +894,7 @@ TEST_F(StreamPipelineTest, MatchesSerialLoopBitwise) {
   options.queue_capacity = 2;   // Exercise backpressure.
   options.max_batch_windows = 3;
 
-  std::vector<WindowScore> serial = SerialLoop(reference, csv_text, options);
+  std::vector<WindowScore> serial = SerialLoop(reference, {csv_text}, options);
   ASSERT_FALSE(serial.empty());
   // The scenario is meaningful: clean head, drifted tail.
   EXPECT_FALSE(serial.front().alarm);
@@ -897,6 +910,8 @@ TEST_F(StreamPipelineTest, MatchesSerialLoopBitwise) {
     ASSERT_TRUE(stats.ok()) << stats.status;
     EXPECT_EQ(stats->rows_ingested, 730u);
     EXPECT_EQ(stats->windows_scored, serial.size());
+    // Tumbling windows share no rows: each is scored whole.
+    EXPECT_EQ(stats->rows_scored, serial.size() * options.window_rows);
     EXPECT_EQ(callbacks, serial.size());
     ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
   }
@@ -915,7 +930,7 @@ TEST_F(StreamPipelineTest, MatchesSerialLoopWithSlideAndRefresh) {
   options.queue_capacity = 2;
   options.max_batch_windows = 4;
 
-  std::vector<WindowScore> serial = SerialLoop(reference, csv_text, options);
+  std::vector<WindowScore> serial = SerialLoop(reference, {csv_text}, options);
   ASSERT_FALSE(serial.empty());
 
   for (size_t threads : {1u, 4u}) {
@@ -935,7 +950,9 @@ TEST_F(StreamPipelineTest, ExpandPolynomialOptInMatchesSerialExpandedLoop) {
   // derived degree-2 view and the refresh profile derives the expanded
   // columns inside its Gram walk — no expanded frame is ever built. The
   // pipeline must match a serial loop running the same expanded monitor
-  // and WithExpansion refresh cadence, bitwise, at 1 and 4 lanes.
+  // and WithExpansion refresh cadence, bitwise, at 1 and 4 lanes, with
+  // tumbling windows and with sliding ones, whose score-once path must
+  // rescore the whole window after each refresh.
   DataFrame reference = TrendFrame(300, 0.0, 40);
   std::string csv_text = ToCsv(TrendFrame(600, 5.0, 41, /*drift_from=*/300));
 
@@ -945,47 +962,35 @@ TEST_F(StreamPipelineTest, ExpandPolynomialOptInMatchesSerialExpandedLoop) {
   options.refresh_every = 3;
   options.chunk_rows = 41;
   options.queue_capacity = 2;
-  options.max_batch_windows = 4;
   options.expand_polynomial = true;
 
-  auto monitor =
-      StreamMonitor::Create(reference, options.alarm_threshold,
-                            options.synthesis, &options.expansion);
-  ASSERT_TRUE(monitor.ok()) << monitor.status();
-  auto profile = IncrementalSynthesizer::WithExpansion(
-      reference.NumericNames(), options.expansion, options.synthesis);
-  ASSERT_TRUE(profile.ok()) << profile.status();
-  ASSERT_TRUE(profile->ObserveAll(reference).ok());
-  std::istringstream serial_in(csv_text);
-  auto stream_df = dataframe::ReadCsv(serial_in);
-  ASSERT_TRUE(stream_df.ok());
-  auto windower = Windower::Create(options.window_rows, options.slide_rows);
-  ASSERT_TRUE(windower.ok());
-  auto windows = windower->Push(*stream_df);
-  ASSERT_TRUE(windows.ok());
-  size_t scored = 0;
-  for (const DataFrame& window : *windows) {
-    ASSERT_TRUE(monitor->ObserveWindow(window).ok());
-    ++scored;
-    ASSERT_TRUE(profile->ObserveAll(window).ok());
-    if (scored % options.refresh_every == 0) {
-      auto refreshed = profile->Synthesize();
-      ASSERT_TRUE(refreshed.ok());
-      ASSERT_TRUE(monitor->RefreshReference(*refreshed).ok());
+  for (size_t slide : {60u, 7u}) {
+    options.slide_rows = slide;
+    std::vector<WindowScore> serial =
+        SerialLoop(reference, {csv_text}, options);
+    ASSERT_EQ(serial.size(), (600 - 60) / slide + 1);
+    // The first window, and the window after each refresh, are scored
+    // whole; every other window scores only its slide.
+    const size_t whole = 1 + (serial.size() - 1) / options.refresh_every;
+    for (size_t batch : {1u, 4u}) {
+      for (size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("slide " + std::to_string(slide) + " batch " +
+                     std::to_string(batch) + " threads " +
+                     std::to_string(threads));
+        options.max_batch_windows = batch;
+        options.num_threads = threads;
+        auto pipeline = StreamPipeline::Create(reference, options);
+        ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+        std::istringstream in(csv_text);
+        auto stats = pipeline->Run(in);
+        ASSERT_TRUE(stats.ok()) << stats.status;
+        EXPECT_EQ(stats->refreshes, serial.size() / options.refresh_every);
+        EXPECT_EQ(stats->rows_scored,
+                  serial.size() * slide +
+                      whole * (options.window_rows - slide));
+        ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
+      }
     }
-  }
-  std::vector<WindowScore> serial = monitor->history();
-  ASSERT_FALSE(serial.empty());
-
-  for (size_t threads : {1u, 4u}) {
-    options.num_threads = threads;
-    auto pipeline = StreamPipeline::Create(reference, options);
-    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
-    std::istringstream in(csv_text);
-    auto stats = pipeline->Run(in);
-    ASSERT_TRUE(stats.ok()) << stats.status;
-    EXPECT_GT(stats->refreshes, 0u);
-    ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
   }
 }
 
@@ -1033,6 +1038,196 @@ TEST_F(StreamPipelineTest, TracingOnVsOffBitwise) {
     }
 
     ExpectHistoriesBitwiseEqual(traced->history(), untraced->history());
+  }
+}
+
+// ------------------------- Score-once oracles -------------------------
+//
+// A sliding window scores only the rows it adds and reuses the
+// violations of the rows it shares with the window before it; a window
+// is scored whole at the start of every Run, after a refresh, and after
+// a quarantined window. Each test pins the pipeline to the serial
+// ObserveWindow loop, bit patterns compared, at 1 and 4 lanes.
+
+// y = x + 2 where mode is "a", y = x - 2 where it is "b": a reference
+// whose profile carries a disjunction on `mode`.
+DataFrame ModeFrame(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> x(n), y(n);
+  std::vector<std::string> mode(n);
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = rng.Uniform(-5.0, 5.0);
+    mode[i] = i % 3 == 0 ? "b" : "a";
+    y[i] = x[i] + (mode[i] == "a" ? 2.0 : -2.0) + rng.Gaussian(0.0, 0.1);
+  }
+  DataFrame df;
+  CCS_CHECK(df.AddNumericColumn("x", std::move(x)).ok());
+  CCS_CHECK(df.AddNumericColumn("y", std::move(y)).ok());
+  CCS_CHECK(df.AddCategoricalColumn("mode", mode).ok());
+  return df;
+}
+
+// A ModeFrame-shaped stream as CSV. From row `unseen_from` on, every
+// fifth row takes mode "c", which the reference never saw, so the
+// windower's dictionary grows inside a window. Row 70 has an empty x
+// cell (NaN under NanCells()); rows 140 and 141 hold +inf and -inf.
+std::string ModeStreamCsv(size_t n, uint64_t seed, size_t unseen_from) {
+  Rng rng(seed);
+  std::ostringstream out;
+  out << "x,y,mode\n";
+  for (size_t i = 0; i < n; ++i) {
+    const double x = rng.Uniform(-5.0, 5.0);
+    std::string mode = i % 3 == 0 ? "b" : "a";
+    if (i >= unseen_from && i % 5 == 0) mode = "c";
+    const double y =
+        x + (mode == "b" ? -2.0 : 2.0) + rng.Gaussian(0.0, 0.1);
+    out << (i == 70 ? "" : i == 140 ? "inf" : FormatDouble(x)) << ","
+        << (i == 141 ? "-inf" : FormatDouble(y)) << "," << mode << "\n";
+  }
+  return out.str();
+}
+
+// Empty numeric cells parse as NaN.
+dataframe::CsvOptions NanCells() {
+  dataframe::CsvOptions options;
+  options.missing_numeric = std::numeric_limits<double>::quiet_NaN();
+  return options;
+}
+
+TEST_F(StreamPipelineTest, ScoreOnceMatchesSerialLoopOnDisjunctiveStream) {
+  DataFrame reference = ModeFrame(400, 50);
+  const std::string csv_text = ModeStreamCsv(240, 51, /*unseen_from=*/113);
+
+  StreamPipelineOptions options;
+  options.window_rows = 40;
+  options.alarm_threshold = 0.25;
+  options.chunk_rows = 13;
+  // 1, window - 1, and a slide that does not divide the window.
+  for (size_t slide : {1u, 39u, 7u}) {
+    options.slide_rows = slide;
+    std::vector<WindowScore> serial =
+        SerialLoop(reference, {csv_text}, options, NanCells());
+    ASSERT_EQ(serial.size(), (240 - 40) / slide + 1);
+    // The scenario is meaningful: rows with the unseen value violate the
+    // disjunction fully, so the tail scores above the head.
+    EXPECT_GT(serial.back().drift, serial.front().drift) << "slide " << slide;
+
+    for (size_t batch : {1u, 4u}) {
+      for (size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("slide " + std::to_string(slide) + " batch " +
+                     std::to_string(batch) + " threads " +
+                     std::to_string(threads));
+        options.max_batch_windows = batch;
+        options.num_threads = threads;
+        auto pipeline = StreamPipeline::Create(reference, options);
+        ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+        ASSERT_FALSE(pipeline->monitor()
+                         .reference_constraint()
+                         .disjunctions()
+                         .empty());
+        std::istringstream in(csv_text);
+        auto result = pipeline->Run(in, nullptr, NanCells());
+        ASSERT_TRUE(result.ok()) << result.status;
+        // Only the first window is scored whole.
+        EXPECT_EQ(result->rows_scored,
+                  options.window_rows + (serial.size() - 1) * slide);
+        ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
+      }
+    }
+  }
+}
+
+TEST_F(StreamPipelineTest, ScoreOnceStartsFreshEachRun) {
+  // Window ordinals continue across Runs but each Run windows its
+  // segment afresh: the second segment's first window must not chain
+  // onto the first segment's last window. The segments are not split on
+  // a window boundary, and the second brings an unseen switch value.
+  DataFrame reference = ModeFrame(400, 54);
+  const std::string first = ModeStreamCsv(150, 55, /*unseen_from=*/1000);
+  const std::string second = ModeStreamCsv(130, 56, /*unseen_from=*/60);
+
+  StreamPipelineOptions options;
+  options.window_rows = 40;
+  options.slide_rows = 7;
+  options.alarm_threshold = 0.25;
+  options.chunk_rows = 11;
+  std::vector<WindowScore> serial =
+      SerialLoop(reference, {first, second}, options, NanCells());
+  const size_t first_windows = (150 - 40) / 7 + 1;
+  ASSERT_EQ(serial.size(), first_windows + (130 - 40) / 7 + 1);
+
+  for (size_t batch : {1u, 4u}) {
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + " threads " +
+                   std::to_string(threads));
+      options.max_batch_windows = batch;
+      options.num_threads = threads;
+      auto pipeline = StreamPipeline::Create(reference, options);
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+      for (const std::string* segment : {&first, &second}) {
+        std::istringstream in(*segment);
+        auto result = pipeline->Run(in, nullptr, NanCells());
+        ASSERT_TRUE(result.ok()) << result.status;
+      }
+      ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
+    }
+  }
+}
+
+TEST_F(StreamPipelineTest, ScoreOnceRescoresWholeWindowAfterQuarantine) {
+  // A score-quarantined window is consumed but never scored, so the
+  // window after it shares only window - 2 * slide rows with the last
+  // scored window: it must be scored whole.
+  DataFrame reference = TrendFrame(300, 0.0, 57);
+  const std::string csv_text =
+      ToCsv(TrendFrame(400, 5.0, 58, /*drift_from=*/200));
+
+  StreamPipelineOptions options;
+  options.window_rows = 40;
+  options.slide_rows = 9;
+  options.alarm_threshold = 0.25;
+  options.chunk_rows = 17;
+  options.score_policy.mode = FailureMode::kQuarantine;
+  std::vector<WindowScore> serial = SerialLoop(reference, {csv_text}, options);
+  ASSERT_EQ(serial.size(), (400u - 40) / 9 + 1);
+
+  // Quarantine the 12th window (hit ordinal 12): the history skips it
+  // and the later windows' indices close up.
+  constexpr size_t kQuarantined = 12;
+  std::vector<WindowScore> expected;
+  for (size_t i = 0; i < serial.size(); ++i) {
+    if (i + 1 == kQuarantined) continue;
+    expected.push_back(serial[i]);
+    expected.back().window_index = expected.size() - 1;
+  }
+  common::fault::FaultSpec spec;
+  common::fault::FaultPoint p;
+  p.point = "stream.score.window";
+  p.at = kQuarantined;
+  p.code = "internal";
+  spec.points.push_back(p);
+
+  for (size_t batch : {1u, 4u}) {
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + " threads " +
+                   std::to_string(threads));
+      options.max_batch_windows = batch;
+      options.num_threads = threads;
+      auto pipeline = StreamPipeline::Create(reference, options);
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+      ASSERT_TRUE(common::fault::Injector::Global().Arm(spec).ok());
+      std::istringstream in(csv_text);
+      auto result = pipeline->Run(in);
+      common::fault::Injector::Global().Disarm();
+      ASSERT_TRUE(result.ok()) << result.status;
+      EXPECT_EQ(result->windows_quarantined, 1u);
+      // Two windows are scored whole: the first, and the one after the
+      // quarantined window.
+      EXPECT_EQ(result->rows_scored,
+                expected.size() * options.slide_rows +
+                    2 * (options.window_rows - options.slide_rows));
+      ExpectHistoriesBitwiseEqual(pipeline->history(), expected);
+    }
   }
 }
 

@@ -22,9 +22,10 @@
 //       periodic incremental re-synthesis of the reference profile.
 //       --stats additionally reports per-window allocation behaviour
 //       (rows copied per emit, rolling-buffer reallocations and
-//       capacity) plus peak RSS, making the zero-copy windowing
-//       observable from the CLI. --trace records stage spans into a
-//       Chrome trace-event file (chrome://tracing / Perfetto);
+//       capacity), the rows actually scored, and peak RSS, making the
+//       zero-copy windowing and score-once scoring observable from the
+//       CLI. --trace records stage spans into a Chrome trace-event
+//       file (chrome://tracing / Perfetto);
 //       --metrics-json dumps the metrics registry (counters, queue-wait
 //       histograms) as one JSON line on stderr after the run;
 //       --heartbeat emits a progress line to stderr every N windows
@@ -494,6 +495,15 @@ int RunMonitor(const std::vector<std::string>& args) {
                  stats->window_rows_copied, rows_per_window,
                  stats->window_buffer_reallocs,
                  stats->window_buffer_capacity_rows);
+    // The score-once confirmation: a sliding window scores only the
+    // rows it adds, so rows scored per window falls to about the slide.
+    std::fprintf(stderr,
+                 "ccsynth: scored %zu rows (%.0f rows/window)\n",
+                 stats->rows_scored,
+                 stats->windows_scored > 0
+                     ? static_cast<double>(stats->rows_scored) /
+                           static_cast<double>(stats->windows_scored)
+                     : 0.0);
     struct rusage usage;
     if (getrusage(RUSAGE_SELF, &usage) == 0) {
       // Linux reports ru_maxrss in KiB.
