@@ -1,8 +1,6 @@
 #include "common/fault.h"
 
-#include <cctype>
 #include <cstdlib>
-#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
@@ -67,225 +65,71 @@ Status ValidatePoint(const FaultPoint& p) {
   return CodeFromName(p.code).status();
 }
 
-// Minimal JSON reader for the fault-spec shape, in the same strict
-// unknown-key-rejecting style as the scenario spec parser
-// (src/scenario/scenario.cc).
-class FaultJsonParser {
- public:
-  explicit FaultJsonParser(const std::string& text) : text_(text) {}
-
-  StatusOr<FaultSpec> Parse() {
-    FaultSpec spec;
-    CCS_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_ASSIGN_OR_RETURN(std::string key, ParseString());
-      CCS_RETURN_IF_ERROR(Expect(':'));
-      if (key == "seed") {
-        CCS_ASSIGN_OR_RETURN(double v, ParseNumber());
-        if (v < 0.0) {
-          return Status::InvalidArgument("fault spec JSON: negative seed");
-        }
-        spec.seed = static_cast<uint64_t>(v);
-      } else if (key == "points") {
-        CCS_RETURN_IF_ERROR(ParsePoints(&spec));
-      } else {
-        return Status::InvalidArgument("fault spec JSON: unknown key '" + key +
-                                       "'");
-      }
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Status::InvalidArgument("fault spec JSON: trailing content");
-    }
-    for (const FaultPoint& p : spec.points) {
-      CCS_RETURN_IF_ERROR(ValidatePoint(p));
-    }
-    return spec;
-  }
-
- private:
-  Status ParsePoints(FaultSpec* spec) {
-    CCS_RETURN_IF_ERROR(Expect('['));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_RETURN_IF_ERROR(ParsePoint(spec));
-    }
-  }
-
-  Status ParsePoint(FaultSpec* spec) {
-    FaultPoint p;
-    CCS_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_ASSIGN_OR_RETURN(std::string key, ParseString());
-      CCS_RETURN_IF_ERROR(Expect(':'));
-      if (key == "point") {
-        CCS_RETURN_IF_ERROR(AssignString(&p.point));
-      } else if (key == "trigger") {
-        CCS_RETURN_IF_ERROR(AssignString(&p.trigger));
-      } else if (key == "at") {
-        CCS_RETURN_IF_ERROR(AssignU64(&p.at));
-      } else if (key == "every") {
-        CCS_RETURN_IF_ERROR(AssignU64(&p.every));
-      } else if (key == "probability") {
-        CCS_ASSIGN_OR_RETURN(p.probability, ParseNumber());
-      } else if (key == "action") {
-        CCS_RETURN_IF_ERROR(AssignString(&p.action));
-      } else if (key == "code") {
-        CCS_RETURN_IF_ERROR(AssignString(&p.code));
-      } else if (key == "message") {
-        CCS_RETURN_IF_ERROR(AssignString(&p.message));
-      } else {
-        return Status::InvalidArgument("fault spec JSON: unknown point key '" +
-                                       key + "'");
-      }
-    }
-    spec->points.push_back(std::move(p));
-    return Status::OK();
-  }
-
-  Status AssignString(std::string* out) {
-    CCS_ASSIGN_OR_RETURN(*out, ParseString());
-    return Status::OK();
-  }
-
-  Status AssignU64(uint64_t* out) {
-    CCS_ASSIGN_OR_RETURN(double v, ParseNumber());
-    if (v < 0.0) {
-      return Status::InvalidArgument("fault spec JSON: negative count");
-    }
-    *out = static_cast<uint64_t>(v);
-    return Status::OK();
-  }
-
-  StatusOr<std::string> ParseString() {
-    CCS_RETURN_IF_ERROR(Expect('"'));
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        out.push_back(text_[pos_++]);  // \" and \\ only — names are plain.
-      } else {
-        out.push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument("fault spec JSON: unterminated string");
-    }
-    ++pos_;
-    return out;
-  }
-
-  StatusOr<double> ParseNumber() {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    std::optional<double> v = ParseDouble(text_.substr(start, pos_ - start));
-    if (!v.has_value()) {
-      return Status::InvalidArgument("fault spec JSON: bad number at " +
-                                     std::to_string(start));
-    }
-    return *v;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char Peek() { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  Status Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Status::InvalidArgument(
-          std::string("fault spec JSON: expected '") + c + "' at offset " +
-          std::to_string(pos_));
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
+StatusOr<FaultPoint> ReadFaultPointJson(JsonReader* reader) {
+  FaultPoint p;
+  CCS_RETURN_IF_ERROR(reader->Object([&](const std::string& key) {
+    if (key == "point") return Store(reader->String(), &p.point);
+    if (key == "trigger") return Store(reader->String(), &p.trigger);
+    if (key == "at") return Store(reader->Uint(), &p.at);
+    if (key == "every") return Store(reader->Uint(), &p.every);
+    if (key == "probability") return Store(reader->Double(), &p.probability);
+    if (key == "action") return Store(reader->String(), &p.action);
+    if (key == "code") return Store(reader->String(), &p.code);
+    if (key == "message") return Store(reader->String(), &p.message);
+    return reader->Error("unknown fault point key '" + key + "'");
+  }));
+  return p;
+}
+
+void AppendFaultPointJson(const FaultPoint& p, std::string* out) {
+  *out += "{\"point\": \"" + EscapeJson(p.point) + "\", \"trigger\": \"" +
+          EscapeJson(p.trigger) + "\"";
+  if (p.trigger == "once" && p.at != 1) {
+    *out += ", \"at\": " + std::to_string(p.at);
+  }
+  if (p.trigger == "every") *out += ", \"every\": " + std::to_string(p.every);
+  if (p.trigger == "probability") {
+    *out += ", \"probability\": " + FormatDouble(p.probability);
+  }
+  if (p.action != "error") {
+    *out += ", \"action\": \"" + EscapeJson(p.action) + "\"";
+  }
+  if (p.code != "unavailable") {
+    *out += ", \"code\": \"" + EscapeJson(p.code) + "\"";
+  }
+  if (!p.message.empty()) {
+    *out += ", \"message\": \"" + EscapeJson(p.message) + "\"";
+  }
+  *out += "}";
+}
+
 StatusOr<FaultSpec> ParseFaultSpecJson(const std::string& text) {
-  return FaultJsonParser(text).Parse();
+  JsonReader reader(text, "fault spec JSON");
+  FaultSpec spec;
+  CCS_RETURN_IF_ERROR(reader.Object([&](const std::string& key) {
+    if (key == "seed") return Store(reader.Uint(), &spec.seed);
+    if (key == "points") {
+      return reader.Array([&] {
+        return Store(ReadFaultPointJson(&reader), &spec.points.emplace_back());
+      });
+    }
+    return reader.Error("unknown key '" + key + "'");
+  }));
+  CCS_RETURN_IF_ERROR(reader.End());
+  for (const FaultPoint& p : spec.points) {
+    CCS_RETURN_IF_ERROR(ValidatePoint(p));
+  }
+  return spec;
 }
 
 std::string FaultSpecToJson(const FaultSpec& spec) {
   std::string out = "{\"seed\": " + std::to_string(spec.seed) +
                     ", \"points\": [";
   for (size_t i = 0; i < spec.points.size(); ++i) {
-    const FaultPoint& p = spec.points[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "  {\"point\": ";
-    AppendJsonString(&out, p.point);
-    out += ", \"trigger\": ";
-    AppendJsonString(&out, p.trigger);
-    if (p.trigger == "once" && p.at != 1) {
-      out += ", \"at\": " + std::to_string(p.at);
-    }
-    if (p.trigger == "every") {
-      out += ", \"every\": " + std::to_string(p.every);
-    }
-    if (p.trigger == "probability") {
-      out += ", \"probability\": " + FormatDouble(p.probability);
-    }
-    if (p.action != "error") {
-      out += ", \"action\": ";
-      AppendJsonString(&out, p.action);
-    }
-    if (p.code != "unavailable") {
-      out += ", \"code\": ";
-      AppendJsonString(&out, p.code);
-    }
-    if (!p.message.empty()) {
-      out += ", \"message\": ";
-      AppendJsonString(&out, p.message);
-    }
-    out += "}";
+    out += i == 0 ? "\n  " : ",\n  ";
+    AppendFaultPointJson(spec.points[i], &out);
   }
   out += spec.points.empty() ? "]}" : "\n]}";
   return out;

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/mutex.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
@@ -77,14 +78,24 @@ struct FaultSpec {
   bool empty() const { return points.empty(); }
 };
 
-/// Parses the JSON fault-spec form. Unknown keys, unknown triggers,
-/// actions, or status codes are rejected — a typo must not silently
-/// disarm an injection.
+/// Parses the JSON fault-spec form (the common/json.h grammar). Unknown
+/// keys, unknown triggers, actions, or status codes are rejected — a
+/// typo must not silently disarm an injection.
 StatusOr<FaultSpec> ParseFaultSpecJson(const std::string& text);
 
 /// Serializes a spec to the JSON form ParseFaultSpecJson accepts
 /// (round-trips exactly; defaults are omitted).
 std::string FaultSpecToJson(const FaultSpec& spec);
+
+/// Reads one fault-point object — an element of a fault spec's
+/// "points" or a scenario spec's "faults" — at the reader's cursor.
+/// Unknown keys are rejected; trigger, action and code names are not
+/// validated here (ParseFaultSpecJson and Injector::Arm do that).
+StatusOr<FaultPoint> ReadFaultPointJson(JsonReader* reader);
+
+/// Appends the JSON object form of `point` that ReadFaultPointJson
+/// reads, omitting defaults.
+void AppendFaultPointJson(const FaultPoint& point, std::string* out);
 
 /// The process-wide fault registry behind CCS_FAULT_POINT.
 ///

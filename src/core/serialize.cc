@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/line_reader.h"
 #include "common/string_util.h"
 
 namespace ccs::core {
@@ -144,23 +145,7 @@ bool ParseNum(std::string_view field, double* out) {
   return ec == std::errc() && ptr == end;
 }
 
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : stream_(text) {}
-
-  StatusOr<std::string> Next() {
-    std::string line;
-    if (!std::getline(stream_, line)) {
-      return Status::InvalidArgument("Deserialize: unexpected end of input");
-    }
-    return line;
-  }
-
- private:
-  std::istringstream stream_;
-};
-
-StatusOr<SimpleConstraint> ParseSimple(LineReader* reader,
+StatusOr<SimpleConstraint> ParseSimple(common::LineReader* reader,
                                        const std::string& header) {
   std::istringstream hs(header);
   std::string tag;
@@ -230,7 +215,7 @@ std::string Serialize(const ConformanceConstraint& constraint) {
 }
 
 StatusOr<ConformanceConstraint> Deserialize(const std::string& text) {
-  LineReader reader(text);
+  common::LineReader reader(text, "Deserialize: unexpected end of input");
   CCS_ASSIGN_OR_RETURN(std::string header, reader.Next());
   if (header != "ccs-constraint v1") {
     return Status::InvalidArgument("Deserialize: bad header: " + header);

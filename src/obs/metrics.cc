@@ -6,8 +6,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -171,35 +171,6 @@ Histogram* Registry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
-namespace internal {
-
-// Metric names are dotted identifiers and span names string literals,
-// but stay safe for anything a caller interns.
-std::string EscapeJson(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace internal
-
 namespace {
 
 std::string JsonNumber(double v) {
@@ -216,14 +187,16 @@ std::string Registry::ToJson() const {
   for (const auto& [name, counter] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + internal::EscapeJson(name) + "\":" + std::to_string(counter->value());
+    out += "\"" + common::EscapeJson(name) +
+           "\":" + std::to_string(counter->value());
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + internal::EscapeJson(name) + "\":" + std::to_string(gauge->value());
+    out += "\"" + common::EscapeJson(name) +
+           "\":" + std::to_string(gauge->value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -231,7 +204,7 @@ std::string Registry::ToJson() const {
     if (!first) out += ",";
     first = false;
     HistogramSnapshot snap = histogram->Snapshot();
-    out += "\"" + internal::EscapeJson(name) + "\":{\"count\":" +
+    out += "\"" + common::EscapeJson(name) + "\":{\"count\":" +
            std::to_string(snap.total_count) +
            ",\"sum\":" + JsonNumber(snap.sum) +
            ",\"p50\":" + JsonNumber(snap.p50()) +

@@ -27,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/mutex.h"
@@ -52,10 +51,6 @@ namespace internal {
 size_t StripeIndex();
 constexpr size_t kStripes = 16;
 
-/// `s` escaped for the inside of a JSON string literal: quote, backslash
-/// and control characters (\n, \r, \t by name, the rest as \u00XX).
-/// Shared by Registry::ToJson and ObsSession::ToChromeTraceJson.
-std::string EscapeJson(std::string_view s);
 }  // namespace internal
 
 /// Monotonically increasing event count. Striped: Add touches only the

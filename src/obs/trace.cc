@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -140,8 +141,8 @@ std::string ObsSession::ToChromeTraceJson() const {
     const double ts_us =
         static_cast<double>(ev.start_ns - start_ns_) / 1000.0;
     const double dur_us = static_cast<double>(ev.dur_ns) / 1000.0;
-    out += "{\"name\":\"" + internal::EscapeJson(ev.name) +
-           "\",\"cat\":\"" + internal::EscapeJson(ev.category) +
+    out += "{\"name\":\"" + common::EscapeJson(ev.name) +
+           "\",\"cat\":\"" + common::EscapeJson(ev.category) +
            "\",\"ph\":\"X\",\"ts\":" +
            FormatDouble(ts_us) + ",\"dur\":" + FormatDouble(dur_us) +
            ",\"pid\":1,\"tid\":" + std::to_string(ev.tid) + "}";

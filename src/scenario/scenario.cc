@@ -1,11 +1,11 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
-#include <cctype>
 #include <iterator>
 #include <optional>
 #include <utility>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "synth/evl.h"
@@ -659,282 +659,69 @@ ScenarioSpec RandomSpec(Rng* rng) {
 
 // ------------------------------------------------------------- JSON form
 
-namespace {
-
-// Minimal JSON reader for the spec shape: objects, arrays, strings,
-// numbers, bools. No external dependency; rejects anything it does not
-// understand.
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  StatusOr<ScenarioSpec> Parse() {
-    ScenarioSpec spec;
-    CCS_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_ASSIGN_OR_RETURN(std::string key, ParseString());
-      CCS_RETURN_IF_ERROR(Expect(':'));
-      CCS_RETURN_IF_ERROR(SpecField(key, &spec));
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Status::InvalidArgument("scenario spec JSON: trailing content");
-    }
-    return spec;
-  }
-
- private:
-  Status SpecField(const std::string& key, ScenarioSpec* spec) {
-    if (key == "name") return AssignString(&spec->name);
-    if (key == "generator") return AssignString(&spec->generator);
-    if (key == "reference_rows") return AssignSize(&spec->reference_rows);
-    if (key == "stream_rows") return AssignSize(&spec->stream_rows);
-    if (key == "window_rows") return AssignSize(&spec->window_rows);
-    if (key == "slide_rows") return AssignSize(&spec->slide_rows);
-    if (key == "alarm_threshold") return AssignDouble(&spec->alarm_threshold);
-    if (key == "refresh_every") return AssignSize(&spec->refresh_every);
-    if (key == "chunk_rows") return AssignSize(&spec->chunk_rows);
-    if (key == "stages") return ParseStages(spec);
-    if (key == "ingest_policy") return AssignString(&spec->ingest_policy);
-    if (key == "window_policy") return AssignString(&spec->window_policy);
-    if (key == "score_policy") return AssignString(&spec->score_policy);
-    if (key == "faults") return ParseFaults(spec);
-    return Status::InvalidArgument("scenario spec JSON: unknown key '" + key +
-                                   "'");
-  }
-
-  Status ParseStages(ScenarioSpec* spec) {
-    CCS_RETURN_IF_ERROR(Expect('['));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_RETURN_IF_ERROR(ParseStage(spec));
-    }
-  }
-
-  Status ParseStage(ScenarioSpec* spec) {
-    StageSpec stage;
-    CCS_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_ASSIGN_OR_RETURN(std::string key, ParseString());
-      CCS_RETURN_IF_ERROR(Expect(':'));
-      if (key == "kind") {
-        CCS_RETURN_IF_ERROR(AssignString(&stage.kind));
-      } else if (key == "column") {
-        CCS_RETURN_IF_ERROR(AssignString(&stage.column));
-      } else if (key == "magnitude") {
-        CCS_RETURN_IF_ERROR(AssignDouble(&stage.magnitude));
-      } else if (key == "fraction") {
-        CCS_RETURN_IF_ERROR(AssignDouble(&stage.fraction));
-      } else if (key == "begin_row") {
-        CCS_RETURN_IF_ERROR(AssignSize(&stage.begin_row));
-      } else if (key == "end_row") {
-        CCS_RETURN_IF_ERROR(AssignSize(&stage.end_row));
-      } else if (key == "period") {
-        CCS_RETURN_IF_ERROR(AssignSize(&stage.period));
-      } else {
-        return Status::InvalidArgument(
-            "scenario spec JSON: unknown stage key '" + key + "'");
-      }
-    }
-    spec->stages.push_back(std::move(stage));
-    return Status::OK();
-  }
-
-  Status ParseFaults(ScenarioSpec* spec) {
-    CCS_RETURN_IF_ERROR(Expect('['));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_RETURN_IF_ERROR(ParseFault(spec));
-    }
-  }
-
-  // One fault point, the common/fault.h spec shape. Validation of
-  // trigger/action/code names happens at Injector::Arm, not here.
-  Status ParseFault(ScenarioSpec* spec) {
-    common::fault::FaultPoint fault;
-    CCS_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_ASSIGN_OR_RETURN(std::string key, ParseString());
-      CCS_RETURN_IF_ERROR(Expect(':'));
-      if (key == "point") {
-        CCS_RETURN_IF_ERROR(AssignString(&fault.point));
-      } else if (key == "trigger") {
-        CCS_RETURN_IF_ERROR(AssignString(&fault.trigger));
-      } else if (key == "at") {
-        CCS_RETURN_IF_ERROR(AssignU64(&fault.at));
-      } else if (key == "every") {
-        CCS_RETURN_IF_ERROR(AssignU64(&fault.every));
-      } else if (key == "probability") {
-        CCS_RETURN_IF_ERROR(AssignDouble(&fault.probability));
-      } else if (key == "action") {
-        CCS_RETURN_IF_ERROR(AssignString(&fault.action));
-      } else if (key == "code") {
-        CCS_RETURN_IF_ERROR(AssignString(&fault.code));
-      } else if (key == "message") {
-        CCS_RETURN_IF_ERROR(AssignString(&fault.message));
-      } else {
-        return Status::InvalidArgument(
-            "scenario spec JSON: unknown fault key '" + key + "'");
-      }
-    }
-    spec->faults.push_back(std::move(fault));
-    return Status::OK();
-  }
-
-  Status AssignString(std::string* out) {
-    CCS_ASSIGN_OR_RETURN(*out, ParseString());
-    return Status::OK();
-  }
-
-  Status AssignDouble(double* out) {
-    CCS_ASSIGN_OR_RETURN(*out, ParseNumber());
-    return Status::OK();
-  }
-
-  Status AssignSize(size_t* out) {
-    CCS_ASSIGN_OR_RETURN(double v, ParseNumber());
-    if (v < 0.0) {
-      return Status::InvalidArgument(
-          "scenario spec JSON: negative row count");
-    }
-    *out = static_cast<size_t>(v);
-    return Status::OK();
-  }
-
-  Status AssignU64(uint64_t* out) {
-    CCS_ASSIGN_OR_RETURN(double v, ParseNumber());
-    if (v < 0.0) {
-      return Status::InvalidArgument("scenario spec JSON: negative ordinal");
-    }
-    *out = static_cast<uint64_t>(v);
-    return Status::OK();
-  }
-
-  StatusOr<std::string> ParseString() {
-    CCS_RETURN_IF_ERROR(Expect('"'));
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        char esc = text_[pos_++];
-        if (esc == 'n') {
-          out.push_back('\n');
-        } else if (esc == 't') {
-          out.push_back('\t');
-        } else {
-          out.push_back(esc);  // \" \\ \/ and friends.
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument(
-          "scenario spec JSON: unterminated string");
-    }
-    ++pos_;  // Closing quote.
-    return out;
-  }
-
-  StatusOr<double> ParseNumber() {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    std::optional<double> v = ParseDouble(text_.substr(start, pos_ - start));
-    if (!v.has_value()) {
-      return Status::InvalidArgument("scenario spec JSON: bad number at " +
-                                     std::to_string(start));
-    }
-    return *v;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char Peek() { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  Status Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Status::InvalidArgument(
-          std::string("scenario spec JSON: expected '") + c + "' at offset " +
-          std::to_string(pos_));
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 StatusOr<ScenarioSpec> ParseSpecJson(const std::string& text) {
-  return JsonParser(text).Parse();
+  common::JsonReader reader(text, "scenario spec JSON");
+  using common::Store;
+  ScenarioSpec spec;
+  auto stage_field = [&](StageSpec* stage, const std::string& key) {
+    if (key == "kind") return Store(reader.String(), &stage->kind);
+    if (key == "column") return Store(reader.String(), &stage->column);
+    if (key == "magnitude") return Store(reader.Double(), &stage->magnitude);
+    if (key == "fraction") return Store(reader.Double(), &stage->fraction);
+    if (key == "begin_row") return Store(reader.Uint(), &stage->begin_row);
+    if (key == "end_row") return Store(reader.Uint(), &stage->end_row);
+    if (key == "period") return Store(reader.Uint(), &stage->period);
+    return reader.Error("unknown stage key '" + key + "'");
+  };
+  auto field = [&](const std::string& key) -> Status {
+    if (key == "name") return Store(reader.String(), &spec.name);
+    if (key == "generator") return Store(reader.String(), &spec.generator);
+    if (key == "reference_rows") {
+      return Store(reader.Uint(), &spec.reference_rows);
+    }
+    if (key == "stream_rows") return Store(reader.Uint(), &spec.stream_rows);
+    if (key == "window_rows") return Store(reader.Uint(), &spec.window_rows);
+    if (key == "slide_rows") return Store(reader.Uint(), &spec.slide_rows);
+    if (key == "alarm_threshold") {
+      return Store(reader.Double(), &spec.alarm_threshold);
+    }
+    if (key == "refresh_every") {
+      return Store(reader.Uint(), &spec.refresh_every);
+    }
+    if (key == "chunk_rows") return Store(reader.Uint(), &spec.chunk_rows);
+    if (key == "stages") {
+      return reader.Array([&] {
+        StageSpec& stage = spec.stages.emplace_back();
+        return reader.Object(
+            [&](const std::string& k) { return stage_field(&stage, k); });
+      });
+    }
+    if (key == "ingest_policy") {
+      return Store(reader.String(), &spec.ingest_policy);
+    }
+    if (key == "window_policy") {
+      return Store(reader.String(), &spec.window_policy);
+    }
+    if (key == "score_policy") {
+      return Store(reader.String(), &spec.score_policy);
+    }
+    if (key == "faults") {
+      return reader.Array([&] {
+        return Store(common::fault::ReadFaultPointJson(&reader),
+                     &spec.faults.emplace_back());
+      });
+    }
+    return reader.Error("unknown key '" + key + "'");
+  };
+  CCS_RETURN_IF_ERROR(reader.Object(field));
+  CCS_RETURN_IF_ERROR(reader.End());
+  return spec;
 }
 
 std::string SpecToJson(const ScenarioSpec& spec) {
-  std::string out = "{\n  \"name\": ";
-  AppendJsonString(&out, spec.name);
-  out += ",\n  \"generator\": ";
-  AppendJsonString(&out, spec.generator);
+  std::string out = "{\n  \"name\": \"" + common::EscapeJson(spec.name) +
+                    "\",\n  \"generator\": \"" +
+                    common::EscapeJson(spec.generator) + "\"";
   out += ",\n  \"reference_rows\": " + std::to_string(spec.reference_rows);
   out += ",\n  \"stream_rows\": " + std::to_string(spec.stream_rows);
   out += ",\n  \"window_rows\": " + std::to_string(spec.window_rows);
@@ -943,26 +730,24 @@ std::string SpecToJson(const ScenarioSpec& spec) {
   out += ",\n  \"refresh_every\": " + std::to_string(spec.refresh_every);
   out += ",\n  \"chunk_rows\": " + std::to_string(spec.chunk_rows);
   if (!spec.ingest_policy.empty()) {
-    out += ",\n  \"ingest_policy\": ";
-    AppendJsonString(&out, spec.ingest_policy);
+    out += ",\n  \"ingest_policy\": \"" +
+           common::EscapeJson(spec.ingest_policy) + "\"";
   }
   if (!spec.window_policy.empty()) {
-    out += ",\n  \"window_policy\": ";
-    AppendJsonString(&out, spec.window_policy);
+    out += ",\n  \"window_policy\": \"" +
+           common::EscapeJson(spec.window_policy) + "\"";
   }
   if (!spec.score_policy.empty()) {
-    out += ",\n  \"score_policy\": ";
-    AppendJsonString(&out, spec.score_policy);
+    out += ",\n  \"score_policy\": \"" +
+           common::EscapeJson(spec.score_policy) + "\"";
   }
   out += ",\n  \"stages\": [";
   for (size_t i = 0; i < spec.stages.size(); ++i) {
     const StageSpec& s = spec.stages[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"kind\": ";
-    AppendJsonString(&out, s.kind);
+    out += "    {\"kind\": \"" + common::EscapeJson(s.kind) + "\"";
     if (!s.column.empty()) {
-      out += ", \"column\": ";
-      AppendJsonString(&out, s.column);
+      out += ", \"column\": \"" + common::EscapeJson(s.column) + "\"";
     }
     if (s.magnitude != 0.0) {
       out += ", \"magnitude\": " + FormatDouble(s.magnitude);
@@ -981,32 +766,8 @@ std::string SpecToJson(const ScenarioSpec& spec) {
   if (!spec.faults.empty()) {
     out += ",\n  \"faults\": [";
     for (size_t i = 0; i < spec.faults.size(); ++i) {
-      const common::fault::FaultPoint& f = spec.faults[i];
-      out += i == 0 ? "\n" : ",\n";
-      out += "    {\"point\": ";
-      AppendJsonString(&out, f.point);
-      out += ", \"trigger\": ";
-      AppendJsonString(&out, f.trigger);
-      if (f.trigger == "once") out += ", \"at\": " + std::to_string(f.at);
-      if (f.trigger == "every") {
-        out += ", \"every\": " + std::to_string(f.every);
-      }
-      if (f.trigger == "probability") {
-        out += ", \"probability\": " + FormatDouble(f.probability);
-      }
-      if (f.action != "error") {
-        out += ", \"action\": ";
-        AppendJsonString(&out, f.action);
-      }
-      if (f.code != "unavailable") {
-        out += ", \"code\": ";
-        AppendJsonString(&out, f.code);
-      }
-      if (!f.message.empty()) {
-        out += ", \"message\": ";
-        AppendJsonString(&out, f.message);
-      }
-      out += "}";
+      out += i == 0 ? "\n    " : ",\n    ";
+      common::fault::AppendFaultPointJson(spec.faults[i], &out);
     }
     out += "\n  ]";
   }

@@ -146,8 +146,9 @@ StatusOr<ScenarioSpec> CatalogueSpec(const std::string& name,
 /// on any seed.
 ScenarioSpec RandomSpec(Rng* rng);
 
-/// Parses a scenario spec from its JSON form (see docs/scenarios.md).
-/// Unknown keys are rejected so typos cannot silently no-op.
+/// Parses a scenario spec from its JSON form (see docs/scenarios.md),
+/// in the common/json.h grammar. Unknown keys are rejected so typos
+/// cannot silently no-op.
 StatusOr<ScenarioSpec> ParseSpecJson(const std::string& text);
 
 /// Serializes a spec to the JSON form ParseSpecJson accepts —

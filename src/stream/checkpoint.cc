@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/line_reader.h"
 #include "common/string_util.h"
 #include "core/projection.h"
 
@@ -55,27 +56,6 @@ StatusOr<double> HexField(const std::vector<std::string>& fields,
   return FromHex(text);
 }
 
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : in_(text) {}
-
-  /// Next line; InvalidArgument at end (every Parse read is mandatory).
-  StatusOr<std::string> Next() {
-    std::string line;
-    if (!std::getline(in_, line)) {
-      return Status::InvalidArgument("checkpoint: truncated file");
-    }
-    ++line_number_;
-    return line;
-  }
-
-  size_t line_number() const { return line_number_; }
-
- private:
-  std::istringstream in_;
-  size_t line_number_ = 0;
-};
-
 }  // namespace
 
 std::string SerializeCheckpoint(const CheckpointData& data) {
@@ -122,7 +102,7 @@ std::string SerializeCheckpoint(const CheckpointData& data) {
 
 StatusOr<CheckpointData> ParseCheckpoint(const std::string& text) {
   CheckpointData data;
-  LineReader reader(text);
+  common::LineReader reader(text, "checkpoint: truncated file");
   CCS_ASSIGN_OR_RETURN(std::string line, reader.Next());
   if (line != kMagic) {
     return Status::InvalidArgument(
@@ -217,8 +197,9 @@ StatusOr<CheckpointData> ParseCheckpoint(const std::string& text) {
     std::vector<std::string> fields = Split(line, ' ');
     CCS_ASSIGN_OR_RETURN(size_t num_conjuncts,
                          SizeField(fields, "conjuncts"));
+    // No reserve() from the untrusted count: a hostile one must fail on
+    // a missing line, not in the allocator.
     std::vector<core::BoundedConstraint> conjuncts;
-    conjuncts.reserve(num_conjuncts);
     for (size_t i = 0; i < num_conjuncts; ++i) {
       CCS_ASSIGN_OR_RETURN(line, reader.Next());
       std::vector<std::string> cfields = Split(line, ' ');

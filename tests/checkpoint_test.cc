@@ -88,6 +88,11 @@ TEST(CheckpointFormatTest, ParseRejectsCorruption) {
   std::string truncated = text.substr(0, text.rfind("end"));
   EXPECT_EQ(ParseCheckpoint(truncated).status().code(),
             StatusCode::kInvalidArgument);
+  // A hostile conjunct count fails on the missing line, not by sizing
+  // an allocation from it.
+  std::string hostile = truncated + "profile conjuncts=99999999999999999\n";
+  EXPECT_EQ(ParseCheckpoint(hostile).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CheckpointFormatTest, ParseRefusesConjunctWithSwappedBounds) {

@@ -1,16 +1,21 @@
-// Tests for common/: Status, StatusOr, string utilities, Rng, ParallelFor.
+// Tests for common/: Status, StatusOr, string utilities, Rng, ParallelFor,
+// the JSON reader/escaper and LineReader.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+#include "common/line_reader.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -442,6 +447,96 @@ TEST(ParallelForEachTest, NestedCallsComplete) {
       },
       /*num_threads=*/4);
   EXPECT_EQ(total.load(), 800u);
+}
+
+// --------------------------- JSON -------------------------------------
+
+TEST(JsonTest, EscapeThenReadRoundTripsEveryByte) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all.push_back(static_cast<char>(c));
+  const std::string text = "\"" + common::EscapeJson(all) + "\"";
+  common::JsonReader reader(text, "test");
+  auto back = reader.String();
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(*back, all);
+  EXPECT_TRUE(reader.End().ok());
+}
+
+TEST(JsonTest, ReadsObjectsArraysAndNumbers) {
+  common::JsonReader reader(
+      " {\"a\": [1, 2.5e-1, -0], \"b\": {}, \"c\": [] , \"d\": 0} ",
+      "test");
+  std::vector<double> a;
+  std::vector<std::string> keys;
+  uint64_t d = 9;
+  ASSERT_TRUE(reader
+                  .Object([&](const std::string& key) -> Status {
+                    keys.push_back(key);
+                    if (key == "a") {
+                      return reader.Array([&] {
+                        return common::Store(reader.Double(),
+                                             &a.emplace_back());
+                      });
+                    }
+                    if (key == "b") {
+                      return reader.Object([](const std::string&) {
+                        return Status::Internal("empty object");
+                      });
+                    }
+                    if (key == "c") {
+                      return reader.Array(
+                          [] { return Status::Internal("empty array"); });
+                    }
+                    return common::Store(reader.Uint(), &d);
+                  })
+                  .ok());
+  EXPECT_TRUE(reader.End().ok());
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "c", "d"}));
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a[0], 1.0);
+  EXPECT_EQ(a[1], 0.25);
+  EXPECT_TRUE(std::signbit(a[2]));
+  EXPECT_EQ(d, 0u);
+}
+
+TEST(JsonTest, RejectsNonJsonNumbersAndInexactIntegers) {
+  for (const char* bad : {"+1", ".5", "1.", "01", "-", "1e", "NaN", "inf",
+                          "1e999", "0x10"}) {
+    common::JsonReader reader(bad, "ctx");
+    auto v = reader.Double();
+    const bool rejected = !v.ok() || !reader.End().ok();
+    EXPECT_TRUE(rejected) << bad;
+  }
+  for (const char* bad : {"2.5", "1e3", "-1", "-0", "18446744073709551616"}) {
+    common::JsonReader reader(bad, "ctx");
+    Status status = reader.Uint().status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(status.message().rfind("ctx: ", 0), 0u) << status.message();
+  }
+  common::JsonReader max("18446744073709551615", "ctx");
+  auto v = max.Uint();
+  ASSERT_TRUE(v.ok()) << v.status();
+  EXPECT_EQ(*v, std::numeric_limits<uint64_t>::max());
+}
+
+// --------------------------- LineReader -------------------------------
+
+TEST(LineReaderTest, SplitsExactlyLikeGetline) {
+  for (const std::string text :
+       {"", "\n", "a", "a\n", "a\nb", "a\n\nb\n", "\n\n", "x\r\ny"}) {
+    std::istringstream in(text);
+    common::LineReader reader(text, "end of input");
+    size_t lines = 0;
+    for (std::string expected; std::getline(in, expected);) {
+      auto line = reader.Next();
+      ASSERT_TRUE(line.ok()) << line.status();
+      EXPECT_EQ(*line, expected);
+      EXPECT_EQ(reader.line_number(), ++lines);
+    }
+    Status end = reader.Next().status();
+    EXPECT_EQ(end.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(end.message(), "end of input");
+  }
 }
 
 }  // namespace

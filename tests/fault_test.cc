@@ -155,22 +155,52 @@ TEST_F(FaultTest, SpecJsonRoundTrips) {
       "  {\"point\": \"stream.ingest.read\", \"trigger\": \"every\", "
       "\"every\": 100, \"code\": \"io-error\", \"message\": \"flaky disk\"},\n"
       "  {\"point\": \"stream.window.push\", \"trigger\": \"probability\", "
-      "\"probability\": 0.25, \"action\": \"crash\"}\n"
+      "\"probability\": 0.25, \"action\": \"crash\"},\n"
+      "  {\"point\": \"stream.window.push\", \"trigger\": \"once\", "
+      "\"message\": \"line\\none\\ttab \\\"quoted\\\" \\/ \\u0001\"}\n"
       "]}";
   auto spec = ParseFaultSpecJson(text);
   ASSERT_TRUE(spec.ok()) << spec.status();
-  ASSERT_EQ(spec->points.size(), 3u);
+  ASSERT_EQ(spec->points.size(), 4u);
   EXPECT_EQ(spec->seed, 7u);
   EXPECT_EQ(spec->points[0].at, 5u);
   EXPECT_EQ(spec->points[1].every, 100u);
   EXPECT_EQ(spec->points[1].message, "flaky disk");
   EXPECT_EQ(spec->points[2].action, "crash");
+  EXPECT_EQ(spec->points[3].message,
+            std::string("line\none\ttab \"quoted\" / \x01"));
 
   // Serialize -> parse -> serialize is a fixed point.
   std::string serialized = FaultSpecToJson(*spec);
   auto reparsed = ParseFaultSpecJson(serialized);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status();
   EXPECT_EQ(FaultSpecToJson(*reparsed), serialized);
+}
+
+TEST_F(FaultTest, SpecJsonIntegersAreExact) {
+  FaultPoint p;
+  p.point = "stream.score.window";
+  p.at = UINT64_MAX;
+  FaultSpec spec = SpecWith(p, UINT64_MAX);
+  auto parsed = ParseFaultSpecJson(FaultSpecToJson(spec));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->seed, UINT64_MAX);
+  EXPECT_EQ(parsed->points[0].at, UINT64_MAX);
+  auto odd = ParseFaultSpecJson("{\"seed\": 9007199254740993}");
+  ASSERT_TRUE(odd.ok()) << odd.status();
+  EXPECT_EQ(odd->seed, 9007199254740993u);  // Not ...992 via a double.
+
+  // Fractions, exponents, signs and overflow are errors, never a cast.
+  for (const char* bad :
+       {"{\"seed\": 1e30}", "{\"seed\": 1e3}", "{\"seed\": -1}",
+        "{\"seed\": -0}", "{\"seed\": 18446744073709551616}",
+        "{\"points\": [{\"point\": \"p\", \"at\": 2.5}]}",
+        "{\"points\": [{\"point\": \"p\", \"trigger\": \"every\", "
+        "\"every\": 2.0}]}"}) {
+    EXPECT_EQ(ParseFaultSpecJson(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 TEST_F(FaultTest, SpecJsonRejectsUnknownKeysAndBadValues) {
@@ -187,6 +217,20 @@ TEST_F(FaultTest, SpecJsonRejectsUnknownKeysAndBadValues) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  // Escapes outside the supported set, raw control characters, and
+  // non-JSON numbers are rejected; errors keep the fault-spec prefix.
+  for (const char* bad :
+       {"{\"points\": [{\"point\": \"a\\qb\"}]}",
+        "{\"points\": [{\"point\": \"a\\u00e9\"}]}",
+        "{\"points\": [{\"point\": \"a\\u00\"}]}",
+        "{\"points\": [{\"point\": \"a\nb\"}]}",
+        "{\"seed\": +7}", "{\"seed\": 07}", "{\"seed\": 7,}",
+        "{\"seed\": 7} x", "{\"seed\": 7"}) {
+    Status status = ParseFaultSpecJson(bad).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(status.message().rfind("fault spec JSON: ", 0), 0u)
+        << status.message();
+  }
 }
 
 // ---- The determinism contract, end to end through the pipeline.

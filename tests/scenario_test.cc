@@ -268,6 +268,20 @@ TEST(ScenarioJsonTest, RoundTripsExactly) {
   auto b = Render(*parsed, 5);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->stream.ToCsv(), b->stream.ToCsv());
+
+  // Strings that need escaping come back byte for byte.
+  common::fault::FaultPoint fault;
+  fault.point = "stream.score.window";
+  fault.message = "line\none\ttab \"quoted\" back\\slash \x01";
+  spec->name = "a\"b";
+  spec->faults = {fault};
+  json = SpecToJson(*spec);
+  parsed = ParseSpecJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << json;
+  EXPECT_EQ(parsed->name, spec->name);
+  ASSERT_EQ(parsed->faults.size(), 1u);
+  EXPECT_EQ(parsed->faults[0].message, fault.message);
+  EXPECT_EQ(SpecToJson(*parsed), json);
 }
 
 TEST(ScenarioJsonTest, FuzzDrawsRoundTrip) {
@@ -286,6 +300,14 @@ TEST(ScenarioJsonTest, RejectsUnknownKeysAndGarbage) {
   EXPECT_FALSE(ParseSpecJson("not json at all").ok());
   EXPECT_FALSE(ParseSpecJson("{\"name\": \"x\"} trailing").ok());
   EXPECT_FALSE(ParseSpecJson("{\"stream_rows\": -5}").ok());
+  // Row counts are exact integers: no fraction, exponent or overflow.
+  EXPECT_FALSE(ParseSpecJson("{\"stream_rows\": 2.5}").ok());
+  EXPECT_FALSE(ParseSpecJson("{\"chunk_rows\": 1e2}").ok());
+  EXPECT_FALSE(
+      ParseSpecJson("{\"stages\": [{\"period\": 18446744073709551616}]}")
+          .ok());
+  EXPECT_FALSE(ParseSpecJson("{\"faults\": [{\"bogus\": 1}]}").ok());
+  EXPECT_FALSE(ParseSpecJson("{\"name\": \"a\\xb\"}").ok());
   auto ok = ParseSpecJson("{\"name\": \"x\", \"stream_rows\": 100}");
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->stream_rows, 100u);

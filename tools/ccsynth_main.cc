@@ -74,6 +74,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/json.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -543,9 +544,10 @@ int RunExplain(const std::vector<std::string>& args) {
 }
 
 std::string TraceToJson(const scenario::ScenarioTrace& trace) {
-  std::string out = "{\"scenario\":\"" + trace.scenario + "\",\"detector\":\"" +
-                    trace.detector + "\",\"seed\":" +
-                    std::to_string(trace.seed) + ",\"events\":[";
+  std::string out =
+      "{\"scenario\":\"" + common::EscapeJson(trace.scenario) +
+      "\",\"detector\":\"" + common::EscapeJson(trace.detector) +
+      "\",\"seed\":" + std::to_string(trace.seed) + ",\"events\":[";
   bool first = true;
   for (const scenario::TraceEvent& e : trace.events) {
     if (!first) out += ",";
@@ -558,8 +560,9 @@ std::string TraceToJson(const scenario::ScenarioTrace& trace) {
              (e.alarm ? "true" : "false") + "}";
     }
   }
-  out += "],\"status\":\"" + trace.terminal.ToString() + "\",\"windows\":" +
-         std::to_string(trace.windows_scored) + ",\"alarms\":" +
+  out += "],\"status\":\"" + common::EscapeJson(trace.terminal.ToString()) +
+         "\",\"windows\":" + std::to_string(trace.windows_scored) +
+         ",\"alarms\":" +
          std::to_string(trace.alarms) + ",\"refreshes\":" +
          std::to_string(trace.refreshes) + "}";
   return out;
