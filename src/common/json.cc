@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <optional>
+
+#include "common/string_util.h"
 
 namespace ccs::common {
 
@@ -146,17 +149,12 @@ StatusOr<double> JsonReader::Double() {
 
 StatusOr<uint64_t> JsonReader::Uint() {
   CCS_ASSIGN_OR_RETURN(std::string_view token, NumberToken());
-  if (token.find_first_of("-.eE") != std::string_view::npos) {
-    return Error("expected a non-negative integer at offset " +
+  const std::optional<uint64_t> value = ParseUint(token);
+  if (!value.has_value()) {
+    return Error("expected an integer in [0, 2^64) at offset " +
                  Offset(token));
   }
-  uint64_t value = 0;
-  const char* end = token.data() + token.size();
-  auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    return Error("integer out of range at offset " + Offset(token));
-  }
-  return value;
+  return *value;
 }
 
 Status JsonReader::End() {
@@ -191,6 +189,14 @@ Status JsonReader::Expect(char c) {
   if (Consume(c)) return Status::OK();
   return Error(std::string("expected '") + c + "' at offset " +
                std::to_string(pos_));
+}
+
+StatusOr<std::string> ParseJsonString(std::string_view text,
+                                      std::string context) {
+  JsonReader reader(text, std::move(context));
+  CCS_ASSIGN_OR_RETURN(std::string value, reader.String());
+  CCS_RETURN_IF_ERROR(reader.End());
+  return value;
 }
 
 }  // namespace ccs::common

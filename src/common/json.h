@@ -1,10 +1,10 @@
 // The one JSON reader and string escaper.
 //
 // CCSynth reads two small JSON documents from untrusted bytes — fault
-// specs (common/fault.h) and scenario specs (scenario/scenario.h) — and
-// writes JSON from obs, the fault and scenario encoders, and the CLI.
-// Both directions go through this file so the grammar cannot drift
-// between formats:
+// specs (common/fault.h) and scenario specs (scenario/scenario.h) —
+// plus the JSON-quoted names in profiles and checkpoints, and writes
+// JSON from obs, the fault and scenario encoders, and the CLI. Both
+// directions go through this file so the grammar cannot drift:
 //
 //   - strict RFC 8259 syntax: whitespace is space, tab, CR and LF;
 //     numbers follow the JSON number grammar (no leading '+', '.5',
@@ -85,6 +85,11 @@ class JsonReader {
   std::string context_;
   size_t pos_ = 0;
 };
+
+/// The string `text` holds as one JSON string literal and nothing else
+/// (surrounding whitespace aside). Errors start with `context`.
+StatusOr<std::string> ParseJsonString(std::string_view text,
+                                      std::string context);
 
 /// Stores an ok `value` in `*out`, or returns its error: the glue
 /// between a read and a struct field, `return Store(r.Uint(), &seed);`.

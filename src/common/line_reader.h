@@ -32,6 +32,9 @@ class LineReader {
     return line;
   }
 
+  /// True once Next() has returned the last line.
+  bool AtEnd() const { return pos_ >= text_.size(); }
+
   /// 1-based number of the line Next() last returned.
   size_t line_number() const { return line_number_; }
 

@@ -75,6 +75,15 @@ std::optional<int64_t> ParseInt(std::string_view text) {
   return value;
 }
 
+std::optional<uint64_t> ParseUint(std::string_view text) {
+  if (text.empty() || (text[0] == '0' && text.size() > 1)) return std::nullopt;
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
@@ -108,6 +117,15 @@ std::optional<double> ParseHexBits(std::string_view text) {
   double value = 0.0;
   std::memcpy(&value, &bits, sizeof(value));
   return value;
+}
+
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
 }
 
 std::string ToLower(std::string_view text) {

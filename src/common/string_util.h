@@ -28,6 +28,10 @@ std::optional<double> ParseDouble(std::string_view text);
 /// Parses a base-10 integer; rejects trailing garbage and empty strings.
 std::optional<int64_t> ParseInt(std::string_view text);
 
+/// Parses an exact count, the rule of every codec: decimal digits only
+/// (no sign, whitespace, leading zero or trailing text), <= UINT64_MAX.
+std::optional<uint64_t> ParseUint(std::string_view text);
+
 /// True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
@@ -45,6 +49,10 @@ std::string HexBits(uint64_t bits);
 /// The double whose bits are the 16 hex digits `text` (the inverse of
 /// HexBits(DoubleBits(v))); nullopt for any other text.
 std::optional<double> ParseHexBits(std::string_view text);
+
+/// The 64-bit FNV-1a hash of `bytes`: the checkpoint checksum. Any one
+/// changed byte changes it.
+uint64_t Fnv1a64(std::string_view bytes);
 
 /// Lowercases ASCII characters.
 std::string ToLower(std::string_view text);

@@ -1,20 +1,19 @@
 #include "core/serialize.h"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <vector>
 
-#include "common/line_reader.h"
+#include "common/json.h"
 #include "common/string_util.h"
 
 namespace ccs::core {
 
 namespace {
 
-// Round-trippable double formatting.
+// Round-trippable decimal for SQL CHECK clauses.
 std::string Num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -120,149 +119,143 @@ std::string ToSqlCheck(const ConformanceConstraint& constraint) {
 
 namespace {
 
-void SerializeSimple(const SimpleConstraint& c, std::ostringstream& os) {
-  os << "simple " << c.conjuncts().size() << " "
-     << c.attribute_names().size() << "\n";
-  for (const std::string& name : c.attribute_names()) {
-    os << "a " << name << "\n";
+constexpr char kHeader[] = "ccs-constraint v2";
+
+}  // namespace
+
+void AppendSimple(const SimpleConstraint& constraint, std::string* out) {
+  *out += "simple " + std::to_string(constraint.conjuncts().size()) + " " +
+          std::to_string(constraint.attribute_names().size()) + "\n";
+  for (const std::string& name : constraint.attribute_names()) {
+    *out += "a \"" + common::EscapeJson(name) + "\"\n";
   }
-  for (const BoundedConstraint& b : c.conjuncts()) {
-    os << "c " << Num(b.lb()) << " " << Num(b.ub()) << " " << Num(b.mean())
-       << " " << Num(b.stddev()) << " " << Num(b.importance());
-    for (size_t j = 0; j < b.projection().coefficients().size(); ++j) {
-      os << " " << Num(b.projection().coefficients()[j]);
+  for (const BoundedConstraint& b : constraint.conjuncts()) {
+    *out += "c";
+    for (double v : {b.lb(), b.ub(), b.mean(), b.stddev(), b.importance()}) {
+      *out += " " + HexBits(DoubleBits(v));
     }
-    os << "\n";
+    const linalg::Vector& coefs = b.projection().coefficients();
+    for (size_t j = 0; j < coefs.size(); ++j) {
+      *out += " " + HexBits(DoubleBits(coefs[j]));
+    }
+    *out += "\n";
   }
 }
 
-// Parses one field Num wrote. from_chars reads back every %.17g form,
-// including the inf, -inf, nan and -nan of non-finite values, which
-// istream >> rejects; the whole field must be consumed.
-bool ParseNum(std::string_view field, double* out) {
-  const char* end = field.data() + field.size();
-  auto [ptr, ec] = std::from_chars(field.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-StatusOr<SimpleConstraint> ParseSimple(common::LineReader* reader,
-                                       const std::string& header) {
-  std::istringstream hs(header);
-  std::string tag;
-  size_t num_conjuncts = 0, num_attrs = 0;
-  hs >> tag >> num_conjuncts >> num_attrs;
-  if (tag != "simple" || hs.fail()) {
-    return Status::InvalidArgument("Deserialize: bad simple header");
+StatusOr<SimpleConstraint> ReadSimple(common::LineReader* reader) {
+  auto error = [reader](const std::string& what) {
+    return Status::InvalidArgument("constraint block line " +
+                                   std::to_string(reader->line_number()) +
+                                   ": " + what);
+  };
+  CCS_ASSIGN_OR_RETURN(std::string line, reader->Next());
+  std::vector<std::string> fields = Split(line, ' ');
+  std::optional<uint64_t> num_conjuncts, num_attrs;
+  if (fields.size() == 3 && fields[0] == "simple") {
+    num_conjuncts = ParseUint(fields[1]);
+    num_attrs = ParseUint(fields[2]);
+  }
+  if (!num_conjuncts.has_value() || !num_attrs.has_value()) {
+    return error("bad simple header");
   }
   // No reserve() from the header's counts: they are untrusted, and a
   // hostile count must fail on a missing line, not in the allocator.
   std::vector<std::string> names;
-  for (size_t i = 0; i < num_attrs; ++i) {
-    CCS_ASSIGN_OR_RETURN(std::string line, reader->Next());
-    if (!StartsWith(line, "a ")) {
-      return Status::InvalidArgument("Deserialize: expected attribute line");
-    }
-    names.push_back(line.substr(2));
+  for (uint64_t i = 0; i < *num_attrs; ++i) {
+    CCS_ASSIGN_OR_RETURN(line, reader->Next());
+    if (!StartsWith(line, "a ")) return error("expected attribute line");
+    CCS_ASSIGN_OR_RETURN(names.emplace_back(),
+                         common::ParseJsonString(line.substr(2),
+                                                 "constraint block name"));
   }
   std::vector<BoundedConstraint> conjuncts;
-  for (size_t i = 0; i < num_conjuncts; ++i) {
-    CCS_ASSIGN_OR_RETURN(std::string line, reader->Next());
+  for (uint64_t i = 0; i < *num_conjuncts; ++i) {
+    CCS_ASSIGN_OR_RETURN(line, reader->Next());
     // "c lb ub mean stddev importance coef...": five statistics, then
-    // one coefficient per attribute, separated by whitespace.
-    std::istringstream ls(line);
-    std::vector<std::string> fields;
-    for (std::string field; ls >> field;) fields.push_back(std::move(field));
-    if (fields.size() != 6 + num_attrs || fields[0] != "c") {
-      return Status::InvalidArgument("Deserialize: bad conjunct line");
+    // one coefficient per attribute, separated by single spaces.
+    fields = Split(line, ' ');
+    if (fields.size() != 6 + names.size() || fields[0] != "c") {
+      return error("bad conjunct line");
     }
-    double stats[5];
-    linalg::Vector coefs(num_attrs);
+    std::vector<double> v(fields.size());
     for (size_t f = 1; f < fields.size(); ++f) {
-      if (!ParseNum(fields[f], f < 6 ? &stats[f - 1] : &coefs[f - 6])) {
-        return Status::InvalidArgument("Deserialize: bad number '" +
-                                       fields[f] + "'");
-      }
+      const std::optional<double> value = ParseHexBits(fields[f]);
+      if (!value.has_value()) return error("bad bits '" + fields[f] + "'");
+      v[f] = *value;
     }
-    CCS_ASSIGN_OR_RETURN(Projection proj,
-                         Projection::Create(names, std::move(coefs)));
     CCS_ASSIGN_OR_RETURN(
-        BoundedConstraint conjunct,
-        BoundedConstraint::Create(std::move(proj), stats[0], stats[1],
-                                  stats[2], stats[3], stats[4]));
-    conjuncts.push_back(std::move(conjunct));
+        Projection proj,
+        Projection::Create(names, linalg::Vector(std::vector<double>(
+                                      v.begin() + 6, v.end()))));
+    // BoundedConstraint re-derives its alpha scaling from the stddev
+    // bits, so a round-tripped constraint stays ConstraintsBitwiseEqual.
+    CCS_ASSIGN_OR_RETURN(conjuncts.emplace_back(),
+                         BoundedConstraint::Create(std::move(proj), v[1], v[2],
+                                                   v[3], v[4], v[5]));
   }
   return SimpleConstraint::Create(std::move(names), std::move(conjuncts));
 }
 
-}  // namespace
-
 std::string Serialize(const ConformanceConstraint& constraint) {
-  std::ostringstream os;
-  os << "ccs-constraint v1\n";
-  os << "global " << (constraint.has_global() ? 1 : 0) << "\n";
-  if (constraint.has_global()) {
-    SerializeSimple(constraint.global(), os);
-  }
+  std::string out = std::string(kHeader) + "\n";
+  out += constraint.has_global() ? "global 1\n" : "global 0\n";
+  if (constraint.has_global()) AppendSimple(constraint.global(), &out);
   for (const DisjunctiveConstraint& d : constraint.disjunctions()) {
-    os << "disj " << d.cases().size() << " " << d.attribute() << "\n";
+    out += "disj " + std::to_string(d.cases().size()) + " \"" +
+           common::EscapeJson(d.attribute()) + "\"\n";
     for (const auto& [value, simple] : d.cases()) {
-      os << "value " << value << "\n";
-      SerializeSimple(simple, os);
+      out += "value \"" + common::EscapeJson(value) + "\"\n";
+      AppendSimple(simple, &out);
     }
   }
-  os << "end\n";
-  return os.str();
+  out += "end\n";
+  return out;
 }
 
 StatusOr<ConformanceConstraint> Deserialize(const std::string& text) {
   common::LineReader reader(text, "Deserialize: unexpected end of input");
-  CCS_ASSIGN_OR_RETURN(std::string header, reader.Next());
-  if (header != "ccs-constraint v1") {
-    return Status::InvalidArgument("Deserialize: bad header: " + header);
+  CCS_ASSIGN_OR_RETURN(std::string line, reader.Next());
+  if (line != kHeader) {
+    return Status::InvalidArgument("Deserialize: bad header '" + line +
+                                   "': expected " + kHeader +
+                                   " (re-run ccsynth learn on a v1 profile)");
   }
-  CCS_ASSIGN_OR_RETURN(std::string global_line, reader.Next());
-  std::istringstream gs(global_line);
-  std::string tag;
-  int has_global = 0;
-  gs >> tag >> has_global;
-  if (tag != "global" || gs.fail()) {
+  CCS_ASSIGN_OR_RETURN(line, reader.Next());
+  if (line != "global 0" && line != "global 1") {
     return Status::InvalidArgument("Deserialize: bad global line");
   }
   SimpleConstraint global;
-  if (has_global != 0) {
-    CCS_ASSIGN_OR_RETURN(std::string sheader, reader.Next());
-    CCS_ASSIGN_OR_RETURN(global, ParseSimple(&reader, sheader));
+  if (line == "global 1") {
+    CCS_ASSIGN_OR_RETURN(global, ReadSimple(&reader));
   }
   std::vector<DisjunctiveConstraint> disjunctions;
   while (true) {
-    CCS_ASSIGN_OR_RETURN(std::string line, reader.Next());
+    CCS_ASSIGN_OR_RETURN(line, reader.Next());
     if (line == "end") break;
-    std::istringstream ds(line);
-    std::string dtag;
-    size_t num_cases = 0;
-    ds >> dtag >> num_cases;
-    if (dtag != "disj" || ds.fail()) {
+    // "disj <cases> <quoted attribute>"
+    const size_t space = line.find(' ', 5);
+    const std::optional<uint64_t> num_cases =
+        StartsWith(line, "disj ") && space != std::string::npos
+            ? ParseUint(std::string_view(line).substr(5, space - 5))
+            : std::nullopt;
+    if (!num_cases.has_value()) {
       return Status::InvalidArgument("Deserialize: bad disjunction line");
     }
-    std::string attribute;
-    std::getline(ds, attribute);
-    attribute = std::string(Trim(attribute));
-    if (attribute.empty()) {
-      return Status::InvalidArgument("Deserialize: missing disj attribute");
-    }
+    CCS_ASSIGN_OR_RETURN(std::string attribute,
+                         common::ParseJsonString(line.substr(space + 1),
+                                                 "Deserialize: disj"));
     std::map<std::string, SimpleConstraint> cases;
-    for (size_t i = 0; i < num_cases; ++i) {
-      CCS_ASSIGN_OR_RETURN(std::string vline, reader.Next());
-      if (!StartsWith(vline, "value ")) {
+    for (uint64_t i = 0; i < *num_cases; ++i) {
+      CCS_ASSIGN_OR_RETURN(line, reader.Next());
+      if (!StartsWith(line, "value ")) {
         return Status::InvalidArgument("Deserialize: expected value line");
       }
-      std::string value = vline.substr(6);
-      CCS_ASSIGN_OR_RETURN(std::string sheader, reader.Next());
-      CCS_ASSIGN_OR_RETURN(SimpleConstraint simple,
-                           ParseSimple(&reader, sheader));
-      cases.emplace(std::move(value), std::move(simple));
+      CCS_ASSIGN_OR_RETURN(
+          std::string value,
+          common::ParseJsonString(line.substr(6), "Deserialize: value"));
+      CCS_ASSIGN_OR_RETURN(cases[std::move(value)], ReadSimple(&reader));
     }
-    disjunctions.emplace_back(attribute, std::move(cases));
+    disjunctions.emplace_back(std::move(attribute), std::move(cases));
   }
   return ConformanceConstraint(std::move(global), std::move(disjunctions));
 }

@@ -1,5 +1,6 @@
-// Constraint serialization: pretty text, SQL CHECK clauses, and a
-// versioned machine-readable round-trip format.
+// Constraint serialization: pretty text, SQL CHECK clauses, and the
+// one exact profile codec, which stream checkpoints reuse for their
+// adopted profile.
 //
 // The paper (Appendix G) notes that the simplicity of the conformance
 // language lets constraints be enforced as SQL CHECK constraints to guard
@@ -10,6 +11,7 @@
 
 #include <string>
 
+#include "common/line_reader.h"
 #include "common/statusor.h"
 #include "core/constraint.h"
 
@@ -26,15 +28,25 @@ std::string ToPrettyString(const ConformanceConstraint& constraint);
 std::string ToSqlCheck(const SimpleConstraint& constraint);
 std::string ToSqlCheck(const ConformanceConstraint& constraint);
 
-/// Versioned line-oriented serialization that round-trips exactly:
-/// numbers are written with %.17g, which reparses to the same bits, and
-/// non-finite values as inf, -inf, nan and -nan (a NaN keeps its sign,
-/// not its payload).
+/// Versioned line-oriented serialization (`ccs-constraint v2`) that
+/// round-trips exactly: names are JSON string literals and every simple
+/// constraint is one AppendSimple block.
 std::string Serialize(const ConformanceConstraint& constraint);
 
 /// Parses the output of Serialize. Returns InvalidArgument on malformed
 /// or version-mismatched input.
 StatusOr<ConformanceConstraint> Deserialize(const std::string& text);
+
+/// Appends the exact text of a simple constraint, the block profiles and
+/// checkpoints share: `simple <conjuncts> <attrs>`, one `a "<name>"`
+/// line per attribute (common::EscapeJson), then one `c` line per
+/// conjunct holding lb, ub, mean, stddev, importance and each
+/// coefficient as HexBits(DoubleBits(v)), NaN payloads included.
+void AppendSimple(const SimpleConstraint& constraint, std::string* out);
+
+/// Reads one AppendSimple block. InvalidArgument on a malformed line or
+/// count, or a conjunct BoundedConstraint::Create refuses.
+StatusOr<SimpleConstraint> ReadSimple(common::LineReader* reader);
 
 }  // namespace ccs::core
 

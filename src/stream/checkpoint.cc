@@ -6,20 +6,21 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
 #include "common/line_reader.h"
 #include "common/string_util.h"
-#include "core/projection.h"
+#include "core/serialize.h"
 
 namespace ccs::stream {
 
 namespace {
 
-constexpr char kMagic[] = "ccsynth-checkpoint v1";
+constexpr char kMagic[] = "ccsynth-checkpoint v2";
 
-// Raw IEEE-754 bits as 16 hex chars — the exact-round-trip double form
-// golden traces use too (common/string_util.h). No NaN canonicalization
-// here: a checkpoint stores state bits verbatim.
-std::string Hex(double value) { return HexBits(DoubleBits(value)); }
+// The last line: "end" and the checksum of every byte before it.
+std::string EndLine(std::string_view body) {
+  return "end " + HexBits(Fnv1a64(body)) + "\n";
+}
 
 StatusOr<double> FromHex(const std::string& text) {
   std::optional<double> value = ParseHexBits(text);
@@ -43,17 +44,11 @@ StatusOr<std::string> Field(const std::vector<std::string>& fields,
 StatusOr<size_t> SizeField(const std::vector<std::string>& fields,
                            const std::string& key) {
   CCS_ASSIGN_OR_RETURN(std::string text, Field(fields, key));
-  std::optional<int64_t> v = ParseInt(text);
-  if (!v.has_value() || *v < 0) {
+  std::optional<uint64_t> v = ParseUint(text);
+  if (!v.has_value()) {
     return Status::InvalidArgument("checkpoint: bad count for '" + key + "'");
   }
   return static_cast<size_t>(*v);
-}
-
-StatusOr<double> HexField(const std::vector<std::string>& fields,
-                          const std::string& key) {
-  CCS_ASSIGN_OR_RETURN(std::string text, Field(fields, key));
-  return FromHex(text);
 }
 
 }  // namespace
@@ -70,39 +65,36 @@ std::string SerializeCheckpoint(const CheckpointData& data) {
          " refreshes=" + std::to_string(data.refreshes) + "\n";
   out += "attrs " + std::to_string(data.attribute_names.size()) + "\n";
   for (const std::string& name : data.attribute_names) {
-    out += "attr " + name + "\n";
+    out += "attr \"" + common::EscapeJson(name) + "\"\n";
   }
   out += "gram count=" + std::to_string(data.gram_count) +
          " dim=" + std::to_string(data.attribute_names.size()) + "\n";
   for (size_t r = 0; r < data.gram_sum.rows(); ++r) {
     out += "gram_row";
     for (size_t c = 0; c < data.gram_sum.cols(); ++c) {
-      out += " " + Hex(data.gram_sum.At(r, c));
+      out += " " + HexBits(DoubleBits(data.gram_sum.At(r, c)));
     }
     out += "\n";
   }
   if (data.has_profile) {
-    out += "profile conjuncts=" +
-           std::to_string(data.profile.conjuncts().size()) + "\n";
-    for (const core::BoundedConstraint& bc : data.profile.conjuncts()) {
-      out += "conjunct coeffs=";
-      const linalg::Vector& coeffs = bc.projection().coefficients();
-      for (size_t i = 0; i < coeffs.size(); ++i) {
-        if (i > 0) out += ",";
-        out += Hex(coeffs[i]);
-      }
-      out += " lb=" + Hex(bc.lb()) + " ub=" + Hex(bc.ub()) +
-             " mean=" + Hex(bc.mean()) + " stddev=" + Hex(bc.stddev()) +
-             " importance=" + Hex(bc.importance()) + "\n";
-    }
+    out += "profile\n";
+    core::AppendSimple(data.profile, &out);
   }
-  out += "end\n";
+  out += EndLine(out);
   return out;
 }
 
 StatusOr<CheckpointData> ParseCheckpoint(const std::string& text) {
+  // Every byte is checked before any field is read: the file must end
+  // with the end line, which holds the checksum of everything before it.
+  const std::string_view body =
+      std::string_view(text).substr(0, text.rfind("\nend ") + 1);
+  if (body.empty() || text.substr(body.size()) != EndLine(body)) {
+    return Status::InvalidArgument(
+        "checkpoint: missing end line or checksum mismatch");
+  }
   CheckpointData data;
-  common::LineReader reader(text, "checkpoint: truncated file");
+  common::LineReader reader(body, "checkpoint: truncated file");
   CCS_ASSIGN_OR_RETURN(std::string line, reader.Next());
   if (line != kMagic) {
     return Status::InvalidArgument(
@@ -119,8 +111,9 @@ StatusOr<CheckpointData> ParseCheckpoint(const std::string& text) {
     CCS_ASSIGN_OR_RETURN(data.slide_rows, SizeField(fields, "slide_rows"));
     CCS_ASSIGN_OR_RETURN(data.refresh_every,
                          SizeField(fields, "refresh_every"));
-    CCS_ASSIGN_OR_RETURN(double threshold, HexField(fields, "threshold"));
-    data.threshold_bits = DoubleBits(threshold);
+    CCS_ASSIGN_OR_RETURN(std::string threshold, Field(fields, "threshold"));
+    CCS_ASSIGN_OR_RETURN(double bits, FromHex(threshold));
+    data.threshold_bits = DoubleBits(bits);
   }
 
   CCS_ASSIGN_OR_RETURN(line, reader.Next());
@@ -139,25 +132,19 @@ StatusOr<CheckpointData> ParseCheckpoint(const std::string& text) {
   }
 
   CCS_ASSIGN_OR_RETURN(line, reader.Next());
-  size_t num_attrs = 0;
-  {
-    std::vector<std::string> fields = Split(line, ' ');
-    if (fields.size() != 2 || fields[0] != "attrs") {
-      return Status::InvalidArgument("checkpoint: expected attrs line");
-    }
-    std::optional<int64_t> n = ParseInt(fields[1]);
-    if (!n.has_value() || *n <= 0) {
-      return Status::InvalidArgument("checkpoint: bad attrs count");
-    }
-    num_attrs = static_cast<size_t>(*n);
+  const std::optional<uint64_t> num_attrs =
+      StartsWith(line, "attrs ") ? ParseUint(line.substr(6)) : std::nullopt;
+  if (!num_attrs.has_value() || *num_attrs == 0) {
+    return Status::InvalidArgument("checkpoint: bad attrs line");
   }
-  for (size_t i = 0; i < num_attrs; ++i) {
+  for (uint64_t i = 0; i < *num_attrs; ++i) {
     CCS_ASSIGN_OR_RETURN(line, reader.Next());
     if (!StartsWith(line, "attr ")) {
       return Status::InvalidArgument("checkpoint: expected attr line");
     }
-    // Rest of line: attribute names may contain spaces.
-    data.attribute_names.push_back(line.substr(5));
+    CCS_ASSIGN_OR_RETURN(
+        data.attribute_names.emplace_back(),
+        common::ParseJsonString(line.substr(5), "checkpoint: attr"));
   }
 
   CCS_ASSIGN_OR_RETURN(line, reader.Next());
@@ -166,82 +153,45 @@ StatusOr<CheckpointData> ParseCheckpoint(const std::string& text) {
     if (fields.empty() || fields[0] != "gram") {
       return Status::InvalidArgument("checkpoint: expected gram line");
     }
-    CCS_ASSIGN_OR_RETURN(std::string count_text, Field(fields, "count"));
-    std::optional<int64_t> n = ParseInt(count_text);
-    if (!n.has_value() || *n < 0) {
+    CCS_ASSIGN_OR_RETURN(size_t count, SizeField(fields, "count"));
+    if (count > static_cast<size_t>(INT64_MAX)) {
       return Status::InvalidArgument("checkpoint: bad gram count");
     }
-    data.gram_count = *n;
+    data.gram_count = static_cast<int64_t>(count);
     CCS_ASSIGN_OR_RETURN(size_t dim, SizeField(fields, "dim"));
-    if (dim != num_attrs) {
+    if (dim != data.attribute_names.size()) {
       return Status::InvalidArgument(
           "checkpoint: gram dim does not match attrs");
     }
   }
-  data.gram_sum = linalg::Matrix(num_attrs + 1, num_attrs + 1);
-  for (size_t r = 0; r < num_attrs + 1; ++r) {
+  const size_t dim = data.attribute_names.size() + 1;
+  data.gram_sum = linalg::Matrix(dim, dim);
+  for (size_t r = 0; r < dim; ++r) {
     CCS_ASSIGN_OR_RETURN(line, reader.Next());
     std::vector<std::string> fields = Split(line, ' ');
-    if (fields.size() != num_attrs + 2 || fields[0] != "gram_row") {
+    if (fields.size() != dim + 1 || fields[0] != "gram_row") {
       return Status::InvalidArgument("checkpoint: bad gram_row at line " +
                                      std::to_string(reader.line_number()));
     }
-    for (size_t c = 0; c < num_attrs + 1; ++c) {
+    for (size_t c = 0; c < dim; ++c) {
       CCS_ASSIGN_OR_RETURN(double v, FromHex(fields[c + 1]));
       data.gram_sum.At(r, c) = v;
     }
   }
 
-  CCS_ASSIGN_OR_RETURN(line, reader.Next());
-  if (StartsWith(line, "profile ")) {
-    std::vector<std::string> fields = Split(line, ' ');
-    CCS_ASSIGN_OR_RETURN(size_t num_conjuncts,
-                         SizeField(fields, "conjuncts"));
-    // No reserve() from the untrusted count: a hostile one must fail on
-    // a missing line, not in the allocator.
-    std::vector<core::BoundedConstraint> conjuncts;
-    for (size_t i = 0; i < num_conjuncts; ++i) {
-      CCS_ASSIGN_OR_RETURN(line, reader.Next());
-      std::vector<std::string> cfields = Split(line, ' ');
-      if (cfields.empty() || cfields[0] != "conjunct") {
-        return Status::InvalidArgument("checkpoint: expected conjunct line");
-      }
-      CCS_ASSIGN_OR_RETURN(std::string coeff_text, Field(cfields, "coeffs"));
-      std::vector<std::string> coeff_hex = Split(coeff_text, ',');
-      if (coeff_hex.size() != num_attrs) {
-        return Status::InvalidArgument(
-            "checkpoint: conjunct arity does not match attrs");
-      }
-      linalg::Vector coeffs(num_attrs);
-      for (size_t c = 0; c < num_attrs; ++c) {
-        CCS_ASSIGN_OR_RETURN(coeffs[c], FromHex(coeff_hex[c]));
-      }
-      CCS_ASSIGN_OR_RETURN(double lb, HexField(cfields, "lb"));
-      CCS_ASSIGN_OR_RETURN(double ub, HexField(cfields, "ub"));
-      CCS_ASSIGN_OR_RETURN(double mean, HexField(cfields, "mean"));
-      CCS_ASSIGN_OR_RETURN(double stddev, HexField(cfields, "stddev"));
-      CCS_ASSIGN_OR_RETURN(double importance,
-                           HexField(cfields, "importance"));
-      CCS_ASSIGN_OR_RETURN(
-          core::Projection projection,
-          core::Projection::Create(data.attribute_names, std::move(coeffs)));
-      // BoundedConstraint re-derives its alpha scaling from the stddev
-      // bits deterministically, so round-tripped constraints stay
-      // ConstraintsBitwiseEqual to the originals.
-      CCS_ASSIGN_OR_RETURN(
-          core::BoundedConstraint conjunct,
-          core::BoundedConstraint::Create(std::move(projection), lb, ub,
-                                          mean, stddev, importance));
-      conjuncts.push_back(std::move(conjunct));
-    }
-    CCS_ASSIGN_OR_RETURN(
-        data.profile,
-        core::SimpleConstraint::Create(data.attribute_names,
-                                       std::move(conjuncts)));
-    data.has_profile = true;
+  if (!reader.AtEnd()) {
     CCS_ASSIGN_OR_RETURN(line, reader.Next());
+    if (line != "profile") {
+      return Status::InvalidArgument("checkpoint: expected profile line");
+    }
+    CCS_ASSIGN_OR_RETURN(data.profile, core::ReadSimple(&reader));
+    if (data.profile.attribute_names() != data.attribute_names) {
+      return Status::InvalidArgument(
+          "checkpoint: profile attributes do not match attrs");
+    }
+    data.has_profile = true;
   }
-  if (line != "end") {
+  if (!reader.AtEnd()) {
     return Status::InvalidArgument("checkpoint: expected end line");
   }
   return data;

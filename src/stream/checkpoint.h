@@ -12,10 +12,10 @@
 //   - the IncrementalSynthesizer profile: attribute names plus the raw
 //     streaming Gram sum and count, every double as raw IEEE-754 bits;
 //   - the adopted reference constraint (once a refresh has happened):
-//     per-conjunct projection coefficients and parameters, again as
-//     raw bits. Before the first refresh the profile is whatever
-//     Create() learned from the reference CSV, which the resuming
-//     process re-Fits deterministically — so it is not serialized.
+//     the core::AppendSimple block learned profiles use. Before the
+//     first refresh the profile is whatever Create() learned from the
+//     reference CSV, which the resuming process re-Fits
+//     deterministically — so it is not serialized.
 //
 // Windower state is deliberately NOT serialized: the rolling buffers
 // live on the windowing thread mid-run. Instead the resume skips
@@ -28,9 +28,9 @@
 // tests/checkpoint_test.cc).
 //
 // The format is versioned line-oriented text with hex-encoded doubles
-// ("%016llx" raw bits, the golden-trace idiom) so state survives
-// serialization exactly — FormatDouble-style shortest-decimal text
-// would only be bit-close.
+// (HexBits, the golden-trace idiom) and JSON-quoted names, so state
+// survives serialization exactly. Its last line, `end <Fnv1a64 of every
+// byte before it>`, makes a truncated or bit-flipped checkpoint fail.
 
 #ifndef CCS_STREAM_CHECKPOINT_H_
 #define CCS_STREAM_CHECKPOINT_H_
@@ -73,9 +73,9 @@ struct CheckpointData {
 /// Canonical text form (see the header comment for the layout).
 std::string SerializeCheckpoint(const CheckpointData& data);
 
-/// Parses SerializeCheckpoint's output. InvalidArgument on version or
-/// structural mismatch — a truncated or hand-edited checkpoint must not
-/// resume silently wrong.
+/// Parses SerializeCheckpoint's output. InvalidArgument on a checksum,
+/// version or structural mismatch — a truncated or hand-edited
+/// checkpoint must not resume silently wrong.
 StatusOr<CheckpointData> ParseCheckpoint(const std::string& text);
 
 /// Writes atomically: serialize to `path`.tmp, then rename over `path`,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "dataframe/csv.h"
 #include "dataframe/dataframe.h"
 #include "stream/checkpoint.h"
@@ -63,20 +65,77 @@ CheckpointData SampleData() {
   return data;
 }
 
-TEST(CheckpointFormatTest, SerializeParseRoundTripsBitwise) {
+// A NaN with a non-default payload: the codec must keep every bit.
+double PayloadNaN() {
+  const uint64_t bits = 0x7ff8000000000123ull;
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+// `data` with an adopted profile: one conjunct over `coefficients`.
+CheckpointData WithProfile(CheckpointData data, linalg::Vector coefficients,
+                           double mean) {
+  auto projection =
+      core::Projection::Create(data.attribute_names, std::move(coefficients));
+  CCS_CHECK(projection.ok());
+  std::vector<core::BoundedConstraint> conjuncts;
+  conjuncts.emplace_back(std::move(*projection), -1.5, 2.5, mean, 0.75, 1.0);
+  auto profile = core::SimpleConstraint::Create(data.attribute_names,
+                                                std::move(conjuncts));
+  CCS_CHECK(profile.ok());
+  data.profile = std::move(profile).value();
+  data.has_profile = true;
+  return data;
+}
+
+// SampleData over names a line codec could mangle (padding, a newline,
+// a quote, empty), with a NaN payload in the Gram sum and the profile.
+CheckpointData AwkwardData() {
   CheckpointData data = SampleData();
-  std::string text = SerializeCheckpoint(data);
-  auto parsed = ParseCheckpoint(text);
+  data.attribute_names = {" g ", "y\nz", "a\"b", ""};
+  data.gram_sum = linalg::Matrix(5, 5);
+  for (size_t r = 0; r < 5; ++r) {
+    for (size_t c = 0; c < 5; ++c) data.gram_sum(r, c) = 0.5 * (r + c);
+  }
+  data.gram_sum(4, 4) = PayloadNaN();
+  return WithProfile(std::move(data),
+                     linalg::Vector({1.0, -1.0, PayloadNaN(), 0.25}),
+                     PayloadNaN());
+}
+
+// Everything before the end line.
+std::string Body(const std::string& text) {
+  return text.substr(0, text.rfind("\nend ") + 1);
+}
+
+// `body` closed by an end line holding its checksum, so a deliberate
+// corruption gets past the checksum to the check under test.
+std::string Seal(const std::string& body) {
+  return body + "end " + HexBits(Fnv1a64(body)) + "\n";
+}
+
+TEST(CheckpointFormatTest, SerializeParseRoundTripsBitwise) {
+  for (const CheckpointData& data : {SampleData(), AwkwardData()}) {
+    std::string text = SerializeCheckpoint(data);
+    auto parsed = ParseCheckpoint(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+    // Serialization is canonical: parse -> serialize reproduces the text
+    // byte for byte, which transitively pins every field (including the
+    // raw double bits of the Gram sum).
+    EXPECT_EQ(SerializeCheckpoint(*parsed), text);
+    EXPECT_EQ(parsed->attribute_names, data.attribute_names);
+    EXPECT_EQ(parsed->has_profile, data.has_profile);
+    EXPECT_TRUE(core::ConstraintsBitwiseEqual(parsed->profile, data.profile))
+        << text;
+  }
+  auto parsed = ParseCheckpoint(SerializeCheckpoint(SampleData()));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  // Serialization is canonical: parse -> serialize reproduces the text
-  // byte for byte, which transitively pins every field (including the
-  // raw double bits of the Gram sum).
-  EXPECT_EQ(SerializeCheckpoint(*parsed), text);
   EXPECT_EQ(parsed->windows_committed, 12u);
   EXPECT_EQ(parsed->windows_consumed, 13u);
   EXPECT_EQ(parsed->rows_consumed, 325u);
   EXPECT_EQ(parsed->gram_count, 325);
-  EXPECT_EQ(parsed->gram_sum(2, 2), data.gram_sum(2, 2));
+  EXPECT_EQ(parsed->gram_sum(2, 2), SampleData().gram_sum(2, 2));
 }
 
 TEST(CheckpointFormatTest, ParseRejectsCorruption) {
@@ -84,43 +143,81 @@ TEST(CheckpointFormatTest, ParseRejectsCorruption) {
   EXPECT_EQ(ParseCheckpoint("").status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseCheckpoint("ccsynth-checkpoint v99\n").status().code(),
             StatusCode::kInvalidArgument);
-  // Truncation (drop the trailing end marker) must not parse.
-  std::string truncated = text.substr(0, text.rfind("end"));
-  EXPECT_EQ(ParseCheckpoint(truncated).status().code(),
+  // A v1 checkpoint is refused, sealed or not.
+  std::string v1 = text;
+  v1.replace(0, v1.find('\n'), "ccsynth-checkpoint v1");
+  EXPECT_EQ(ParseCheckpoint(v1).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseCheckpoint(Seal(Body(v1))).status().code(),
             StatusCode::kInvalidArgument);
+  // Truncation (drop the end line, or cut into it) must not parse.
+  for (const std::string& truncated :
+       {Body(text), text.substr(0, text.size() - 1)}) {
+    auto parsed = ParseCheckpoint(truncated);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("checksum"), std::string::npos)
+        << parsed.status();
+  }
   // A hostile conjunct count fails on the missing line, not by sizing
-  // an allocation from it.
-  std::string hostile = truncated + "profile conjuncts=99999999999999999\n";
-  EXPECT_EQ(ParseCheckpoint(hostile).status().code(),
-            StatusCode::kInvalidArgument);
+  // an allocation from it; a count that is not an exact unsigned
+  // decimal fails on its own line.
+  for (const char* count :
+       {"99999999999999999", "18446744073709551616", "-1", "+1", "01", "1x"}) {
+    auto parsed = ParseCheckpoint(
+        Seal(Body(text) + "profile\nsimple " + count + " 2\n"));
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << count;
+    EXPECT_NE(parsed.status().message().find(
+                  count[0] == '9' ? "truncated" : "bad simple header"),
+              std::string::npos)
+        << parsed.status();
+  }
+  // The profile block must name the checkpoint's attributes.
+  const std::string profiled = SerializeCheckpoint(
+      WithProfile(SampleData(), linalg::Vector({1.0, -1.0}), 0.5));
+  std::string renamed = Body(profiled);
+  renamed.replace(renamed.find("a \"y\""), 5, "a \"z\"");
+  auto parsed = ParseCheckpoint(Seal(renamed));
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("do not match"), std::string::npos)
+      << parsed.status();
+}
+
+TEST(CheckpointFormatTest, ParseRefusesFlippedCoefficientDigit) {
+  const std::string text = SerializeCheckpoint(
+      WithProfile(SampleData(), linalg::Vector({1.0, -1.0}), 0.5));
+  ASSERT_TRUE(ParseCheckpoint(text).ok());
+  // The -1 coefficient is the only field with these bits.
+  const size_t coefficient = text.find(HexBits(DoubleBits(-1.0)));
+  ASSERT_NE(coefficient, std::string::npos);
+  ASSERT_EQ(coefficient, text.rfind(HexBits(DoubleBits(-1.0))));
+  std::string flipped = text;
+  flipped[coefficient + 15] = '1';
+  auto parsed = ParseCheckpoint(flipped);
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("checksum"), std::string::npos)
+      << parsed.status();
+  // Re-sealed, the same bytes are a valid, different profile: only the
+  // checksum stands between a flipped digit and a silent resume.
+  EXPECT_TRUE(ParseCheckpoint(Seal(Body(flipped))).ok());
 }
 
 TEST(CheckpointFormatTest, ParseRefusesConjunctWithSwappedBounds) {
   // lb > ub would CHECK-fail in the BoundedConstraint constructor; the
   // parser must hand back a Status instead.
-  CheckpointData data = SampleData();
-  auto projection = core::Projection::Create(data.attribute_names,
-                                             linalg::Vector({1.0, -1.0}));
-  ASSERT_TRUE(projection.ok());
-  std::vector<core::BoundedConstraint> conjuncts;
-  conjuncts.emplace_back(std::move(*projection), -1.5, 2.5, 0.5, 0.75, 1.0);
-  auto profile = core::SimpleConstraint::Create(data.attribute_names,
-                                                std::move(conjuncts));
-  ASSERT_TRUE(profile.ok());
-  data.profile = std::move(profile).value();
-  data.has_profile = true;
-  const std::string text = SerializeCheckpoint(data);
+  const std::string text = SerializeCheckpoint(
+      WithProfile(SampleData(), linalg::Vector({1.0, -1.0}), 0.5));
   ASSERT_TRUE(ParseCheckpoint(text).ok());
 
-  const size_t lb = text.find(" lb=") + 4;
-  const size_t ub = text.find(" ub=") + 4;
-  ASSERT_NE(lb, std::string::npos + 4);
-  ASSERT_NE(ub, std::string::npos + 4);
+  // "c <lb> <ub> ...": each field is 16 hex digits and a space.
+  const size_t lb = text.find("\nc ") + 3;
+  const size_t ub = lb + 17;
+  ASSERT_NE(lb, std::string::npos + 3);
   std::string swapped = text;
   swapped.replace(lb, 16, text.substr(ub, 16));
   swapped.replace(ub, 16, text.substr(lb, 16));
-  EXPECT_EQ(ParseCheckpoint(swapped).status().code(),
-            StatusCode::kInvalidArgument);
+  auto parsed = ParseCheckpoint(Seal(Body(swapped)));
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("lb <= ub"), std::string::npos)
+      << parsed.status();
 }
 
 TEST(CheckpointFormatTest, FileRoundTripAndNotFound) {
@@ -170,8 +267,9 @@ TEST_F(CheckpointResumeTest, RestoreGuardsGeometry) {
 
 TEST_F(CheckpointResumeTest, RestoreRefusesAsymmetricGramSum) {
   // The Gram fold keeps its sum bitwise symmetric, so a checkpoint whose
-  // sum is not (one bit flipped below the diagonal) is corrupt: it still
-  // parses, but Restore must refuse it with a Status, never a CHECK.
+  // sum is not (one bit flipped below the diagonal) is corrupt: re-sealed
+  // past the checksum it parses, but Restore must refuse it with a
+  // Status, never a CHECK.
   dataframe::DataFrame reference = TrendFrame(200, 3);
   auto pipeline = StreamPipeline::Create(reference, Options());
   ASSERT_TRUE(pipeline.ok()) << pipeline.status();
@@ -188,7 +286,7 @@ TEST_F(CheckpointResumeTest, RestoreRefusesAsymmetricGramSum) {
   last_digit = kDigits[kDigits.find(last_digit) ^ 1];
   ASSERT_NE(flipped, text);
 
-  auto corrupt = ParseCheckpoint(flipped);
+  auto corrupt = ParseCheckpoint(Seal(Body(flipped)));
   ASSERT_TRUE(corrupt.ok()) << corrupt.status();
   EXPECT_EQ(pipeline->Restore(*corrupt).code(), StatusCode::kInvalidArgument);
   auto intact = ParseCheckpoint(text);

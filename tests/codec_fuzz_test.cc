@@ -5,16 +5,20 @@
 //
 // Each codec starts from well-formed seed inputs: the fault spec from
 // docs/robustness.md, SpecToJson of every catalogue scenario, a
-// Serialize'd profile with ±inf and NaN statistics, and a
-// SerializeCheckpoint output with a refreshed profile. The fuzzer feeds
-// the parser every truncation of each seed, plus, at every offset, a
-// single-byte flip, a single-byte insertion and the insertion of a few
-// multi-byte tokens (huge exponents, fractions, overflowing integers,
-// unsupported escapes). A parser must return OK
-// or an error Status for every input: a crash, a CHECK failure or an
-// exception fails the test. When a mutated input does parse, it must
-// re-serialize to a fixed point: serialize -> parse -> serialize gives
-// the same bytes.
+// Serialize'd profile with ±inf and NaN statistics (one NaN with a
+// payload) over awkward names (padding, a newline, a quote, empty), and
+// a SerializeCheckpoint output with a refreshed profile over the same
+// attribute names. The fuzzer feeds the parser every truncation of each
+// seed, plus, at every offset, a single-byte flip, a single-byte
+// insertion and the insertion of a few multi-byte tokens (huge
+// exponents, fractions, overflowing integers, unsupported escapes). A
+// parser must return OK or an error Status for every input: a crash, a
+// CHECK failure or an exception fails the test. When a mutated input
+// does parse, it must re-serialize to a fixed point: serialize -> parse
+// -> serialize gives the same bytes. ParseCheckpoint is fuzzed twice:
+// raw, where its checksum must refuse every input but the seed, and
+// re-sealed, where each mutated input gets a fresh checksum so the body
+// parser behind it is fuzzed too.
 //
 // Deterministic by default (CCS_FUZZ_SEED=1). CCS_FUZZ_DRAWS (default 2)
 // sets how many flips and insertions each offset gets; a failing input
@@ -23,6 +27,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <map>
@@ -82,12 +87,20 @@ char DrawByte(Rng& rng) {
   return static_cast<char>(rng.UniformInt(0, 255));
 }
 
-// Feeds `input` to `codec`; on success checks the fixed point. Returns
-// false (after recording a gtest failure) when the check fails.
+// Feeds `input` to `codec`; on success checks the fixed point and, when
+// `only_accept` is set, that `input` is that text. Returns false (after
+// recording a gtest failure) when a check fails.
 bool CheckInput(const char* codec_name, const Canonicalize& codec,
-                const std::string& input, const std::string& mutation) {
+                const std::string& input, const std::string& mutation,
+                const std::string* only_accept) {
   auto once = codec(input);
   if (!once.ok()) return true;  // A structured error is a pass.
+  if (only_accept != nullptr && input != *only_accept) {
+    ADD_FAILURE() << codec_name << " (" << mutation
+                  << "): accepted a mutated input\ninput: \""
+                  << common::EscapeJson(input) << "\"";
+    return false;
+  }
   auto twice = codec(*once);
   if (!twice.ok()) {
     ADD_FAILURE() << codec_name << " (" << mutation
@@ -110,18 +123,24 @@ bool CheckInput(const char* codec_name, const Canonicalize& codec,
 }
 
 // Every truncation, every kTokens insertion, then `draws` flips and
-// byte insertions at every offset. Stops at the first failing input so
+// byte insertions at every offset. With `only_seed`, every input but
+// the seed itself must be refused. Stops at the first failing input so
 // one bug does not flood the log.
 void FuzzSeed(const char* codec_name, const Canonicalize& codec,
-              const std::string& seed_text, uint64_t seed, uint64_t draws) {
+              const std::string& seed_text, uint64_t seed, uint64_t draws,
+              bool only_seed = false) {
   auto ok = codec(seed_text);
   ASSERT_TRUE(ok.ok()) << codec_name << ": seed input does not parse: "
                        << ok.status();
-  ASSERT_TRUE(CheckInput(codec_name, codec, seed_text, "unmutated"));
+  const std::string* only_accept = only_seed ? &seed_text : nullptr;
+  auto check = [&](const std::string& input, const std::string& mutation) {
+    return CheckInput(codec_name, codec, input, mutation, only_accept);
+  };
+  ASSERT_TRUE(check(seed_text, "unmutated"));
   Rng rng(seed);
   for (size_t cut = 0; cut < seed_text.size(); ++cut) {
-    if (!CheckInput(codec_name, codec, seed_text.substr(0, cut),
-                    "truncated at " + std::to_string(cut))) {
+    if (!check(seed_text.substr(0, cut),
+               "truncated at " + std::to_string(cut))) {
       return;
     }
   }
@@ -129,9 +148,8 @@ void FuzzSeed(const char* codec_name, const Canonicalize& codec,
     for (const char* token : kTokens) {
       std::string inserted = seed_text;
       inserted.insert(at, token);
-      if (!CheckInput(codec_name, codec, inserted,
-                      std::string(token) + " inserted at " +
-                          std::to_string(at))) {
+      if (!check(inserted,
+                 std::string(token) + " inserted at " + std::to_string(at))) {
         return;
       }
     }
@@ -144,12 +162,12 @@ void FuzzSeed(const char* codec_name, const Canonicalize& codec,
       inserted.insert(inserted.begin() + static_cast<ptrdiff_t>(at), extra);
       const std::string where = " at " + std::to_string(at) + ", fuzz seed " +
                                 std::to_string(seed);
-      if (!CheckInput(codec_name, codec, flipped,
-                      "byte " + std::to_string(static_cast<uint8_t>(byte)) +
-                          " written" + where) ||
-          !CheckInput(codec_name, codec, inserted,
-                      "byte " + std::to_string(static_cast<uint8_t>(extra)) +
-                          " inserted" + where)) {
+      if (!check(flipped, "byte " +
+                              std::to_string(static_cast<uint8_t>(byte)) +
+                              " written" + where) ||
+          !check(inserted, "byte " +
+                               std::to_string(static_cast<uint8_t>(extra)) +
+                               " inserted" + where)) {
         return;
       }
     }
@@ -193,6 +211,18 @@ TEST_F(CodecFuzzTest, ScenarioSpecJson) {
   }
 }
 
+// A NaN with a non-default payload: the codecs keep every bit.
+double PayloadNaN() {
+  const uint64_t bits = 0x7ff8000000000123ull;
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+// Attribute names a line codec could mangle: padding and a newline. The
+// profile seed adds a quote and the empty name as switch and value.
+const std::vector<std::string> kAwkwardNames = {" g ", "y\nz"};
+
 core::SimpleConstraint NonFiniteSimple(const std::vector<std::string>& names,
                                        double scale) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -201,8 +231,8 @@ core::SimpleConstraint NonFiniteSimple(const std::vector<std::string>& names,
   auto second = core::Projection::Create(names, linalg::Vector({-kInf, 0.25}));
   CCS_CHECK(first.ok() && second.ok());
   std::vector<core::BoundedConstraint> conjuncts;
-  conjuncts.emplace_back(std::move(*first), -kInf, 2.5 * scale, kNaN, kInf,
-                         0.75);
+  conjuncts.emplace_back(std::move(*first), -kInf, 2.5 * scale, PayloadNaN(),
+                         kInf, 0.75);
   conjuncts.emplace_back(std::move(*second), -1.0, kInf, -kNaN, 0.125, kNaN);
   auto simple = core::SimpleConstraint::Create(names, std::move(conjuncts));
   CCS_CHECK(simple.ok());
@@ -210,18 +240,26 @@ core::SimpleConstraint NonFiniteSimple(const std::vector<std::string>& names,
 }
 
 TEST_F(CodecFuzzTest, ProfileDeserialize) {
-  const std::vector<std::string> names = {"x", "y"};
   std::map<std::string, core::SimpleConstraint> cases;
-  cases.emplace("u", NonFiniteSimple(names, 2.0));
-  cases.emplace("v w", NonFiniteSimple(names, -3.0));
+  cases.emplace("", NonFiniteSimple(kAwkwardNames, 2.0));
+  cases.emplace("v w", NonFiniteSimple(kAwkwardNames, -3.0));
   std::vector<core::DisjunctiveConstraint> disjunctions;
-  disjunctions.emplace_back("g", std::move(cases));
-  const core::ConformanceConstraint profile(NonFiniteSimple(names, 1.0),
-                                            std::move(disjunctions));
+  disjunctions.emplace_back("a\"b", std::move(cases));
+  const core::ConformanceConstraint profile(
+      NonFiniteSimple(kAwkwardNames, 1.0), std::move(disjunctions));
   const Canonicalize codec = MakeCodec(
       core::Deserialize,
       [](const core::ConformanceConstraint& c) { return core::Serialize(c); });
   FuzzSeed("Deserialize", codec, core::Serialize(profile), seed_, draws_);
+}
+
+// `text` with its end line (if any) replaced by one holding the checksum
+// of the bytes before it, so a mutation reaches the body parser.
+std::string Reseal(const std::string& text) {
+  const size_t end = text.rfind("\nend ");
+  std::string body = end == std::string::npos ? text : text.substr(0, end + 1);
+  if (!body.empty() && body.back() != '\n') body += '\n';
+  return body + "end " + HexBits(Fnv1a64(body)) + "\n";
 }
 
 TEST_F(CodecFuzzTest, ParseCheckpoint) {
@@ -234,7 +272,7 @@ TEST_F(CodecFuzzTest, ParseCheckpoint) {
   data.windows_consumed = 13;
   data.rows_consumed = 325;
   data.refreshes = 3;
-  data.attribute_names = {"x", "y"};
+  data.attribute_names = kAwkwardNames;
   data.gram_count = 325;
   data.gram_sum = linalg::Matrix(3, 3);
   double v = 0.125;
@@ -246,10 +284,18 @@ TEST_F(CodecFuzzTest, ParseCheckpoint) {
   }
   data.profile = NonFiniteSimple(data.attribute_names, 1.0);
   data.has_profile = true;
+  const std::string seed_text = stream::SerializeCheckpoint(data);
+  // Raw: the checksum refuses every byte change.
   const Canonicalize codec =
       MakeCodec(stream::ParseCheckpoint, stream::SerializeCheckpoint);
-  FuzzSeed("ParseCheckpoint", codec, stream::SerializeCheckpoint(data), seed_,
-           draws_);
+  FuzzSeed("ParseCheckpoint", codec, seed_text, seed_, draws_,
+           /*only_seed=*/true);
+  if (HasFailure()) return;
+  // Re-sealed: the body parser behind the checksum, fuzzed as before.
+  const Canonicalize resealed = [codec](const std::string& text) {
+    return codec(Reseal(text));
+  };
+  FuzzSeed("ParseCheckpoint (re-sealed)", resealed, seed_text, seed_, draws_);
 }
 
 }  // namespace

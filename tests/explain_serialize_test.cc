@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/explain.h"
 #include "core/kernel.h"
 #include "core/serialize.h"
@@ -182,39 +184,96 @@ TEST(SerializeTest, RejectsCorruptedInput) {
   EXPECT_FALSE(Deserialize(text).ok());
 }
 
+// The exact text of `values` as a conjunct line: lb, ub, mean, stddev,
+// importance, then the coefficients.
+std::string ConjunctLine(std::initializer_list<double> values) {
+  std::string line = "c";
+  for (double v : values) line += " " + HexBits(DoubleBits(v));
+  return line;
+}
+
+// A v2 profile whose global block has one conjunct line over "x".
+std::string OneConjunctProfile(const std::string& conjunct) {
+  return "ccs-constraint v2\nglobal 1\nsimple 1 1\na \"x\"\n" + conjunct +
+         "\nend\n";
+}
+
 TEST(SerializeTest, HostileConjunctIsAnErrorNotACrash) {
-  // lb > ub: the BoundedConstraint constructor would CHECK-fail.
-  auto swapped = Deserialize(
-      "ccs-constraint v1\nglobal 1\nsimple 1 1\na x\nc 2 1 0 1 1 1\nend\n");
-  EXPECT_EQ(swapped.status().code(), StatusCode::kInvalidArgument);
-  // A NaN bound, a negative stddev and a NaN stddev fail the same way.
-  for (const char* conjunct :
-       {"c nan 1 0 1 1 1", "c 0 1 0 -1 1 1", "c 0 1 0 nan 1 1"}) {
-    auto parsed =
-        Deserialize(std::string("ccs-constraint v1\nglobal 1\nsimple 1 1\n"
-                                "a x\n") +
-                    conjunct + "\nend\n");
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // The well-formed base case parses, so each variant below fails at its
+  // own check, not at the header.
+  ASSERT_TRUE(
+      Deserialize(OneConjunctProfile(ConjunctLine({0, 1, 0, 1, 1, 1}))).ok());
+  // lb > ub would CHECK-fail in the BoundedConstraint constructor; a NaN
+  // bound, a negative stddev and a NaN stddev fail the same way.
+  for (const std::string& conjunct :
+       {ConjunctLine({2, 1, 0, 1, 1, 1}), ConjunctLine({kNaN, 1, 0, 1, 1, 1}),
+        ConjunctLine({0, 1, 0, -1, 1, 1}),
+        ConjunctLine({0, 1, 0, kNaN, 1, 1})}) {
+    auto parsed = Deserialize(OneConjunctProfile(conjunct));
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
         << conjunct;
+    EXPECT_NE(parsed.status().message().find("BoundedConstraint"),
+              std::string::npos)
+        << parsed.status();
   }
-  // A number that does not fill its field, and a missing coefficient.
-  EXPECT_FALSE(Deserialize("ccs-constraint v1\nglobal 1\nsimple 1 1\na x\n"
-                           "c 0 1x 0 1 1 1\nend\n")
-                   .ok());
-  EXPECT_FALSE(Deserialize("ccs-constraint v1\nglobal 1\nsimple 1 1\na x\n"
-                           "c 0 1 0 1 1\nend\n")
-                   .ok());
+  // Fields that do not fill exactly 16 hex digits, a stray separator
+  // and a missing coefficient fail on the conjunct line (line 5).
+  const std::string good = ConjunctLine({0, 1, 0, 1, 1, 1});
+  for (const std::string& conjunct :
+       {good.substr(0, good.size() - 1), good + "0", good + " ",
+        ConjunctLine({0, 1, 0, 1, 1})}) {
+    auto parsed = Deserialize(OneConjunctProfile(conjunct));
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << conjunct;
+    EXPECT_NE(parsed.status().message().find("constraint block line 5: "),
+              std::string::npos)
+        << parsed.status();
+  }
+  // A v1 profile is refused with a pointer to the fix.
+  auto v1 = Deserialize(
+      "ccs-constraint v1\nglobal 1\nsimple 1 1\na x\nc 0 1 0 1 1 1\nend\n");
+  EXPECT_EQ(v1.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v1.status().message().find("re-run ccsynth learn"),
+            std::string::npos)
+      << v1.status();
+  // Counts are exact unsigned decimals: no sign, no value but 0 or 1 for
+  // global, no padding and no trailing text.
+  const std::string v2 = "ccs-constraint v2\n";
+  const std::string block = "a \"x\"\n" + good + "\nend\n";
+  for (const std::string& text :
+       {v2 + "global 2\nend\n", v2 + "global 01\nend\n",
+        v2 + "global 1 \nsimple 1 1\n" + block,
+        v2 + "global 1\nsimple -1 1\n" + block,
+        v2 + "global 1\nsimple 1 +1\n" + block,
+        v2 + "global 1\nsimple 01 1\n" + block,
+        v2 + "global 1\nsimple 1 1x\n" + block,
+        v2 + "global 1\nsimple 1 1 \n" + block,
+        v2 + "global 0\ndisj 1x \"g\"\nend\n"}) {
+    auto parsed = Deserialize(text);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(parsed.status().message().find("bad "), std::string::npos)
+        << parsed.status();
+  }
+}
+
+// A NaN with a non-default payload: the codec must keep every bit.
+double PayloadNaN() {
+  const uint64_t bits = 0x7ff8000000000123ull;
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
 }
 
 // A random double: finite across the whole exponent range (subnormals
-// included), or, when `non_finite`, one of +-inf and +-NaN a third of
-// the time.
+// included), or, when `non_finite`, one of +-inf, +-NaN and a NaN with
+// a payload a third of the time.
 double RandomDouble(Rng& rng, bool non_finite) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   if (non_finite && rng.Bernoulli(1.0 / 3.0)) {
-    const double special[] = {kInf, -kInf, kNaN, -kNaN};
-    return special[rng.UniformInt(0, 3)];
+    const double special[] = {kInf, -kInf, kNaN, -kNaN, PayloadNaN()};
+    return special[rng.UniformInt(0, 4)];
   }
   return std::ldexp(rng.Uniform(-1.0, 1.0),
                     static_cast<int>(rng.UniformInt(-1074, 1023)));
@@ -249,27 +308,39 @@ SimpleConstraint RandomNonFiniteSimple(Rng& rng,
   return std::move(simple).value();
 }
 
+// Names a line codec could mangle: padding, a newline, a quote, empty.
+const std::vector<std::string> kAwkwardNames = {" g ", "y\nz", "a\"b", ""};
+
 TEST(SerializeTest, NonFiniteValuesRoundTripBitwise) {
   Rng rng(20210620);
+  bool saw_payload = false;
   for (int trial = 0; trial < 200; ++trial) {
+    // Odd trials name attributes, the switch and its values awkwardly.
+    const bool awkward = trial % 2 == 1;
     std::vector<std::string> names;
     const int64_t arity = rng.UniformInt(1, 4);
     for (int64_t j = 0; j < arity; ++j) {
-      names.push_back("a" + std::to_string(j));
+      names.push_back(awkward ? kAwkwardNames[j] : "a" + std::to_string(j));
     }
     std::map<std::string, SimpleConstraint> cases;
-    cases.emplace("u", RandomNonFiniteSimple(rng, names));
-    cases.emplace("v", RandomNonFiniteSimple(rng, names));
+    cases.emplace(awkward ? kAwkwardNames[trial % 4] : "u",
+                  RandomNonFiniteSimple(rng, names));
+    cases.emplace(awkward ? kAwkwardNames[(trial + 1) % 4] : "v",
+                  RandomNonFiniteSimple(rng, names));
     std::vector<DisjunctiveConstraint> disjunctions;
-    disjunctions.emplace_back("g", std::move(cases));
+    disjunctions.emplace_back(awkward ? kAwkwardNames[(trial + 2) % 4] : "g",
+                              std::move(cases));
     ConformanceConstraint phi(RandomNonFiniteSimple(rng, names),
                               std::move(disjunctions));
     const std::string text = Serialize(phi);
+    saw_payload |= text.find(HexBits(DoubleBits(PayloadNaN()))) !=
+                   std::string::npos;
     auto back = Deserialize(text);
     ASSERT_TRUE(back.ok()) << back.status() << "\n" << text;
     EXPECT_TRUE(ConstraintsBitwiseEqual(*back, phi)) << text;
     EXPECT_EQ(Serialize(*back), text);
   }
+  EXPECT_TRUE(saw_payload);
 }
 
 TEST(SerializeTest, PrettyStringMentionsAttributesAndBounds) {

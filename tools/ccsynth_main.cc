@@ -175,8 +175,8 @@ int RunLearn(const std::vector<std::string>& args) {
   }
   if (!out_path.empty()) {
     std::ofstream out(out_path);
-    if (!out) return Fail(Status::IoError("cannot write " + out_path));
     out << core::Serialize(*phi);
+    if (!out.flush()) return Fail(Status::IoError("cannot write " + out_path));
     std::fprintf(stderr, "ccsynth: wrote %s (%zu rows, %zu groups)\n",
                  out_path.c_str(), df->num_rows(), phi->num_groups());
   }
