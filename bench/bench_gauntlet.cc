@@ -9,10 +9,8 @@
 //   --quick      scale-1 geometry (the test-suite sizes; CI smoke)
 //   --scale N    explicit geometry multiplier (default 4)
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,19 +19,7 @@
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
-namespace {
-
 using namespace ccs;  // NOLINT
-
-double Seconds(const std::function<void()>& fn) {
-  auto start = std::chrono::steady_clock::now();
-  fn();
-  std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return elapsed.count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   size_t scale = 4;
@@ -64,7 +50,7 @@ int main(int argc, char** argv) {
     bench::CheckOk(spec.status());
 
     scenario::ScenarioTrace trace;
-    double sec = Seconds([&] {
+    double sec = bench::Seconds([&] {
       auto run = scenario::RunScenario(*spec, /*seed=*/1, /*num_threads=*/1);
       bench::CheckOk(run.status());
       trace = std::move(*run);

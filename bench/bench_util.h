@@ -4,14 +4,14 @@
 #define CCS_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/status.h"
-#include "obs/trace.h"
 
 namespace ccs::bench {
 
@@ -44,37 +44,21 @@ inline void CheckOk(const Status& status) {
   CCS_CHECK(status.ok()) << status.ToString();
 }
 
-/// Prints a per-stage wall-time breakdown from an ObsSession's recorded
-/// spans, heaviest stage first: span name, close count, total ms, and
-/// mean us per span. Ring overflow is called out so a truncated profile
-/// is never mistaken for a complete one.
-inline void PrintStageBreakdown(const obs::ObsSession& session) {
-  std::vector<std::pair<std::string, obs::SpanStats>> stages;
-  for (const auto& [name, stats] : session.AggregateByName()) {
-    stages.emplace_back(name, stats);
-  }
-  std::sort(stages.begin(), stages.end(), [](const auto& a, const auto& b) {
-    if (a.second.total_ns != b.second.total_ns) {
-      return a.second.total_ns > b.second.total_ns;
-    }
-    return a.first < b.first;
-  });
-  std::printf("%-28s%12s%12s%12s\n", "span", "count", "total ms", "mean us");
-  for (const auto& [name, stats] : stages) {
-    const double total_ms = static_cast<double>(stats.total_ns) * 1e-6;
-    const double mean_us =
-        stats.count == 0
-            ? 0.0
-            : static_cast<double>(stats.total_ns) * 1e-3 /
-                  static_cast<double>(stats.count);
-    std::printf("%-28s%12zu%12.2f%12.2f\n", name.c_str(),
-                static_cast<size_t>(stats.count), total_ms, mean_us);
-  }
-  if (session.dropped() > 0) {
-    std::printf("(%zu span(s) dropped by ring overflow — totals are lower "
-                "bounds)\n",
-                static_cast<size_t>(session.dropped()));
-  }
+/// Wall time of one call to `fn`, in seconds.
+inline double Seconds(const std::function<void()>& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count();
+}
+
+/// Best-of-`reps` wall time, so one scheduler hiccup does not skew a
+/// measurement.
+inline double BestSeconds(const std::function<void()>& fn, int reps = 3) {
+  double best = Seconds(fn);
+  for (int r = 1; r < reps; ++r) best = std::min(best, Seconds(fn));
+  return best;
 }
 
 }  // namespace ccs::bench

@@ -21,11 +21,13 @@ StatusOr<NonConformanceExplainer> NonConformanceExplainer::FromTrainingData(
   CCS_ASSIGN_OR_RETURN(SimpleConstraint constraint,
                        synthesizer.SynthesizeSimple(training));
   std::vector<std::string> names = training.NumericNames();
-  // ccs-lint: allow(matrix-materialize): cold one-time fit — per-column
-  // Mean() wants Matrix::Col; runs once per explainer, never per window.
-  CCS_ASSIGN_OR_RETURN(linalg::Matrix data, training.NumericMatrixFor(names));
+  CCS_ASSIGN_OR_RETURN(linalg::MatrixView data, training.NumericViewFor(names));
   linalg::Vector means(names.size());
-  for (size_t j = 0; j < names.size(); ++j) means[j] = data.Col(j).Mean();
+  linalg::Vector column(data.rows());
+  for (size_t j = 0; j < names.size(); ++j) {
+    data.MaterializeColumn(j, column.data().data());
+    means[j] = column.Mean();
+  }
   return NonConformanceExplainer(std::move(constraint), std::move(names),
                                  std::move(means));
 }
@@ -90,14 +92,13 @@ NonConformanceExplainer::ExplainDataset(
   if (serving.num_rows() == 0) {
     return Status::InvalidArgument("ExplainDataset: empty dataset");
   }
-  // ccs-lint: allow(matrix-materialize): cold diagnostic path — the
-  // greedy per-tuple explanation needs Matrix::Row vectors, and
-  // explanations are human-driven, not per-window.
-  CCS_ASSIGN_OR_RETURN(linalg::Matrix data, serving.NumericMatrixFor(names_));
+  CCS_ASSIGN_OR_RETURN(linalg::MatrixView data, serving.NumericViewFor(names_));
   std::vector<AttributeResponsibility> acc(names_.size());
   for (size_t j = 0; j < names_.size(); ++j) acc[j].attribute = names_[j];
+  linalg::Vector tuple(names_.size());
   for (size_t i = 0; i < data.rows(); ++i) {
-    CCS_ASSIGN_OR_RETURN(auto per_tuple, ExplainTuple(data.Row(i)));
+    data.GatherBlock(i, i + 1, tuple.data().data());
+    CCS_ASSIGN_OR_RETURN(auto per_tuple, ExplainTuple(tuple));
     for (size_t j = 0; j < acc.size(); ++j) {
       acc[j].responsibility += per_tuple[j].responsibility;
     }

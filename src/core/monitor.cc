@@ -68,7 +68,7 @@ StatusOr<SimpleConstraint> IncrementalSynthesizer::Synthesize() const {
 StatusOr<StreamMonitor> StreamMonitor::Create(
     const dataframe::DataFrame& reference, double alarm_threshold,
     SynthesisOptions options, const PolynomialExpansionOptions* expansion) {
-  if (alarm_threshold < 0.0 || alarm_threshold > 1.0) {
+  if (!(alarm_threshold >= 0.0 && alarm_threshold <= 1.0)) {
     return Status::InvalidArgument(
         "StreamMonitor: alarm_threshold must be in [0,1]");
   }

@@ -29,11 +29,13 @@ StatusOr<ConstraintRepairer> ConstraintRepairer::FromTrainingData(
   CCS_ASSIGN_OR_RETURN(SimpleConstraint constraint,
                        synthesizer.SynthesizeSimple(training));
   std::vector<std::string> names = training.NumericNames();
-  // ccs-lint: allow(matrix-materialize): cold one-time fit — per-column
-  // Mean() wants Matrix::Col; runs once per repairer, never per window.
-  CCS_ASSIGN_OR_RETURN(linalg::Matrix data, training.NumericMatrixFor(names));
+  CCS_ASSIGN_OR_RETURN(linalg::MatrixView data, training.NumericViewFor(names));
   linalg::Vector means(names.size());
-  for (size_t j = 0; j < names.size(); ++j) means[j] = data.Col(j).Mean();
+  linalg::Vector column(data.rows());
+  for (size_t j = 0; j < names.size(); ++j) {
+    data.MaterializeColumn(j, column.data().data());
+    means[j] = column.Mean();
+  }
   return ConstraintRepairer(std::move(constraint), std::move(names),
                             std::move(means));
 }
@@ -79,16 +81,14 @@ StatusOr<linalg::Vector> ConstraintRepairer::ImputeRow(
 
 StatusOr<std::vector<CellError>> ConstraintRepairer::DetectErrors(
     const dataframe::DataFrame& df, double threshold) const {
-  if (threshold < 0.0 || threshold > 1.0) {
+  if (!(threshold >= 0.0 && threshold <= 1.0)) {
     return Status::InvalidArgument("DetectErrors: threshold must be in [0,1]");
   }
-  // ccs-lint: allow(matrix-materialize): cold repair path — the
-  // cell-blame search mutates per-row tuple copies (Matrix::Row), and
-  // repair is batch cleaning, not streaming scoring.
-  CCS_ASSIGN_OR_RETURN(linalg::Matrix data, df.NumericMatrixFor(names_));
+  CCS_ASSIGN_OR_RETURN(linalg::MatrixView data, df.NumericViewFor(names_));
   std::vector<CellError> out;
+  linalg::Vector tuple(names_.size());
   for (size_t i = 0; i < data.rows(); ++i) {
-    linalg::Vector tuple = data.Row(i);
+    data.GatherBlock(i, i + 1, tuple.data().data());
     double violation = constraint_.ViolationAligned(tuple);
     if (violation <= threshold) continue;
     // Blame the cell whose repair most reduces the violation.

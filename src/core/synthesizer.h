@@ -16,7 +16,7 @@
 // bounds, means, stddevs, importances, partition keys — is bitwise
 // identical whether synthesis runs on 1 thread or N (verified by
 // ConstraintsBitwiseEqual in tests/synthesizer_test.cc and by
-// bench_parallel_synth before it reports any throughput number).
+// bench_lanes before it reports any throughput number).
 
 #ifndef CCS_CORE_SYNTHESIZER_H_
 #define CCS_CORE_SYNTHESIZER_H_

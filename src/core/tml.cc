@@ -8,7 +8,7 @@ StatusOr<SafetyEnvelope> SafetyEnvelope::Fit(
     const dataframe::DataFrame& training,
     const std::vector<std::string>& target_attributes, double unsafe_threshold,
     SynthesisOptions options) {
-  if (unsafe_threshold < 0.0 || unsafe_threshold > 1.0) {
+  if (!(unsafe_threshold >= 0.0 && unsafe_threshold <= 1.0)) {
     return Status::InvalidArgument(
         "SafetyEnvelope: unsafe_threshold must be in [0,1]");
   }

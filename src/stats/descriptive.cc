@@ -23,7 +23,7 @@ StatusOr<double> Quantile(const linalg::Vector& values, double q) {
   if (values.empty()) {
     return Status::InvalidArgument("Quantile: empty input");
   }
-  if (q < 0.0 || q > 1.0) {
+  if (!(q >= 0.0 && q <= 1.0)) {
     return Status::InvalidArgument("Quantile: q must be in [0,1]");
   }
   std::vector<double> sorted = values.data();

@@ -217,7 +217,7 @@ StatusOr<dataframe::DataFrame> GenerateEvlWindow(const std::string& name,
   if (it == Registry().end()) {
     return Status::NotFound("unknown EVL dataset: " + name);
   }
-  if (t < 0.0 || t > 1.0) {
+  if (!(t >= 0.0 && t <= 1.0)) {
     return Status::InvalidArgument("EVL: t must be in [0,1]");
   }
   const Dataset& dataset = it->second;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,9 @@ TEST(SafetyEnvelopeTest, InvalidThresholdIsError) {
   DataFrame train = TrendFrame(50, 0.0, 16);
   EXPECT_FALSE(SafetyEnvelope::Fit(train, {}, -0.1).ok());
   EXPECT_FALSE(SafetyEnvelope::Fit(train, {}, 1.5).ok());
+  EXPECT_FALSE(
+      SafetyEnvelope::Fit(train, {}, std::numeric_limits<double>::quiet_NaN())
+          .ok());
 }
 
 // --------------------- incremental synthesizer ------------------------
@@ -303,6 +307,9 @@ TEST(StreamMonitorTest, InvalidThresholdIsError) {
   DataFrame reference = TrendFrame(50, 0.0, 23);
   EXPECT_FALSE(StreamMonitor::Create(reference, -0.5).ok());
   EXPECT_FALSE(StreamMonitor::Create(reference, 2.0).ok());
+  EXPECT_FALSE(
+      StreamMonitor::Create(reference, std::numeric_limits<double>::quiet_NaN())
+          .ok());
 }
 
 }  // namespace

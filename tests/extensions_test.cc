@@ -338,6 +338,8 @@ TEST(RepairTest, InputValidation) {
   EXPECT_FALSE(repairer->ImputeValue(Vector{1.0, 2.0, 3.0}, 9).ok());
   EXPECT_FALSE(
       repairer->DetectErrors(LinearTrend(10, 26), -0.5).ok());
+  EXPECT_FALSE(
+      repairer->DetectErrors(LinearTrend(10, 26), std::nan("")).ok());
 }
 
 }  // namespace

@@ -48,6 +48,7 @@ TEST(QuantileTest, Errors) {
   EXPECT_FALSE(Quantile(Vector(), 0.5).ok());
   EXPECT_FALSE(Quantile(Vector{1.0}, -0.1).ok());
   EXPECT_FALSE(Quantile(Vector{1.0}, 1.1).ok());
+  EXPECT_FALSE(Quantile(Vector{1.0}, std::nan("")).ok());
 }
 
 TEST(OnlineStatsTest, MatchesBatch) {

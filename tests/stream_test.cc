@@ -923,25 +923,30 @@ TEST_F(StreamPipelineTest, MatchesSerialLoopWithSlideAndRefresh) {
 
   StreamPipelineOptions options;
   options.window_rows = 60;
-  options.slide_rows = 25;      // Sliding windows.
   options.alarm_threshold = 0.25;
   options.refresh_every = 3;    // Periodic incremental re-synthesis.
   options.chunk_rows = 41;
   options.queue_capacity = 2;
   options.max_batch_windows = 4;
 
-  std::vector<WindowScore> serial = SerialLoop(reference, {csv_text}, options);
-  ASSERT_FALSE(serial.empty());
+  for (size_t slide : {0u, 25u}) {  // Tumbling, then sliding windows.
+    options.slide_rows = slide;
+    std::vector<WindowScore> serial =
+        SerialLoop(reference, {csv_text}, options);
+    ASSERT_FALSE(serial.empty());
 
-  for (size_t threads : {1u, 4u}) {
-    options.num_threads = threads;
-    auto pipeline = StreamPipeline::Create(reference, options);
-    ASSERT_TRUE(pipeline.ok());
-    std::istringstream in(csv_text);
-    auto stats = pipeline->Run(in);
-    ASSERT_TRUE(stats.ok()) << stats.status;
-    EXPECT_GT(stats->refreshes, 0u);
-    ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("slide " + std::to_string(slide) + " threads " +
+                   std::to_string(threads));
+      options.num_threads = threads;
+      auto pipeline = StreamPipeline::Create(reference, options);
+      ASSERT_TRUE(pipeline.ok());
+      std::istringstream in(csv_text);
+      auto stats = pipeline->Run(in);
+      ASSERT_TRUE(stats.ok()) << stats.status;
+      EXPECT_GT(stats->refreshes, 0u);
+      ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
+    }
   }
 }
 

@@ -47,8 +47,8 @@ Rules
                    views (docs/architecture.md, "Derived columns"); a
                    materialized per-call Matrix there reintroduces the
                    allocations the view layer exists to eliminate.
-                   Genuinely cold callers (explain, repair) carry an
-                   explained allow.
+                   Explain and repair walk views too; a genuinely cold
+                   caller must carry an explained allow.
   fault-point      a CCS_FAULT_POINT whose name is not an inline string
                    literal, duplicates another site's name (in the same
                    file or anywhere in the tree — hit ordinals identify
@@ -344,8 +344,8 @@ class FileLinter:
         clock_banned = (self.logical.startswith("src/")
                         and not self.logical.startswith("src/obs/"))
         # Materialized numeric matrices are banned in the hot
-        # synthesize→score layers; dataframe/ owns the method and the
-        # cold layers (explain/repair live in core and carry allows).
+        # synthesize→score layers; dataframe/ owns the method, and a
+        # cold caller in core/ or stream/ must carry an allow.
         matrix_banned = self.logical.startswith(("src/core/", "src/stream/"))
         # Rng thread-affinity: the rule arms once the file dispatches
         # parallel work anywhere — Rng in such a file needs an explained
