@@ -9,102 +9,146 @@
 
 namespace ccs::linalg {
 
-using simd::Const;
-using simd::LoadV2;
-using simd::StoreV2;
+namespace {
+
+using simd::Load;
+using simd::Splat;
+using simd::Store;
 using simd::V2;
+using simd::V4;
+
+// One AccumulateBlock call: n contiguous rows of m doubles, added into
+// the row-major (m+1) x (m+1) sum s.
+struct GramBlock {
+  double* s;
+  size_t m;
+  const double* rows;
+  size_t n;
+};
+
+// One tile: kRows sum rows x (kLanes<V> * kVecs + kTail) columns
+// starting at data column j0. kRows == 0 is sum row 0, whose term is t_j
+// itself; otherwise the rows are i0 + 1 .. i0 + kRows, with terms
+// t_i * t_j. The tile is loaded once, takes the terms of all n rows in
+// row order, and is stored once. Each term is named, then added with
+// `+=` like Matrix::AddInPlace's shard merge, so unoptimized builds too
+// keep the sum as the first operand: when both are NaN, that operand's
+// payload survives, and the shard merge and the row fold must agree on
+// which one it is.
+template <class V, int kRows, int kVecs, int kTail>
+CCS_ALWAYS_INLINE void GramTile(const GramBlock& g, size_t i0, size_t j0) {
+  constexpr int kL = simd::kLanes<V>;
+  constexpr int kR = kRows == 0 ? 1 : kRows;
+  const size_t m = g.m;
+  const size_t w = m + 1;
+  double* dst[kR];
+  V acc[kR][kVecs > 0 ? kVecs : 1];
+  double tail[kR];
+  for (int k = 0; k < kR; ++k) {
+    dst[k] = g.s + (kRows == 0 ? 0 : (i0 + 1 + k) * w) + j0 + 1;
+    for (int v = 0; v < kVecs; ++v) Load(&acc[k][v], dst[k] + kL * v);
+    if constexpr (kTail) tail[k] = dst[k][kL * kVecs];
+  }
+  const double* x = g.rows;
+  for (size_t r = 0; r < g.n; ++r, x += m) {
+    V xj[kVecs > 0 ? kVecs : 1];
+    for (int v = 0; v < kVecs; ++v) Load(&xj[v], x + j0 + kL * v);
+    const double xt = kTail ? x[j0 + kL * kVecs] : 0.0;
+    for (int k = 0; k < kR; ++k) {
+      if constexpr (kRows == 0) {
+        for (int v = 0; v < kVecs; ++v) acc[k][v] += xj[v];
+        if constexpr (kTail) tail[k] += xt;
+      } else {
+        const double xi = x[i0 + k];
+        V xiv;
+        Splat(&xiv, xi);
+        for (int v = 0; v < kVecs; ++v) {
+          const V term = xiv * xj[v];
+          acc[k][v] += term;
+        }
+        if constexpr (kTail) {
+          const double term = xi * xt;
+          tail[k] += term;
+        }
+      }
+    }
+  }
+  for (int k = 0; k < kR; ++k) {
+    for (int v = 0; v < kVecs; ++v) Store(dst[k] + kL * v, &acc[k][v]);
+    if constexpr (kTail) dst[k][kL * kVecs] = tail[k];
+  }
+}
+
+// Columns [j, m) of one strip: tiles of four V vectors, then two-lane
+// tiles of 8 columns and one narrower two-lane tail.
+template <class V, int kRows>
+CCS_ALWAYS_INLINE void GramStrip(const GramBlock& g, size_t i0, size_t j) {
+  constexpr size_t kWide = simd::kLanes<V> * 4;
+  const size_t m = g.m;
+  for (; j + kWide <= m; j += kWide) GramTile<V, kRows, 4, 0>(g, i0, j);
+  for (; j + 8 <= m; j += 8) GramTile<V2, kRows, 4, 0>(g, i0, j);
+  switch (m - j) {
+    case 1: GramTile<V2, kRows, 0, 1>(g, i0, j); break;
+    case 2: GramTile<V2, kRows, 1, 0>(g, i0, j); break;
+    case 3: GramTile<V2, kRows, 1, 1>(g, i0, j); break;
+    case 4: GramTile<V2, kRows, 2, 0>(g, i0, j); break;
+    case 5: GramTile<V2, kRows, 2, 1>(g, i0, j); break;
+    case 6: GramTile<V2, kRows, 3, 0>(g, i0, j); break;
+    case 7: GramTile<V2, kRows, 3, 1>(g, i0, j); break;
+    default: break;
+  }
+}
+
+// The upper triangle, sum row 0 included. Tiles are fixed by m alone, so
+// every entry sees the same instructions whatever n is and whichever
+// entry point called.
+template <class V>
+CCS_ALWAYS_INLINE void GramUpperTriangle(const GramBlock& g) {
+  GramStrip<V, 0>(g, 0, 0);
+  // Row pairs start their strip at the first row's diagonal; the second
+  // row's one sub-diagonal entry is rewritten by the mirror afterwards.
+  size_t i = 0;
+  for (; i + 2 <= g.m; i += 2) GramStrip<V, 2>(g, i, i);
+  if (i < g.m) GramStrip<V, 1>(g, i, i);
+}
+
+// The two instances: 2 x 8 tiles of V2, and 2 x 16 tiles of V4; both
+// keep 8 accumulator chains. 2 x 8 tiles of V4 (4 chains) measured
+// within noise of 2 x 16 (docs/architecture.md, "Kernel instances").
+CCS_NOINLINE CCS_CODE_ALIGN64 void GramUpperTriangleSse2(const GramBlock& g) {
+  GramUpperTriangle<V2>(g);
+}
+
+CCS_NOINLINE CCS_CODE_ALIGN64 CCS_TARGET_AVX2 void GramUpperTriangleAvx2(
+    const GramBlock& g) {
+  GramUpperTriangle<V4>(g);
+}
+
+}  // namespace
 
 GramAccumulator::GramAccumulator(size_t num_attributes)
     : m_(num_attributes), n_(0), sum_(num_attributes + 1, num_attributes + 1) {}
 
-CCS_NOINLINE CCS_CODE_ALIGN64 void GramAccumulator::AccumulateBlock(
-    const double* rows, size_t n) {
+CCS_NOINLINE void GramAccumulator::AccumulateBlock(const double* rows,
+                                                   size_t n) {
   // The augmented tuple is (1, t0, ..., t_{m-1}). Entry (i+1, j+1) of the
   // sum receives t_i * t_j, entry (0, j+1) receives t_j, and (0, 0)
   // receives 1.0 — one term per row, added as `sum += term` in row order.
-  // The walk is loop-interchanged: each register tile of upper-triangle
-  // entries is loaded once, takes the terms of all n rows, and is stored
-  // once. Tiles are fixed by m alone, so every entry sees the same
-  // instructions whatever n is and whichever entry point called.
-  // Each term is named, then added with `+=` like Matrix::AddInPlace's
-  // shard merge, so unoptimized builds too keep the sum as the first
-  // operand: when both are NaN, that operand's payload survives, and the
-  // shard merge and the row fold must agree on which one it is.
-  const size_t m = m_;
-  const size_t w = m + 1;
+  // The walk is loop-interchanged over register tiles of the upper
+  // triangle, in the selected kernel instance (SelectedKernelIsa).
+  const size_t w = m_ + 1;
   double* s = &sum_.At(0, 0);
 
   double count = s[0];
   for (size_t r = 0; r < n; ++r) count += 1.0;
   s[0] = count;
 
-  // One tile: kRows sum rows x (2 * kVecs + kTail) columns starting at
-  // data column j0. kRows == 0 is sum row 0, whose term is t_j itself;
-  // otherwise the rows are i0 + 1 .. i0 + kRows, with terms t_i * t_j.
-  auto tile = [&](auto rows_c, auto vecs_c, auto tail_c, size_t i0,
-                  size_t j0) {
-    constexpr int kRows = decltype(rows_c)::value;
-    constexpr int kVecs = decltype(vecs_c)::value;
-    constexpr int kTail = decltype(tail_c)::value;
-    constexpr int kR = kRows == 0 ? 1 : kRows;
-    double* dst[kR];
-    V2 acc[kR][kVecs > 0 ? kVecs : 1];
-    double tail[kR];
-    for (int k = 0; k < kR; ++k) {
-      dst[k] = s + (kRows == 0 ? 0 : (i0 + 1 + k) * w) + j0 + 1;
-      for (int v = 0; v < kVecs; ++v) acc[k][v] = LoadV2(dst[k] + 2 * v);
-      if constexpr (kTail) tail[k] = dst[k][2 * kVecs];
-    }
-    const double* x = rows;
-    for (size_t r = 0; r < n; ++r, x += m) {
-      V2 xj[kVecs > 0 ? kVecs : 1];
-      for (int v = 0; v < kVecs; ++v) xj[v] = LoadV2(x + j0 + 2 * v);
-      const double xt = kTail ? x[j0 + 2 * kVecs] : 0.0;
-      for (int k = 0; k < kR; ++k) {
-        if constexpr (kRows == 0) {
-          for (int v = 0; v < kVecs; ++v) acc[k][v] += xj[v];
-          if constexpr (kTail) tail[k] += xt;
-        } else {
-          const double xi = x[i0 + k];
-          const V2 xi2 = {xi, xi};
-          for (int v = 0; v < kVecs; ++v) {
-            const V2 term = xi2 * xj[v];
-            acc[k][v] += term;
-          }
-          if constexpr (kTail) {
-            const double term = xi * xt;
-            tail[k] += term;
-          }
-        }
-      }
-    }
-    for (int k = 0; k < kR; ++k) {
-      for (int v = 0; v < kVecs; ++v) StoreV2(dst[k] + 2 * v, acc[k][v]);
-      if constexpr (kTail) dst[k][2 * kVecs] = tail[k];
-    }
-  };
-
-  // Columns [j, m) of one strip: 8-wide tiles, then one narrower tail.
-  auto strip = [&](auto rows_c, size_t i0, size_t j) {
-    for (; j + 8 <= m; j += 8) tile(rows_c, Const<4>(), Const<0>(), i0, j);
-    switch (m - j) {
-      case 1: tile(rows_c, Const<0>(), Const<1>(), i0, j); break;
-      case 2: tile(rows_c, Const<1>(), Const<0>(), i0, j); break;
-      case 3: tile(rows_c, Const<1>(), Const<1>(), i0, j); break;
-      case 4: tile(rows_c, Const<2>(), Const<0>(), i0, j); break;
-      case 5: tile(rows_c, Const<2>(), Const<1>(), i0, j); break;
-      case 6: tile(rows_c, Const<3>(), Const<0>(), i0, j); break;
-      case 7: tile(rows_c, Const<3>(), Const<1>(), i0, j); break;
-      default: break;
-    }
-  };
-
-  strip(Const<0>(), 0, 0);
-  // Row pairs start their strip at the first row's diagonal; the second
-  // row's one sub-diagonal entry is rewritten by the mirror below.
-  size_t i = 0;
-  for (; i + 2 <= m; i += 2) strip(Const<2>(), i, i);
-  if (i < m) strip(Const<1>(), i, i);
+  const GramBlock g{s, m_, rows, n};
+  if (SelectedKernelIsa() == KernelIsa::kAvx2) {
+    GramUpperTriangleAvx2(g);
+  } else {
+    GramUpperTriangleSse2(g);
+  }
 
   // Derive the lower triangle from the upper one.
   for (size_t a = 0; a < w; ++a) {

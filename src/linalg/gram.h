@@ -95,12 +95,14 @@ class GramAccumulator {
 
  private:
   // Adds the (1,t)(1,t)^T terms of n contiguous rows of m_ doubles — the
-  // one kernel both ingest paths (Add, AddView) funnel into, so the per-entry term order has exactly one
-  // definition. Loop-interchanged over register tiles of the upper
-  // triangle (each entry still takes its terms in row order), then the
-  // lower triangle is copied from the upper once per block. Never
-  // inlined: one shared compilation is what guarantees identical bits
-  // (incl. NaN payloads) across the ingest paths.
+  // one kernel both ingest paths (Add, AddView) funnel into, so the
+  // per-entry term order has exactly one definition. Loop-interchanged
+  // over register tiles of the upper triangle (each entry still takes
+  // its terms in row order) in the selected kernel instance
+  // (SelectedKernelIsa), then the lower triangle is copied from the
+  // upper once per block. Never inlined: one shared compilation is what
+  // guarantees identical bits (incl. NaN payloads) across the ingest
+  // paths.
   CCS_NOINLINE void AccumulateBlock(const double* rows, size_t n);
 
   // AddView's unchecked shard body: rows [row_begin, row_end) of `data`

@@ -14,21 +14,45 @@ namespace ccs::linalg {
 
 class Matrix;
 
+/// The compiled instance of the scoring and Gram kernels
+/// (internal::AccumulateRowsTimesMatrix, GramAccumulator): two-double
+/// SSE2 lanes, or four-double AVX2 lanes. Both compute every non-NaN
+/// value to the same bits; a NaN's sign and payload belong to the
+/// instance.
+enum class KernelIsa { kSse2, kAvx2 };
+
+/// The instance every kernel call in this process runs: kAvx2 when the
+/// build has it and the CPU supports AVX2, else kSse2. Chosen once, on
+/// first use.
+KernelIsa SelectedKernelIsa();
+
+/// "sse2" or "avx2".
+const char* KernelIsaName(KernelIsa isa);
+
 namespace internal {
 
-/// The single compiled block kernel behind BOTH Matrix::Multiply and
+/// Whether this build and CPU can run `isa`.
+CCS_NOINLINE bool KernelIsaSupported(KernelIsa isa);
+
+/// Test seam: makes `isa` (CHECKed supported) the selected instance.
+/// Call it only while no kernel call is in flight, e.g. between pool
+/// dispatches; tests use it to run both instances on one host.
+CCS_NOINLINE void SetKernelIsaForTesting(KernelIsa isa);
+
+/// The single block kernel behind BOTH Matrix::Multiply and
 /// MatrixView::MultiplyRowRange:
 /// out[i*other.cols() + j] += rows[i*k_count + k] * other(k, j), each
 /// entry taking its terms in ascending k — Vector::Dot's term order per
 /// output entry, no zero-skipping. Register-blocked: a tile of 3 rows x
-/// up to 8 outputs (GCC/Clang vector_size(16) doubles, no -march, no
-/// intrinsics) loads its out entries once, runs k over all of them, and
-/// stores them once. Tiles mix outputs but never rows, so a row's
-/// values never depend on the rows that share its call. Never inlined
-/// (CCS_NOINLINE): both entry points must execute the same machine
-/// code, or compiler-chosen FP operand orderings could propagate
-/// different NaN payloads and break the bitwise path-equivalence
-/// contract.
+/// 8 outputs (SSE2 instance) or 12 outputs (AVX2 instance), with
+/// two-lane tiles for the remaining outputs, loads its out entries
+/// once, runs k over all of them, and stores them once. Tiles mix
+/// outputs but never rows, so a row's values never depend on the rows
+/// that share its call. Never inlined (CCS_NOINLINE), and it runs the
+/// selected instance (SelectedKernelIsa): both entry points must
+/// execute the same machine code, or compiler-chosen FP operand
+/// orderings could propagate different NaN payloads and break the
+/// bitwise path-equivalence contract.
 ///
 /// \param rows      row_count contiguous row-major rows of k_count
 ///                  doubles (a whole Matrix, or a gathered view block).

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -17,6 +18,7 @@
 #include "common/string_util.h"
 #include "dataframe/csv.h"
 #include "dataframe/dataframe.h"
+#include "linalg/matrix.h"
 #include "stream/checkpoint.h"
 #include "stream/pipeline.h"
 
@@ -34,6 +36,32 @@ dataframe::DataFrame TrendFrame(size_t n, uint64_t seed, double offset = 0.0) {
   CCS_CHECK(df.AddNumericColumn("x", std::move(x)).ok());
   CCS_CHECK(df.AddNumericColumn("y", std::move(y)).ok());
   return df;
+}
+
+// n rows of 20 attributes, each a noisy multiple of the first: wide
+// enough that the Gram fold and the scoring kernel both run their widest
+// register tiles under either kernel instance.
+dataframe::DataFrame WideFrame(size_t n, uint64_t seed) {
+  constexpr size_t attrs = 20;
+  Rng rng(seed);
+  std::vector<std::vector<double>> columns(attrs, std::vector<double>(n));
+  for (size_t i = 0; i < n; ++i) {
+    const double x = rng.Uniform(-5.0, 5.0);
+    for (size_t c = 0; c < attrs; ++c) {
+      columns[c][i] = (c == 0 ? x : 0.5 * c * x) + rng.Gaussian(0.0, 0.1);
+    }
+  }
+  dataframe::DataFrame df;
+  for (size_t c = 0; c < attrs; ++c) {
+    CCS_CHECK(df.AddNumericColumn("a" + std::to_string(c),
+                                  std::move(columns[c]))
+                  .ok());
+  }
+  return df;
+}
+
+bool BitsEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 std::string ToCsv(const dataframe::DataFrame& df) {
@@ -370,6 +398,83 @@ TEST_F(CheckpointResumeTest, ResumedHistoryIsBitwiseIdentical) {
     EXPECT_EQ(got.window_index, want[i].window_index) << "window " << i;
     EXPECT_EQ(got.drift, want[i].drift) << "window " << i;
     EXPECT_EQ(got.alarm, want[i].alarm) << "window " << i;
+  }
+}
+
+TEST_F(CheckpointResumeTest, ResumeUnderTheOtherKernelIsaContinuesBitwise) {
+  // A checkpoint written under one compiled kernel instance and resumed
+  // under the other continues the uninterrupted run bit for bit: the
+  // instances agree on every finite value, so neither the WindowScore
+  // history nor the Gram fold's raw sum can tell them apart.
+  if (!linalg::internal::KernelIsaSupported(linalg::KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "avx2 not supported here";
+  }
+  const linalg::KernelIsa startup = linalg::SelectedKernelIsa();
+  dataframe::DataFrame reference = WideFrame(200, 21);
+  const std::string csv = ToCsv(WideFrame(1000, 22));
+  const size_t header_end = csv.find('\n') + 1;
+  size_t split = header_end;
+  for (size_t row = 0; row < 370; ++row) split = csv.find('\n', split) + 1;
+
+  const linalg::KernelIsa kSse2 = linalg::KernelIsa::kSse2;
+  const linalg::KernelIsa kAvx2 = linalg::KernelIsa::kAvx2;
+  for (const auto& [first, second] :
+       {std::pair(kSse2, kAvx2), std::pair(kAvx2, kSse2)}) {
+    const std::string label = std::string(linalg::KernelIsaName(first)) +
+                              " -> " + linalg::KernelIsaName(second);
+    linalg::internal::SetKernelIsaForTesting(first);
+    auto full = StreamPipeline::Create(reference, Options());
+    ASSERT_TRUE(full.ok()) << full.status();
+    {
+      std::istringstream in(csv);
+      auto result = full->Run(in);
+      ASSERT_TRUE(result.ok()) << result.status;
+    }
+    auto prefix = StreamPipeline::Create(reference, Options());
+    ASSERT_TRUE(prefix.ok()) << prefix.status();
+    {
+      std::istringstream in(csv.substr(0, split));
+      auto result = prefix->Run(in);
+      ASSERT_TRUE(result.ok()) << result.status;
+    }
+    CheckpointData snap = prefix->Snapshot();
+    ASSERT_GT(snap.refreshes, 0u) << label;
+    auto restored = ParseCheckpoint(SerializeCheckpoint(snap));
+    ASSERT_TRUE(restored.ok()) << restored.status();
+
+    linalg::internal::SetKernelIsaForTesting(second);
+    auto resumed = StreamPipeline::Create(reference, Options());
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    ASSERT_TRUE(resumed->Restore(*restored).ok());
+    {
+      std::istringstream in(csv);
+      auto result = resumed->Run(in);
+      ASSERT_TRUE(result.ok()) << result.status;
+    }
+    linalg::internal::SetKernelIsaForTesting(startup);
+
+    const std::vector<core::WindowScore> want = full->history();
+    const std::vector<core::WindowScore> got = resumed->history();
+    ASSERT_GT(got.size(), 10u) << label;
+    ASSERT_EQ(prefix->history().size() + got.size(), want.size()) << label;
+    const size_t offset = prefix->history().size();
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].window_index, want[offset + i].window_index);
+      EXPECT_TRUE(BitsEqual(got[i].drift, want[offset + i].drift))
+          << label << " window " << offset + i;
+      EXPECT_EQ(got[i].alarm, want[offset + i].alarm);
+    }
+    const CheckpointData end_full = full->Snapshot();
+    const CheckpointData end_resumed = resumed->Snapshot();
+    EXPECT_GT(end_resumed.refreshes, snap.refreshes) << label;
+    EXPECT_EQ(end_resumed.gram_count, end_full.gram_count) << label;
+    const std::vector<double>& sum_full = end_full.gram_sum.data();
+    const std::vector<double>& sum_resumed = end_resumed.gram_sum.data();
+    ASSERT_EQ(sum_resumed.size(), sum_full.size()) << label;
+    for (size_t e = 0; e < sum_full.size(); ++e) {
+      EXPECT_TRUE(BitsEqual(sum_resumed[e], sum_full[e]))
+          << label << " gram entry " << e;
+    }
   }
 }
 

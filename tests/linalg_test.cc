@@ -1,5 +1,6 @@
-// Tests for linalg/: Vector, Matrix, and the GramAccumulator block
-// kernel (differentially, against the row-at-a-time loop it replaced).
+// Tests for linalg/: Vector, Matrix, and the GramAccumulator and scoring
+// block kernels (differentially, against the row-at-a-time loops they
+// replaced, under each compiled kernel instance the host can run).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "dataframe/dataframe.h"
+#include "kernel_isa_fixture.h"
 #include "linalg/gram.h"
 #include "linalg/matrix.h"
 #include "linalg/matrix_view.h"
@@ -352,7 +354,11 @@ size_t CountMismatches(const Matrix& got, const Matrix& want) {
   return bad;
 }
 
-TEST(GramOracleTest, EveryEntryPointMatchesRowAtATimeBitwise) {
+class GramOracleTest : public testutil::KernelIsaTest {};
+INSTANTIATE_TEST_SUITE_P(Isa, GramOracleTest, testutil::AllKernelIsas(),
+                         testutil::KernelIsaTestName);
+
+TEST_P(GramOracleTest, EveryEntryPointMatchesRowAtATimeBitwise) {
   const size_t kAttrs[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 41, 47};
   const size_t kRows[] = {0, 1, 2, 255, 256, 257, 1023, 1024, 1025, 2600};
   constexpr int64_t kStartCount = 7;
@@ -506,7 +512,12 @@ void ExpectKernelMatchesOracle(const Matrix& a, const Matrix& coef) {
   }
 }
 
-TEST(ScoringKernelOracleTest, RowCountsAroundTileEdges) {
+class ScoringKernelOracleTest : public testutil::KernelIsaTest {};
+INSTANTIATE_TEST_SUITE_P(Isa, ScoringKernelOracleTest,
+                         testutil::AllKernelIsas(),
+                         testutil::KernelIsaTestName);
+
+TEST_P(ScoringKernelOracleTest, RowCountsAroundTileEdges) {
   Rng rng(11);
   for (size_t n : {1, 2, 3, 4, 5, 6, 7, 255, 256, 257, 513}) {
     ExpectKernelMatchesOracle(KernelData(n, 40, rng),
@@ -514,9 +525,9 @@ TEST(ScoringKernelOracleTest, RowCountsAroundTileEdges) {
   }
 }
 
-TEST(ScoringKernelOracleTest, OutputCountsAroundTileEdges) {
+TEST_P(ScoringKernelOracleTest, OutputCountsAroundTileEdges) {
   Rng rng(12);
-  for (size_t outs = 1; outs <= 17; ++outs) {
+  for (size_t outs = 1; outs <= 25; ++outs) {
     ExpectKernelMatchesOracle(KernelData(257, 40, rng),
                               KernelCoefficients(40, outs, rng));
   }
@@ -524,7 +535,7 @@ TEST(ScoringKernelOracleTest, OutputCountsAroundTileEdges) {
                             KernelCoefficients(40, 41, rng));
 }
 
-TEST(ScoringKernelOracleTest, InnerDimensions) {
+TEST_P(ScoringKernelOracleTest, InnerDimensions) {
   Rng rng(13);
   for (size_t k : {0, 1, 2, 40}) {
     for (size_t outs : {7, 41}) {
@@ -534,36 +545,108 @@ TEST(ScoringKernelOracleTest, InnerDimensions) {
   }
 }
 
-// Cells drawn from NaN, +-Inf, +-0.0 and magnitudes near 1e+300 and
+// A cell drawn from NaN, +-Inf, +-0.0 and magnitudes near 1e+300 and
 // 1e-300 among ordinary ones, so every special-value rule of the term
 // order is exercised: 0 * Inf, Inf + -Inf, -0.0 + -0.0, products that
 // overflow to Inf or underflow to subnormals and zero, and tiny terms
-// absorbed by huge sums. Non-finite cells stay sparse enough that most
-// rows keep finite, order-sensitive outputs.
-TEST(ScoringKernelOracleTest, NonFiniteSignedZerosAndExtremeMagnitudes) {
+// absorbed by huge sums. Each non-finite kind has probability
+// `non_finite`.
+double SpecialValue(Rng& rng, double non_finite) {
+  const double u = rng.Uniform();
+  if (u < non_finite) return kNaN;
+  if (u < 2 * non_finite) return kInf;
+  if (u < 3 * non_finite) return -kInf;
+  const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+  const double v = rng.Uniform();
+  if (v < 0.15) return sign * 0.0;
+  if (v < 0.40) return sign * rng.Uniform(1.0, 10.0) * 1e300;
+  if (v < 0.65) return sign * rng.Uniform(1.0, 10.0) * 1e-300;
+  return MixedMagnitude(rng);
+}
+
+Matrix SpecialMatrix(size_t rows, size_t cols, double non_finite, Rng& rng) {
+  Matrix out(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      out.At(r, c) = SpecialValue(rng, non_finite);
+    }
+  }
+  return out;
+}
+
+// Non-finite cells stay sparse enough that most rows keep finite,
+// order-sensitive outputs.
+TEST_P(ScoringKernelOracleTest, NonFiniteSignedZerosAndExtremeMagnitudes) {
   Rng rng(14);
-  auto special = [&rng](double non_finite) {
-    const double u = rng.Uniform();
-    if (u < non_finite) return kNaN;
-    if (u < 2 * non_finite) return kInf;
-    if (u < 3 * non_finite) return -kInf;
-    const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
-    const double v = rng.Uniform();
-    if (v < 0.15) return sign * 0.0;
-    if (v < 0.40) return sign * rng.Uniform(1.0, 10.0) * 1e300;
-    if (v < 0.65) return sign * rng.Uniform(1.0, 10.0) * 1e-300;
-    return MixedMagnitude(rng);
-  };
   for (size_t n : {5, 257}) {
     for (size_t outs : {9, 41}) {
-      Matrix a(n, 40), coef(40, outs);
+      const Matrix a = SpecialMatrix(n, 40, 0.005, rng);
+      ExpectKernelMatchesOracle(a, SpecialMatrix(40, outs, 0.002, rng));
+    }
+  }
+}
+
+// The two kernel instances against each other on the special values
+// above: every non-NaN entry must match bit for bit, and every NaN entry
+// must be NaN in both. (NaN payloads belong to the instance.)
+TEST(KernelIsaCrossTest, InstancesAgreeOnSpecialValues) {
+  if (!internal::KernelIsaSupported(KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "avx2 not supported here";
+  }
+  const KernelIsa startup = SelectedKernelIsa();
+  auto under = [startup](KernelIsa isa, const auto& compute) {
+    internal::SetKernelIsaForTesting(isa);
+    Matrix result = compute();
+    internal::SetKernelIsaForTesting(startup);
+    return result;
+  };
+  Rng rng(15);
+  for (size_t n : {5, 257}) {
+    for (size_t outs : {9, 13, 23, 41}) {
+      const Matrix a = SpecialMatrix(n, 40, 0.005, rng);
+      const Matrix coef = SpecialMatrix(40, outs, 0.002, rng);
+      auto product = [&] { return a.Multiply(coef); };
+      EXPECT_EQ(CountMismatches(under(KernelIsa::kAvx2, product),
+                                under(KernelIsa::kSse2, product)),
+                0u)
+          << "Multiply n=" << n << " outs=" << outs;
+    }
+  }
+  // Few rows keep most Gram entries finite (extreme products overflow to
+  // +-Inf, and opposite infinities sum to NaN); 2600 rows cross the
+  // AddView shard edge, with non-finite cells in every fifth column only.
+  for (size_t m : {7, 17, 33, 40}) {
+    std::vector<std::string> names;
+    for (size_t c = 0; c < m; ++c) names.push_back("c" + std::to_string(c));
+    for (size_t n : {1, 2, 9, 2600}) {
+      Matrix data(n, m);
       for (size_t r = 0; r < n; ++r) {
-        for (size_t c = 0; c < 40; ++c) a.At(r, c) = special(0.005);
+        for (size_t c = 0; c < m; ++c) {
+          const double non_finite = n < 100 || c % 5 == 0 ? 0.01 : 0.0;
+          data.At(r, c) = SpecialValue(rng, non_finite);
+        }
       }
-      for (size_t r = 0; r < 40; ++r) {
-        for (size_t c = 0; c < outs; ++c) coef.At(r, c) = special(0.002);
-      }
-      ExpectKernelMatchesOracle(a, coef);
+      const dataframe::DataFrame frame = OracleFrames(data)[0];
+      auto view = frame.NumericViewFor(names);
+      ASSERT_TRUE(view.ok()) << view.status();
+      auto by_row = [&] {
+        GramAccumulator gram(m);
+        for (size_t r = 0; r < n; ++r) gram.Add(data.Row(r));
+        return gram.AugmentedGram();
+      };
+      auto by_view = [&] {
+        GramAccumulator gram(m);
+        gram.AddView(*view);
+        return gram.AugmentedGram();
+      };
+      EXPECT_EQ(CountMismatches(under(KernelIsa::kAvx2, by_row),
+                                under(KernelIsa::kSse2, by_row)),
+                0u)
+          << "Add m=" << m << " n=" << n;
+      EXPECT_EQ(CountMismatches(under(KernelIsa::kAvx2, by_view),
+                                under(KernelIsa::kSse2, by_view)),
+                0u)
+          << "AddView m=" << m << " n=" << n;
     }
   }
 }

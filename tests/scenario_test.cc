@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "kernel_isa_fixture.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -233,11 +234,18 @@ TEST(ScenarioTraceTest, RefreshEventsLandAtTheCadence) {
 
 // ---------------------------- golden traces ----------------------------
 
-// Every catalogue scenario's alarm trace is pinned byte-for-byte. A
-// mismatch here is trace drift: if intentional, regenerate via
+// Every catalogue scenario's alarm trace is pinned byte-for-byte, under
+// each compiled kernel instance the host can run (the instances agree on
+// every non-NaN bit, and scores carry no NaN). A mismatch here is trace
+// drift: if intentional, regenerate via
 //   ./build/ccsynth gauntlet --update-golden tests/golden
 // and commit the diff (workflow: docs/scenarios.md).
-TEST(ScenarioGoldenTest, CatalogueTracesMatchCheckedInGoldens) {
+class ScenarioGoldenTest : public testutil::KernelIsaTest {};
+INSTANTIATE_TEST_SUITE_P(Isa, ScenarioGoldenTest,
+                         testutil::AllKernelIsas(),
+                         testutil::KernelIsaTestName);
+
+TEST_P(ScenarioGoldenTest, CatalogueTracesMatchCheckedInGoldens) {
   for (const std::string& name : CatalogueNames()) {
     auto spec = CatalogueSpec(name);
     ASSERT_TRUE(spec.ok()) << name;

@@ -22,9 +22,10 @@
 //       periodic incremental re-synthesis of the reference profile.
 //       --stats additionally reports per-window allocation behaviour
 //       (rows copied per emit, rolling-buffer reallocations and
-//       capacity), the rows actually scored, and peak RSS, making the
-//       zero-copy windowing and score-once scoring observable from the
-//       CLI. --trace records stage spans into a Chrome trace-event
+//       capacity), the rows actually scored, peak RSS, and the kernel
+//       instance the host selected (sse2 or avx2), making the zero-copy
+//       windowing and score-once scoring observable from the CLI.
+//       --trace records stage spans into a Chrome trace-event
 //       file (chrome://tracing / Perfetto);
 //       --metrics-json dumps the metrics registry (counters, queue-wait
 //       histograms) as one JSON line on stderr after the run;
@@ -84,6 +85,7 @@
 #include "core/serialize.h"
 #include "core/synthesizer.h"
 #include "dataframe/csv.h"
+#include "linalg/matrix.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "stream/checkpoint.h"
@@ -511,6 +513,9 @@ int RunMonitor(const std::vector<std::string>& args) {
       std::fprintf(stderr, "ccsynth: peak RSS %.1f MiB\n",
                    static_cast<double>(usage.ru_maxrss) / 1024.0);
     }
+    // Ties throughput and NaN payloads to the host's instance.
+    std::fprintf(stderr, "ccsynth: kernels: %s\n",
+                 linalg::KernelIsaName(linalg::SelectedKernelIsa()));
   }
   if (emit_metrics_json) {
     // Last stderr line of the run: the registry the pipeline itself
