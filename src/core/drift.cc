@@ -10,26 +10,6 @@ Status ConformanceDriftQuantifier::Fit(const dataframe::DataFrame& reference) {
   return Status::OK();
 }
 
-Status ConformanceDriftQuantifier::FitExpanded(
-    const dataframe::DataFrame& reference,
-    const PolynomialExpansionOptions& expansion) {
-  // Synthesize the global simple constraint straight from the derived
-  // expansion view — the expanded frame ExpandPolynomial would build
-  // is never materialized. Same Gram-ingest kernel as the materialized
-  // path, so the profile is ConstraintsBitwiseEqual to synthesizing on
-  // ExpandPolynomial(reference).
-  CCS_ASSIGN_OR_RETURN(ExpandedView expanded,
-                       ExpandPolynomialView(reference, expansion));
-  CCS_ASSIGN_OR_RETURN(
-      SimpleConstraint global,
-      synthesizer_.SynthesizeSimpleFromView(expanded.names, expanded.view));
-  constraint_ = ConformanceConstraint(std::move(global), {});
-  expansion_ = expansion;
-  expanded_ = true;
-  fitted_ = true;
-  return Status::OK();
-}
-
 void ConformanceDriftQuantifier::Adopt(ConformanceConstraint constraint) {
   constraint_ = std::move(constraint);
   fitted_ = true;
@@ -40,14 +20,6 @@ StatusOr<double> ConformanceDriftQuantifier::Score(
   if (!fitted_) {
     return Status::FailedPrecondition("Score called before Fit");
   }
-  if (expanded_) {
-    if (window.num_rows() == 0) {
-      return Status::InvalidArgument("MeanViolation: empty dataset");
-    }
-    CCS_ASSIGN_OR_RETURN(linalg::Vector v,
-                         TupleViolations(window, num_threads));
-    return v.Mean();
-  }
   return constraint_.MeanViolation(window, num_threads);
 }
 
@@ -55,18 +27,6 @@ StatusOr<linalg::Vector> ConformanceDriftQuantifier::TupleViolations(
     const dataframe::DataFrame& window, size_t num_threads) const {
   if (!fitted_) {
     return Status::FailedPrecondition("TupleViolations called before Fit");
-  }
-  if (expanded_) {
-    // Lazy expansion of the window: the aligned scorer walks the
-    // derived view in place (column order = the constraint's expanded
-    // attribute order by construction). The single-group divide of
-    // ConformanceConstraint::ViolationAll is x / 1.0 — a bitwise
-    // no-op — so this matches the materialized global-only path
-    // exactly.
-    CCS_ASSIGN_OR_RETURN(ExpandedView expanded,
-                         ExpandPolynomialView(window, expansion_));
-    return constraint_.global().ViolationAllAligned(expanded.view,
-                                                    num_threads);
   }
   return constraint_.ViolationAll(window, num_threads);
 }

@@ -10,7 +10,6 @@
 
 #include "common/statusor.h"
 #include "core/constraint.h"
-#include "core/kernel.h"
 #include "core/synthesizer.h"
 #include "dataframe/dataframe.h"
 
@@ -26,19 +25,6 @@ class ConformanceDriftQuantifier {
 
   /// Learns the reference profile.
   Status Fit(const dataframe::DataFrame& reference);
-
-  /// Learns the reference profile over a *lazy* degree-2 polynomial
-  /// expansion of the reference (§5.1 nonlinear constraints): the
-  /// global simple constraint is synthesized straight from
-  /// ExpandPolynomialView's derived view, and Score / TupleViolations
-  /// walk the same derived view of each window — no expanded frame is
-  /// ever materialized, here or per window. Bitwise identical to
-  /// Fit(ExpandPolynomial(reference)) scored on
-  /// ExpandPolynomial(window) with a global-only constraint (the
-  /// expanded profile has no categorical attributes, so no
-  /// disjunctions on either path).
-  Status FitExpanded(const dataframe::DataFrame& reference,
-                     const PolynomialExpansionOptions& expansion);
 
   /// Adopts an externally synthesized constraint as the reference
   /// profile — the streaming-refresh hook (§4.3.2): an
@@ -65,17 +51,11 @@ class ConformanceDriftQuantifier {
   /// The learned constraint, available after Fit.
   const ConformanceConstraint& constraint() const { return constraint_; }
   bool fitted() const { return fitted_; }
-  /// True after FitExpanded: scoring walks lazy expanded views.
-  bool expanded() const { return expanded_; }
 
  private:
   Synthesizer synthesizer_;
   ConformanceConstraint constraint_;
   bool fitted_ = false;
-  // FitExpanded state: when set, Score/TupleViolations expand each
-  // window lazily with these options before scoring.
-  bool expanded_ = false;
-  PolynomialExpansionOptions expansion_;
 };
 
 /// Scores a sequence of windows against the first (reference) window and

@@ -17,35 +17,10 @@ void IncrementalSynthesizer::Observe(const linalg::Vector& numeric_tuple) {
   gram_.Add(numeric_tuple);
 }
 
-StatusOr<IncrementalSynthesizer> IncrementalSynthesizer::WithExpansion(
-    const std::vector<std::string>& base_names,
-    const PolynomialExpansionOptions& expansion, SynthesisOptions options) {
-  if (base_names.empty()) {
-    return Status::InvalidArgument(
-        "IncrementalSynthesizer: no numeric attributes to expand");
-  }
-  std::vector<std::string> expanded = ExpandedNames(base_names, expansion);
-  if (expanded.empty()) {
-    return Status::InvalidArgument(
-        "IncrementalSynthesizer: options produced an empty expansion");
-  }
-  IncrementalSynthesizer out(std::move(expanded), options);
-  out.exprs_ = ExpansionExprs(base_names, expansion);
-  return out;
-}
-
 Status IncrementalSynthesizer::ObserveAll(const dataframe::DataFrame& df) {
   // The stream pipeline feeds rolling-buffer window views through here
   // every slide; walking them in place keeps the refresh path
-  // allocation-free in the window size. (Already view-based — never
-  // NumericMatrixFor — and under WithExpansion the polynomial terms are
-  // derived into the Gram walk's gather scratch, so even the expanded
-  // refresh path materializes nothing.)
-  if (!exprs_.empty()) {
-    CCS_ASSIGN_OR_RETURN(linalg::MatrixView data, df.DerivedViewFor(exprs_));
-    gram_.AddView(data);
-    return Status::OK();
-  }
+  // allocation-free in the window size.
   CCS_ASSIGN_OR_RETURN(linalg::MatrixView data, df.NumericViewFor(names_));
   gram_.AddView(data);
   return Status::OK();
@@ -67,17 +42,13 @@ StatusOr<SimpleConstraint> IncrementalSynthesizer::Synthesize() const {
 
 StatusOr<StreamMonitor> StreamMonitor::Create(
     const dataframe::DataFrame& reference, double alarm_threshold,
-    SynthesisOptions options, const PolynomialExpansionOptions* expansion) {
+    SynthesisOptions options) {
   if (!(alarm_threshold >= 0.0 && alarm_threshold <= 1.0)) {
     return Status::InvalidArgument(
         "StreamMonitor: alarm_threshold must be in [0,1]");
   }
   ConformanceDriftQuantifier quantifier(options);
-  if (expansion != nullptr) {
-    CCS_RETURN_IF_ERROR(quantifier.FitExpanded(reference, *expansion));
-  } else {
-    CCS_RETURN_IF_ERROR(quantifier.Fit(reference));
-  }
+  CCS_RETURN_IF_ERROR(quantifier.Fit(reference));
   return StreamMonitor(std::move(quantifier), alarm_threshold);
 }
 

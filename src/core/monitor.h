@@ -11,7 +11,6 @@
 #ifndef CCS_CORE_MONITOR_H_
 #define CCS_CORE_MONITOR_H_
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "common/thread_annotations.h"
 #include "core/constraint.h"
 #include "core/drift.h"
-#include "core/kernel.h"
 #include "core/synthesizer.h"
 #include "dataframe/dataframe.h"
 
@@ -34,25 +32,10 @@ class IncrementalSynthesizer {
   IncrementalSynthesizer(std::vector<std::string> attribute_names,
                          SynthesisOptions options = SynthesisOptions());
 
-  /// An incremental synthesizer whose schema is the degree-2 polynomial
-  /// expansion of `base_names`: ObserveAll lazily derives the expanded
-  /// columns (squares, cross terms) of each observed frame straight
-  /// into the Gram walk — the expanded frame ExpandPolynomial would
-  /// build per refresh is never materialized. attribute_names() (and
-  /// the checkpointed schema) become ExpandedNames(base_names,
-  /// expansion); Observe then expects already-expanded tuples.
-  static StatusOr<IncrementalSynthesizer> WithExpansion(
-      const std::vector<std::string>& base_names,
-      const PolynomialExpansionOptions& expansion,
-      SynthesisOptions options = SynthesisOptions());
-
-  /// Ingests one aligned numeric tuple (aligned with attribute_names(),
-  /// i.e. already expanded under WithExpansion).
+  /// Ingests one numeric tuple aligned with attribute_names().
   void Observe(const linalg::Vector& numeric_tuple);
 
-  /// Ingests every row of a DataFrame carrying the schema's attributes
-  /// (the *base* attributes under WithExpansion — expansion is derived
-  /// here, lazily).
+  /// Ingests every row of a DataFrame carrying the schema's attributes.
   Status ObserveAll(const dataframe::DataFrame& df);
 
   /// Merges the observations of another incremental synthesizer built
@@ -81,10 +64,6 @@ class IncrementalSynthesizer {
   std::vector<std::string> names_;
   Synthesizer synthesizer_;
   linalg::GramAccumulator gram_;
-  // Non-empty only under WithExpansion: the derived-column recipe
-  // ObserveAll resolves against each observed frame (name-based, so it
-  // borrows nothing from any frame).
-  std::vector<dataframe::ColumnExpr> exprs_;
 };
 
 /// Result of scoring one window.
@@ -106,16 +85,10 @@ struct WindowScore {
 class StreamMonitor {
  public:
   /// Learns the reference profile from `reference`; windows scoring above
-  /// `alarm_threshold` are flagged. When `expansion` is non-null the
-  /// profile is the global constraint over the lazy degree-2 polynomial
-  /// expansion (ConformanceDriftQuantifier::FitExpanded) and every
-  /// window is scored through the same derived view — opt-in, so
-  /// default monitoring output (and the golden alarm traces) is
-  /// untouched.
+  /// `alarm_threshold` are flagged.
   static StatusOr<StreamMonitor> Create(
       const dataframe::DataFrame& reference, double alarm_threshold,
-      SynthesisOptions options = SynthesisOptions(),
-      const PolynomialExpansionOptions* expansion = nullptr);
+      SynthesisOptions options = SynthesisOptions());
 
   /// Movable (through StatusOr); moving while another thread observes or
   /// reads the source is undefined, as for any move.

@@ -68,36 +68,21 @@ StatusOr<StreamPipeline> StreamPipeline::Create(const DataFrame& reference,
 
   CCS_ASSIGN_OR_RETURN(
       core::StreamMonitor monitor,
-      core::StreamMonitor::Create(
-          reference, options.alarm_threshold, options.synthesis,
-          options.expand_polynomial ? &options.expansion : nullptr));
+      core::StreamMonitor::Create(reference, options.alarm_threshold,
+                                  options.synthesis));
   std::vector<std::string> numeric_names = reference.NumericNames();
   if (numeric_names.empty()) {
     return Status::InvalidArgument(
         "StreamPipeline: reference has no numeric attributes");
   }
-  // Opt-in lazy polynomial expansion (docs/architecture.md, "Derived
-  // columns"): the profile's schema becomes the expanded attribute set
-  // and every ObserveAll derives the expansion straight into the Gram
-  // walk — the refresh path never rebuilds an expanded frame per
-  // window. Off by default, so plain monitoring output and the golden
-  // alarm traces are byte-identical to before.
-  std::optional<core::IncrementalSynthesizer> profile;
-  if (options.expand_polynomial) {
-    CCS_ASSIGN_OR_RETURN(core::IncrementalSynthesizer expanded,
-                         core::IncrementalSynthesizer::WithExpansion(
-                             numeric_names, options.expansion,
-                             options.synthesis));
-    profile.emplace(std::move(expanded));
-  } else {
-    profile.emplace(numeric_names, options.synthesis);
-  }
+  core::IncrementalSynthesizer profile(std::move(numeric_names),
+                                       options.synthesis);
   if (options.refresh_every > 0) {
     // Seed the streaming Gram state with the reference, so the first
     // refresh profiles reference + everything scored so far.
-    CCS_RETURN_IF_ERROR(profile->ObserveAll(reference));
+    CCS_RETURN_IF_ERROR(profile.ObserveAll(reference));
   }
-  return StreamPipeline(std::move(monitor), std::move(*profile),
+  return StreamPipeline(std::move(monitor), std::move(profile),
                         reference.schema(), options);
 }
 

@@ -85,18 +85,6 @@ struct StreamPipelineOptions {
   /// Constraint-synthesis configuration for the reference profile and
   /// its refreshes.
   core::SynthesisOptions synthesis;
-  /// Monitor the degree-2 polynomial expansion of the numeric
-  /// attributes instead of the raw attributes (§5.1 nonlinear
-  /// constraints). The expansion is *lazy* end to end: reference
-  /// profile, per-window scoring, and the periodic Gram refresh all
-  /// walk derived-column views (docs/architecture.md, "Derived
-  /// columns") — no expanded frame is ever materialized. Off by
-  /// default; plain runs (and the golden alarm traces) are unchanged.
-  /// The checkpointed attribute schema becomes the expanded names, so
-  /// resume requires the same setting.
-  bool expand_polynomial = false;
-  /// Expansion shape when expand_polynomial is set.
-  core::PolynomialExpansionOptions expansion;
   /// Invoked on the calling thread immediately after each reference
   /// refresh, with the number of windows scored so far (the refresh
   /// boundary index). Refreshes happen at fixed window indices, so the

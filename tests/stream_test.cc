@@ -819,25 +819,18 @@ TEST(IncrementalSynthesizerTest, SynthesizeWithNoObservationsFails) {
 
 // The serial reference implementation the pipeline must match bitwise:
 // parse each segment, window it afresh (as each Run does), ObserveWindow
-// every window in order, and mirror the pipeline's expansion setting and
-// its refresh cadence over the whole history.
+// every window in order, and mirror the pipeline's refresh cadence over
+// the whole history.
 std::vector<WindowScore> SerialLoop(
     const DataFrame& reference, const std::vector<std::string>& segments,
     const StreamPipelineOptions& options,
     const dataframe::CsvOptions& csv_options = dataframe::CsvOptions()) {
-  auto monitor = StreamMonitor::Create(
-      reference, options.alarm_threshold, options.synthesis,
-      options.expand_polynomial ? &options.expansion : nullptr);
+  auto monitor = StreamMonitor::Create(reference, options.alarm_threshold,
+                                       options.synthesis);
   CCS_CHECK(monitor.ok());
-  StatusOr<IncrementalSynthesizer> profile =
-      options.expand_polynomial
-          ? IncrementalSynthesizer::WithExpansion(
-                reference.NumericNames(), options.expansion, options.synthesis)
-          : StatusOr<IncrementalSynthesizer>(IncrementalSynthesizer(
-                reference.NumericNames(), options.synthesis));
-  CCS_CHECK(profile.ok());
+  IncrementalSynthesizer profile(reference.NumericNames(), options.synthesis);
   if (options.refresh_every > 0) {
-    CCS_CHECK(profile->ObserveAll(reference).ok());
+    CCS_CHECK(profile.ObserveAll(reference).ok());
   }
   for (const std::string& csv_text : segments) {
     std::istringstream in(csv_text);
@@ -850,9 +843,9 @@ std::vector<WindowScore> SerialLoop(
     for (const DataFrame& window : *windows) {
       CCS_CHECK(monitor->ObserveWindow(window).ok());
       if (options.refresh_every > 0) {
-        CCS_CHECK(profile->ObserveAll(window).ok());
+        CCS_CHECK(profile.ObserveAll(window).ok());
         if (monitor->history_size() % options.refresh_every == 0) {
-          auto refreshed = profile->Synthesize();
+          auto refreshed = profile.Synthesize();
           CCS_CHECK(refreshed.ok());
           CCS_CHECK(monitor->RefreshReference(*refreshed).ok());
         }
@@ -927,56 +920,18 @@ TEST_F(StreamPipelineTest, MatchesSerialLoopWithSlideAndRefresh) {
   options.refresh_every = 3;    // Periodic incremental re-synthesis.
   options.chunk_rows = 41;
   options.queue_capacity = 2;
-  options.max_batch_windows = 4;
 
-  for (size_t slide : {0u, 25u}) {  // Tumbling, then sliding windows.
+  // Tumbling, then sliding windows at a long and a short step.
+  for (size_t slide : {0u, 25u, 7u}) {
     options.slide_rows = slide;
     std::vector<WindowScore> serial =
         SerialLoop(reference, {csv_text}, options);
     ASSERT_FALSE(serial.empty());
-
-    for (size_t threads : {1u, 4u}) {
-      SCOPED_TRACE("slide " + std::to_string(slide) + " threads " +
-                   std::to_string(threads));
-      options.num_threads = threads;
-      auto pipeline = StreamPipeline::Create(reference, options);
-      ASSERT_TRUE(pipeline.ok());
-      std::istringstream in(csv_text);
-      auto stats = pipeline->Run(in);
-      ASSERT_TRUE(stats.ok()) << stats.status;
-      EXPECT_GT(stats->refreshes, 0u);
-      ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
-    }
-  }
-}
-
-TEST_F(StreamPipelineTest, ExpandPolynomialOptInMatchesSerialExpandedLoop) {
-  // The opt-in lazy expansion: the monitor scores each window through a
-  // derived degree-2 view and the refresh profile derives the expanded
-  // columns inside its Gram walk — no expanded frame is ever built. The
-  // pipeline must match a serial loop running the same expanded monitor
-  // and WithExpansion refresh cadence, bitwise, at 1 and 4 lanes, with
-  // tumbling windows and with sliding ones, whose score-once path must
-  // rescore the whole window after each refresh.
-  DataFrame reference = TrendFrame(300, 0.0, 40);
-  std::string csv_text = ToCsv(TrendFrame(600, 5.0, 41, /*drift_from=*/300));
-
-  StreamPipelineOptions options;
-  options.window_rows = 60;
-  options.alarm_threshold = 0.25;
-  options.refresh_every = 3;
-  options.chunk_rows = 41;
-  options.queue_capacity = 2;
-  options.expand_polynomial = true;
-
-  for (size_t slide : {60u, 7u}) {
-    options.slide_rows = slide;
-    std::vector<WindowScore> serial =
-        SerialLoop(reference, {csv_text}, options);
-    ASSERT_EQ(serial.size(), (600 - 60) / slide + 1);
     // The first window, and the window after each refresh, are scored
-    // whole; every other window scores only its slide.
+    // whole; every other window scores only the rows its step brings in.
+    const size_t step = slide ? slide : options.window_rows;
     const size_t whole = 1 + (serial.size() - 1) / options.refresh_every;
+
     for (size_t batch : {1u, 4u}) {
       for (size_t threads : {1u, 4u}) {
         SCOPED_TRACE("slide " + std::to_string(slide) + " batch " +
@@ -985,14 +940,13 @@ TEST_F(StreamPipelineTest, ExpandPolynomialOptInMatchesSerialExpandedLoop) {
         options.max_batch_windows = batch;
         options.num_threads = threads;
         auto pipeline = StreamPipeline::Create(reference, options);
-        ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+        ASSERT_TRUE(pipeline.ok());
         std::istringstream in(csv_text);
         auto stats = pipeline->Run(in);
         ASSERT_TRUE(stats.ok()) << stats.status;
         EXPECT_EQ(stats->refreshes, serial.size() / options.refresh_every);
         EXPECT_EQ(stats->rows_scored,
-                  serial.size() * slide +
-                      whole * (options.window_rows - slide));
+                  serial.size() * step + whole * (options.window_rows - step));
         ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
       }
     }

@@ -18,9 +18,7 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/constraint.h"
-#include "core/drift.h"
 #include "core/kernel.h"
-#include "core/monitor.h"
 #include "core/projection.h"
 #include "core/synthesizer.h"
 #include "dataframe/csv.h"
@@ -377,12 +375,10 @@ TEST(ViewEquivalenceTest, ViolationAllOnViewsBitwiseMatchesMaterialized) {
 // ------------------- derived-column pipelines --------------------------
 //
 // The lazy derived-column paths (ExpandPolynomialView, TransformView,
-// Projection::EvaluateAll, FitExpanded, WithExpansion) must be bitwise
-// indistinguishable from materializing the expanded/scaled frame first:
-// both sides funnel every cell through the same compiled Eval*Column
-// kernels, so not a single bit may move — at any thread count.
-
-bool BitsEqualScalar(double a, double b) { return BitsEqual(a, b); }
+// Projection::EvaluateAll) must be bitwise indistinguishable from
+// materializing the expanded/scaled frame first: both sides funnel every
+// cell through the same compiled Eval*Column kernels, so not a single
+// bit may move — at any thread count.
 
 void ExpectVectorsBitwiseEqual(const linalg::Vector& a,
                                const linalg::Vector& b) {
@@ -472,71 +468,6 @@ TEST(DerivedPipelineTest, ScalerTransformViewBitwiseMatchesTransform) {
   auto sliced_view = scaler->TransformView(sliced, names);
   ASSERT_TRUE(sliced_view.ok());
   ExpectMatricesBitwiseEqual(sliced_view->ToMatrix(), *sliced_flat);
-}
-
-TEST(DerivedPipelineTest, ExpandedDriftScoringBitwiseMatchesMaterialized) {
-  DataFrame reference = MakeFrame(500, 23);
-  DataFrame window = MakeFrame(200, 24);
-  core::PolynomialExpansionOptions expansion;
-  for (size_t threads : {1u, 4u}) {
-    common::SetDefaultThreadCount(threads);
-    core::ConformanceDriftQuantifier lazy;
-    ASSERT_TRUE(lazy.FitExpanded(reference, expansion).ok());
-    EXPECT_TRUE(lazy.expanded());
-    // Materialized twin: synthesize on the expanded reference frame and
-    // score the expanded window with the global simple constraint.
-    auto flat_reference = core::ExpandPolynomial(reference, expansion);
-    ASSERT_TRUE(flat_reference.ok());
-    core::Synthesizer synthesizer;
-    auto simple = synthesizer.SynthesizeSimple(*flat_reference);
-    ASSERT_TRUE(simple.ok()) << simple.status();
-    auto flat_window = core::ExpandPolynomial(window, expansion);
-    ASSERT_TRUE(flat_window.ok());
-    auto flat_tuples = simple->ViolationAll(*flat_window);
-    ASSERT_TRUE(flat_tuples.ok()) << flat_tuples.status();
-    const linalg::Vector& expected = *flat_tuples;
-    auto tuples = lazy.TupleViolations(window);
-    ASSERT_TRUE(tuples.ok()) << tuples.status();
-    ExpectVectorsBitwiseEqual(*tuples, expected);
-    auto score = lazy.Score(window);
-    ASSERT_TRUE(score.ok());
-    EXPECT_TRUE(BitsEqualScalar(*score, expected.Mean()))
-        << "threads=" << threads;
-  }
-  common::SetDefaultThreadCount(0);
-}
-
-TEST(DerivedPipelineTest, IncrementalExpansionMatchesMaterializedRefresh) {
-  // The streaming-refresh loop: observing raw base frames through the
-  // lazy expansion must synthesize the same bits as materializing
-  // ExpandPolynomial per batch — the allocation the refactor removed.
-  DataFrame batch1 = MakeFrame(300, 25);
-  DataFrame batch2 = MakeFrame(180, 26);
-  std::vector<std::string> base = batch1.NumericNames();
-  core::PolynomialExpansionOptions expansion;
-  std::vector<std::string> expanded_names =
-      core::ExpandedNames(base, expansion);
-  for (size_t threads : {1u, 4u}) {
-    common::SetDefaultThreadCount(threads);
-    auto lazy = core::IncrementalSynthesizer::WithExpansion(base, expansion);
-    ASSERT_TRUE(lazy.ok()) << lazy.status();
-    EXPECT_EQ(lazy->attribute_names(), expanded_names);
-    core::IncrementalSynthesizer flat(expanded_names);
-    for (const DataFrame* batch : {&batch1, &batch2}) {
-      ASSERT_TRUE(lazy->ObserveAll(*batch).ok());
-      auto expanded = core::ExpandPolynomial(*batch, expansion);
-      ASSERT_TRUE(expanded.ok());
-      ASSERT_TRUE(flat.ObserveAll(*expanded).ok());
-    }
-    EXPECT_EQ(lazy->count(), flat.count());
-    auto from_lazy = lazy->Synthesize();
-    auto from_flat = flat.Synthesize();
-    ASSERT_TRUE(from_lazy.ok()) << from_lazy.status();
-    ASSERT_TRUE(from_flat.ok()) << from_flat.status();
-    EXPECT_TRUE(core::ConstraintsBitwiseEqual(*from_lazy, *from_flat))
-        << "threads=" << threads;
-  }
-  common::SetDefaultThreadCount(0);
 }
 
 }  // namespace

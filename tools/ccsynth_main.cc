@@ -36,6 +36,7 @@
 //       state every --checkpoint-every consumed windows (and at end of
 //       run); --resume continues from that file after a crash, with the
 //       resumed alarm trace bitwise identical to the uninterrupted run.
+//       --checkpoint-every and --resume without --checkpoint exit 1.
 //       --faults arms the deterministic fault injector from a JSON spec
 //       (a file path or an inline '{...}' literal); the per-stage
 //       --*-policy flags take "fail-fast" (default), "quarantine",
@@ -255,6 +256,7 @@ int RunMonitor(const std::vector<std::string>& args) {
   bool emit_stats = false;
   bool emit_metrics_json = false;
   bool resume = false;
+  bool checkpoint_every_given = false;
   size_t heartbeat = 0;
   stream::StreamPipelineOptions options;
   options.alarm_threshold = 0.05;
@@ -309,6 +311,7 @@ int RunMonitor(const std::vector<std::string>& args) {
         return Fail(Status::InvalidArgument("bad --checkpoint-every"));
       }
       options.checkpoint_every = static_cast<size_t>(*n);
+      checkpoint_every_given = true;
     } else if (const std::string* v = flag_value("--faults")) {
       faults_arg = *v;
     } else if (const std::string* v = flag_value("--ingest-policy")) {
@@ -341,6 +344,10 @@ int RunMonitor(const std::vector<std::string>& args) {
   if (reference_path.empty() || stream_path.empty()) return Usage();
   if (resume && options.checkpoint_path.empty()) {
     return Fail(Status::InvalidArgument("--resume requires --checkpoint"));
+  }
+  if (checkpoint_every_given && options.checkpoint_path.empty()) {
+    return Fail(
+        Status::InvalidArgument("--checkpoint-every requires --checkpoint"));
   }
   // Tail semantics: parse no coarser than the window step, so on a live
   // stream the first score appears as soon as its window is complete
