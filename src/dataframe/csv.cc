@@ -6,7 +6,9 @@
 #include <streambuf>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/string_util.h"
+#include "obs/trace.h"
 
 namespace ccs::dataframe {
 
@@ -23,9 +25,28 @@ std::optional<double> NumericCell(std::string_view cell, double missing) {
 // Row capacity CsvChunkReader reserves per column and chunk.
 constexpr size_t kReserveRows = 4096;
 
+// Cells per row block of CsvChunkReader's conversion stage.
+constexpr size_t kBlockCells = 1024;
+
 }  // namespace
 
 namespace internal {
+
+void SplitFields(std::string_view record, char delimiter,
+                 std::vector<std::string_view>* fields) {
+  fields->clear();
+  const char* field = record.data();
+  const char* const record_end = field + record.size();
+  while (field != record_end) {
+    const void* cut =
+        std::memchr(field, delimiter, static_cast<size_t>(record_end - field));
+    if (cut == nullptr) break;
+    const char* at = static_cast<const char*>(cut);
+    fields->emplace_back(field, static_cast<size_t>(at - field));
+    field = at + 1;
+  }
+  fields->emplace_back(field, static_cast<size_t>(record_end - field));
+}
 
 CsvTokenizer::CsvTokenizer(std::istream* in, char delimiter)
     : in_(in), delimiter_(delimiter), buffer_(kBlockBytes) {}
@@ -75,14 +96,28 @@ size_t CsvTokenizer::FindStructural(size_t from) const {
   return stop;
 }
 
+bool CsvTokenizer::WouldBlock() {
+  if (begin_ < end_ || !in_->good()) return false;
+  std::streambuf* source = in_->rdbuf();
+  return source != nullptr && source->in_avail() <= 0;
+}
+
 StatusOr<bool> CsvTokenizer::Next() {
+  StatusOr<bool> got = Locate();
+  if (got.ok() && *got && !quoted_) SplitFields(record_, delimiter_, &fields_);
+  return got;
+}
+
+StatusOr<bool> CsvTokenizer::Locate() {
   fields_.clear();
   lines_ = 0;
+  quoted_ = false;
+  record_ = std::string_view();
   if (begin_ == end_ && !Refill()) return false;
   // A delimiter that is itself a structural byte only the state machine
   // orders correctly.
   if (delimiter_ == '"' || delimiter_ == '\n' || delimiter_ == '\r') {
-    return NextQuoted();
+    return LocateQuoted();
   }
   // Find the record's first structural byte, refilling while the buffer
   // ends first. `scan` is relative to begin_, which a refill moves.
@@ -96,7 +131,7 @@ StatusOr<bool> CsvTokenizer::Next() {
       break;
     }
   }
-  if (!at_eof && buffer_[begin_ + scan] == '"') return NextQuoted();
+  if (!at_eof && buffer_[begin_ + scan] == '"') return LocateQuoted();
 
   size_t terminator = 0;
   if (!at_eof) {
@@ -107,23 +142,13 @@ StatusOr<bool> CsvTokenizer::Next() {
       terminator = 2;
     }
   }
-  const char* field = buffer_.data() + begin_;
-  const char* const record_end = field + scan;
-  for (;;) {
-    const void* cut =
-        std::memchr(field, delimiter_, static_cast<size_t>(record_end - field));
-    if (cut == nullptr) break;
-    const char* at = static_cast<const char*>(cut);
-    fields_.emplace_back(field, static_cast<size_t>(at - field));
-    field = at + 1;
-  }
-  fields_.emplace_back(field, static_cast<size_t>(record_end - field));
+  record_ = std::string_view(buffer_.data() + begin_, scan);
   begin_ += scan + terminator;
   lines_ = 1;
   return true;
 }
 
-StatusOr<bool> CsvTokenizer::NextQuoted() {
+StatusOr<bool> CsvTokenizer::LocateQuoted() {
   // Unescapes in place: each field's bytes are written back at `write`,
   // which never passes `read`. Both are relative to begin_.
   size_t read = 0;
@@ -167,6 +192,7 @@ StatusOr<bool> CsvTokenizer::NextQuoted() {
     }
   }
   lines_ = embedded_newlines + 1;
+  quoted_ = true;
   const char* data = buffer_.data() + begin_;
   begin_ += read;
   if (in_quotes) return Status::InvalidArgument("unterminated quoted field");
@@ -227,29 +253,28 @@ StatusOr<DataFrame> ReadCsv(std::istream& in, const CsvOptions& options) {
 
   DataFrame df;
   for (size_t c = 0; c < num_cols; ++c) {
+    // A column is numeric iff some cell is non-empty and every non-empty
+    // cell parses; the values inference parsed are the column's.
     bool numeric = options.infer_types && !cells[c].empty();
-    if (options.infer_types) {
-      bool any_value = false;
+    bool any_value = false;
+    std::vector<double> values;
+    if (numeric) {
+      values.reserve(cells[c].size());
       for (const std::string& cell : cells[c]) {
-        if (Trim(cell).empty()) continue;
-        any_value = true;
-        if (!ParseDouble(cell).has_value()) {
+        if (Trim(cell).empty()) {
+          values.push_back(options.missing_numeric);
+          continue;
+        }
+        const std::optional<double> parsed = ParseDouble(cell);
+        if (!parsed.has_value()) {
           numeric = false;
           break;
         }
+        any_value = true;
+        values.push_back(*parsed);
       }
-      if (!any_value) numeric = false;  // All-empty column: categorical.
-    } else {
-      numeric = false;
     }
-    if (numeric) {
-      std::vector<double> values;
-      values.reserve(cells[c].size());
-      for (const std::string& cell : cells[c]) {
-        // Inference already proved every non-empty cell parses.
-        auto parsed = NumericCell(cell, options.missing_numeric);
-        values.push_back(parsed.value_or(options.missing_numeric));
-      }
+    if (numeric && any_value) {
       CCS_RETURN_IF_ERROR(df.AddNumericColumn(header[c], std::move(values)));
     } else {
       CCS_RETURN_IF_ERROR(
@@ -271,7 +296,15 @@ CsvChunkReader::CsvChunkReader(std::istream* in, Schema schema,
     : tokenizer_(in, options.delimiter),
       schema_(std::move(schema)),
       options_(options),
-      dicts_(schema_.num_attributes()) {}
+      dicts_(schema_.num_attributes()),
+      numeric_(schema_.num_attributes()),
+      codes_(schema_.num_attributes()) {
+  for (size_t i = 0; i < schema_.num_attributes(); ++i) {
+    if (schema_.attribute(i).type != AttributeType::kNumeric) {
+      categorical_attrs_.push_back(i);
+    }
+  }
+}
 
 Status CsvChunkReader::ReadHeader() {
   col_map_.assign(schema_.num_attributes(), 0);
@@ -313,7 +346,8 @@ Status CsvChunkReader::ReadHeader() {
   return Status::OK();
 }
 
-StatusOr<DataFrame> CsvChunkReader::ReadChunk(size_t max_rows) {
+StatusOr<DataFrame> CsvChunkReader::ReadChunk(size_t max_rows,
+                                              size_t num_threads) {
   // A malformed row diagnosed on the previous call (after good rows had
   // already been parsed into that chunk) was deferred so the good prefix
   // could be delivered first; surface it now.
@@ -322,107 +356,252 @@ StatusOr<DataFrame> CsvChunkReader::ReadChunk(size_t max_rows) {
     pending_error_ = Status::OK();
     return error;
   }
-  if (!header_done_) CCS_RETURN_IF_ERROR(ReadHeader());
-
-  const size_t m = schema_.num_attributes();
-  std::vector<std::vector<double>> numeric(m);
-  std::vector<std::vector<uint32_t>> categorical(m);
-  // Size each column for the chunk up front instead of regrowing it row
-  // by row; the cap keeps a read-everything max_rows from allocating
-  // ahead of the data.
-  const size_t reserve_rows = std::min(max_rows, kReserveRows);
-  for (size_t i = 0; i < m; ++i) {
-    if (schema_.attribute(i).type == AttributeType::kNumeric) {
-      numeric[i].reserve(reserve_rows);
-    } else {
-      categorical[i].reserve(reserve_rows);
-    }
-  }
-
-  // Diagnoses the malformed record on physical line `record_line` and
-  // either returns it (no rows parsed yet) or stashes it and truncates
-  // the partially-parsed row, so the caller first receives every good
-  // row and then — on its next call — the error. Teardown behavior is
-  // therefore independent of where chunk boundaries fall.
-  size_t rows = 0;
-  Status malformed;
-  while (rows < max_rows) {
-    StatusOr<bool> got = tokenizer_.Next();
-    const size_t record_line = line_ + 1;  // 1-based physical line.
-    line_ += tokenizer_.lines();
-    if (!got.ok()) {
-      malformed = Status::InvalidArgument(
-          "CsvChunkReader: line " + std::to_string(record_line) +
-          " (data row " + std::to_string(rows_read_ + rows + 1) + "): " +
-          got.status().message());
-      break;
-    }
-    if (!*got) break;  // End of stream.
-    const std::vector<std::string_view>& record = tokenizer_.fields();
-    // Header-mapped streams must match the header width exactly (the
-    // ragged-row rule of ReadCsv); headerless streams may carry extra
-    // trailing fields beyond the schema's.
-    bool ragged = options_.has_header ? record.size() != stream_columns_
-                                      : record.size() < stream_columns_;
-    if (ragged) {
-      malformed = Status::InvalidArgument(
-          "CsvChunkReader: line " + std::to_string(record_line) +
-          " (data row " + std::to_string(rows_read_ + rows + 1) + "): has " +
-          std::to_string(record.size()) + " fields, expected " +
-          std::to_string(stream_columns_));
-      break;
-    }
-    for (size_t i = 0; i < m; ++i) {
-      const std::string_view cell = record[col_map_[i]];
+  {
+    obs::ObsSpan tokenize_span("csv.tokenize", "dataframe");
+    if (!header_done_) CCS_RETURN_IF_ERROR(ReadHeader());
+    // Size each column for the chunk up front instead of regrowing it
+    // pass by pass; the cap keeps a read-everything max_rows from
+    // allocating ahead of the data.
+    const size_t reserve_rows = std::min(max_rows, kReserveRows);
+    for (size_t i = 0; i < schema_.num_attributes(); ++i) {
+      numeric_[i].clear();
+      codes_[i].clear();
       if (schema_.attribute(i).type == AttributeType::kNumeric) {
-        auto parsed = NumericCell(cell, options_.missing_numeric);
-        if (!parsed.has_value()) {
-          malformed = Status::InvalidArgument(
-              "CsvChunkReader: line " + std::to_string(record_line) +
-              " (data row " + std::to_string(rows_read_ + rows + 1) +
-              "), column '" + schema_.attribute(i).name + "' (stream field " +
-              std::to_string(col_map_[i]) + "): cannot parse '" +
-              std::string(cell) + "' as a number");
-          break;
-        }
-        numeric[i].push_back(*parsed);
+        numeric_[i].reserve(reserve_rows);
       } else {
-        // Intern into the stream-lifetime dictionary: steady-state
-        // chunks share one dictionary object, so downstream code paths
-        // compare codes without consulting the strings.
-        key_.assign(cell);
-        categorical[i].push_back(dicts_[i].Intern(key_));
+        codes_[i].reserve(reserve_rows);
       }
     }
-    if (!malformed.ok()) break;
-    ++rows;
+    failures_.clear();
+    cells_.clear();
+    converted_ = 0;
+    interned_ = 0;
+    LocateRecords(max_rows, num_threads);
   }
+  obs::ObsSpan convert_span("csv.convert", "dataframe");
+  ConvertRows(std::min(located_.size(), max_rows), num_threads);
+  return Commit(max_rows);
+}
 
+void CsvChunkReader::LocateRecords(size_t max_rows, size_t num_threads) {
+  while (located_.size() < max_rows && stream_error_.ok()) {
+    // Convert and intern what is here before waiting for more: on a
+    // live stream only the chunk's last row is handled after it arrives.
+    // A failed row ends the chunk, so it is delivered without waiting.
+    if (tokenizer_.WouldBlock()) {
+      if (ConvertRows(located_.size(), num_threads)) return;
+      InternRows(located_.size());
+    }
+    StatusOr<bool> got = tokenizer_.Locate();
+    if (!got.ok()) {
+      stream_error_ = std::move(got).status();
+      stream_error_lines_ = tokenizer_.lines();
+      return;
+    }
+    if (!*got) return;  // End of stream.
+    Located record;
+    record.begin = arena_.size();
+    record.lines = tokenizer_.lines();
+    record.first_span = spans_.size();
+    if (tokenizer_.quoted()) {
+      for (std::string_view field : tokenizer_.fields()) {
+        spans_.push_back({arena_.size(), field.size()});
+        arena_.insert(arena_.end(), field.begin(), field.end());
+      }
+      record.num_spans = tokenizer_.fields().size();
+    } else {
+      const std::string_view bytes = tokenizer_.record();
+      arena_.insert(arena_.end(), bytes.begin(), bytes.end());
+      record.size = bytes.size();
+    }
+    located_.push_back(record);
+  }
+}
+
+bool CsvChunkReader::ConvertRows(size_t to, size_t num_threads) {
+  const size_t from = converted_;
+  if (to <= from) return false;
+  converted_ = to;
+  for (size_t i = 0; i < numeric_.size(); ++i) {
+    if (schema_.attribute(i).type == AttributeType::kNumeric) {
+      numeric_[i].resize(to);
+    }
+  }
+  failures_.resize(to);
+  cells_.resize(to * categorical_attrs_.size());
+  // Blocks of about kBlockCells cells keep the dispatch cost small
+  // against the parsing it spreads.
+  const size_t block_rows =
+      std::max<size_t>(1, kBlockCells / std::max<size_t>(1, stream_columns_));
+  common::ParallelFor(
+      to - from,
+      [&](size_t begin, size_t end) {
+        // Per lane and reused: a live stream converts one row per pass.
+        thread_local std::vector<std::string_view> fields;
+        for (size_t r = from + begin; r < from + end; ++r) {
+          // The rows after a failure are never handed out with it.
+          if (!ConvertRow(r, &fields)) break;
+        }
+      },
+      common::ParallelOptions{num_threads, block_rows});
+  for (size_t r = from; r < to; ++r) {
+    if (failures_[r].kind != RowFailure::kNone) return true;
+  }
+  return false;
+}
+
+bool CsvChunkReader::ConvertRow(size_t r,
+                                std::vector<std::string_view>* fields) {
+  Fields(r, fields);
+  RowFailure& failure = failures_[r];
+  failure = RowFailure();
+  // Header-mapped streams must match the header width exactly (the
+  // ragged-row rule of ReadCsv); headerless streams may carry extra
+  // trailing fields beyond the schema's.
+  const bool ragged = options_.has_header ? fields->size() != stream_columns_
+                                          : fields->size() < stream_columns_;
+  if (ragged) {
+    failure.kind = RowFailure::kRagged;
+    return false;
+  }
+  Span* cell_span = cells_.data() + r * categorical_attrs_.size();
+  for (size_t i = 0; i < schema_.num_attributes(); ++i) {
+    const std::string_view cell = (*fields)[col_map_[i]];
+    if (schema_.attribute(i).type == AttributeType::kNumeric) {
+      const std::optional<double> parsed =
+          NumericCell(cell, options_.missing_numeric);
+      if (!parsed.has_value()) {
+        failure.kind = RowFailure::kCell;
+        failure.attr = i;
+        return false;
+      }
+      numeric_[i][r] = *parsed;
+    } else {
+      *cell_span++ = {static_cast<size_t>(cell.data() - arena_.data()),
+                      cell.size()};
+    }
+  }
+  return true;
+}
+
+StatusOr<DataFrame> CsvChunkReader::Commit(size_t max_rows) {
+  const size_t m = schema_.num_attributes();
+  const size_t chunk = std::min(located_.size(), max_rows);
+  size_t rows = 0;
+  while (rows < chunk && failures_[rows].kind == RowFailure::kNone) ++rows;
+
+  InternRows(rows);
+  for (size_t r = 0; r < rows; ++r) line_ += located_[r].lines;
+
+  // Diagnose the first malformed record in row order: the caller
+  // receives every good row before it first, and the error on its next
+  // call, so teardown is independent of where chunk boundaries fall.
+  Status malformed;
+  size_t consumed = rows;
+  auto where = [&] {
+    return "CsvChunkReader: line " + std::to_string(line_ + 1) +
+           " (data row " + std::to_string(rows_read_ + rows + 1) + ")";
+  };
+  if (rows < chunk) {
+    const RowFailure& failure = failures_[rows];
+    std::vector<std::string_view> fields;
+    Fields(rows, &fields);
+    if (failure.kind == RowFailure::kRagged) {
+      malformed = Status::InvalidArgument(
+          where() + ": has " + std::to_string(fields.size()) +
+          " fields, expected " + std::to_string(stream_columns_));
+    } else {
+      // Its categorical cells before the failing attribute are interned,
+      // as the serial parse did before it reached that attribute.
+      InternCells(rows, failure.attr, /*keep=*/false);
+      const size_t field = col_map_[failure.attr];
+      malformed = Status::InvalidArgument(
+          where() + ", column '" + schema_.attribute(failure.attr).name +
+          "' (stream field " + std::to_string(field) + "): cannot parse '" +
+          std::string(fields[field]) + "' as a number");
+    }
+    line_ += located_[rows].lines;
+    consumed = rows + 1;
+  } else if (chunk < max_rows && !stream_error_.ok()) {
+    malformed = Status::InvalidArgument(where() + ": " +
+                                        stream_error_.message());
+    line_ += stream_error_lines_;
+    stream_error_ = Status::OK();
+  }
+  DropLocated(consumed);
   if (!malformed.ok()) {
     if (rows == 0) return malformed;  // Nothing good to deliver first.
     pending_error_ = std::move(malformed);
-    // Drop the malformed row's partially-parsed cells: every per-column
-    // vector must end at the last good row.
-    for (size_t i = 0; i < m; ++i) {
-      if (numeric[i].size() > rows) numeric[i].resize(rows);
-      if (categorical[i].size() > rows) categorical[i].resize(rows);
-    }
   }
 
   DataFrame df;
   for (size_t i = 0; i < m; ++i) {
     const Attribute& attr = schema_.attribute(i);
     if (attr.type == AttributeType::kNumeric) {
+      numeric_[i].resize(rows);
       CCS_RETURN_IF_ERROR(
-          df.AddNumericColumn(attr.name, std::move(numeric[i])));
+          df.AddNumericColumn(attr.name, std::move(numeric_[i])));
     } else {
       CCS_RETURN_IF_ERROR(df.AddColumn(
-          attr.name, Column::CategoricalFromCodes(std::move(categorical[i]),
+          attr.name, Column::CategoricalFromCodes(std::move(codes_[i]),
                                                   dicts_[i].snapshot())));
     }
   }
   rows_read_ += rows;
   return df;
+}
+
+void CsvChunkReader::InternRows(size_t to) {
+  for (; interned_ < to; ++interned_) {
+    InternCells(interned_, schema_.num_attributes(), /*keep=*/true);
+  }
+}
+
+void CsvChunkReader::InternCells(size_t r, size_t before, bool keep) {
+  // The stream-lifetime dictionaries: steady-state chunks share one
+  // dictionary object, so downstream code paths compare codes without
+  // consulting the strings.
+  const Span* cell_span = cells_.data() + r * categorical_attrs_.size();
+  for (size_t i : categorical_attrs_) {
+    if (i >= before) break;
+    key_.assign(ArenaView(*cell_span++));
+    const uint32_t code = dicts_[i].Intern(key_);
+    if (keep) codes_[i].push_back(code);
+  }
+}
+
+void CsvChunkReader::Fields(size_t r,
+                            std::vector<std::string_view>* fields) const {
+  const Located& record = located_[r];
+  if (record.num_spans == 0) {
+    internal::SplitFields(ArenaView({record.begin, record.size}),
+                          options_.delimiter, fields);
+    return;
+  }
+  fields->clear();
+  for (size_t k = 0; k < record.num_spans; ++k) {
+    fields->push_back(ArenaView(spans_[record.first_span + k]));
+  }
+}
+
+void CsvChunkReader::DropLocated(size_t count) {
+  if (count == located_.size()) {
+    located_.clear();
+    arena_.clear();
+    spans_.clear();
+    return;
+  }
+  // Only after a failing row: slide the queued records to the front.
+  const size_t bytes = located_[count].begin;
+  const size_t spans = located_[count].first_span;
+  arena_.erase(arena_.begin(), arena_.begin() + bytes);
+  spans_.erase(spans_.begin(), spans_.begin() + spans);
+  for (Span& span : spans_) span.begin -= bytes;
+  located_.erase(located_.begin(), located_.begin() + count);
+  for (Located& record : located_) {
+    record.begin -= bytes;
+    record.first_span -= spans;
+  }
 }
 
 namespace {

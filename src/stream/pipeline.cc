@@ -433,7 +433,8 @@ PipelineRunResult StreamPipeline::Run(
     size_t to_skip = skip_rows;
     while (to_skip > 0) {
       StatusOr<DataFrame> chunk =
-          reader.ReadChunk(std::min(to_skip, options_.chunk_rows));
+          reader.ReadChunk(std::min(to_skip, options_.chunk_rows),
+                           options_.num_threads);
       if (!chunk.ok()) continue;
       if (chunk->num_rows() == 0) {
         status = Status::FailedPrecondition(
@@ -454,7 +455,7 @@ PipelineRunResult StreamPipeline::Run(
         CCS_FAULT_POINT("stream.ingest.read");
         StatusOr<DataFrame> next = [&] {
           obs::ObsSpan ingest_span("stream.ingest", "stream");
-          return reader.ReadChunk(options_.chunk_rows);
+          return reader.ReadChunk(options_.chunk_rows, options_.num_threads);
         }();
         if (!next.ok()) return std::move(next).status();
         chunk = std::move(*next);

@@ -4,6 +4,8 @@
 // backpressure, so a fast parser can never buffer an unbounded stream):
 //
 //   ingest (thread)     CsvChunkReader parses schema-shaped row chunks
+//   (+ pool)            (records located serially, converted in row
+//                       blocks on the pool lanes, committed in row order)
 //      │  BoundedQueue<DataFrame>
 //   windowing (thread)  Windower completes tumbling/sliding windows
 //      │  BoundedQueue<DataFrame>
@@ -72,8 +74,10 @@ struct StreamPipelineOptions {
   /// Swap the reference profile after every this many windows; 0 never
   /// refreshes (the profile stays the one learned from the reference).
   size_t refresh_every = 0;
-  /// Scoring lanes for the batch scorer; 0 = DefaultThreadCount(). Never
-  /// changes the scores, only the wall clock.
+  /// Lanes for the batch scorer and for ingest's row-block conversion
+  /// (CsvChunkReader::ReadChunk); 0 = DefaultThreadCount(), 1 keeps the
+  /// whole run off the pool. Never changes the scores, only the wall
+  /// clock.
   size_t num_threads = 0;
   /// Rows per ingest chunk (parse granularity, not window geometry).
   size_t chunk_rows = 1024;

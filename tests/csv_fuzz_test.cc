@@ -1,16 +1,25 @@
 // Differential fuzz of the CSV readers against a byte-at-a-time oracle.
 //
 // The oracle is the reader the block tokenizer replaced: one
-// std::istream::get per byte, a std::string per field. Each draw renders
-// a random CSV with the bytes that stress a tokenizer — quotes, ""
-// escapes, delimiters and CR/LF inside quotes, CRLF and lone-CR line
-// ends, blank lines, a missing final newline, space-padded numbers, NaN,
-// inf, garbage cells, ragged rows, unterminated quotes, and records
-// longer than the tokenizer's block buffer — and feeds it to both
-// readers through a streambuf that yields 1-7 bytes per underflow. The
-// readers are called in lockstep with random max_rows; every frame, every
-// dictionary, every error (code and text), rows_read(), and
-// lines_consumed() must match. ReadCsv is checked the same way.
+// std::istream::get per byte, a std::string per field, one record
+// converted and interned at a time. Each draw renders a random CSV with
+// the bytes that stress a tokenizer — quotes, "" escapes, delimiters and
+// CR/LF inside quotes, CRLF and lone-CR line ends, blank lines, a missing
+// final newline, space-padded numbers, NaN, inf, garbage cells, ragged
+// rows, unterminated quotes, and records longer than the tokenizer's
+// block buffer. The readers are called in lockstep with random max_rows;
+// every frame, every dictionary, every error (code and text),
+// rows_read(), and lines_consumed() must match. ReadCsv is checked the
+// same way. Two modes:
+//
+//  - Trickling: short draws (<= 40 rows, max_rows <= 12) through a
+//    streambuf that yields 1-7 bytes per underflow, so every record,
+//    quote pair, and CR/LF straddles a refill and CsvChunkReader converts
+//    before nearly every wait.
+//  - Whole buffer: long draws (200-3000 rows, max_rows <= 1024) with
+//    rare malformed, ragged, and quoted rows at random positions, through
+//    a streambuf whose in_avail() is the rest of the stream, so chunks
+//    are converted in row blocks on the pool; run at 1 and 4 lanes.
 //
 // Deterministic by default (CCS_FUZZ_SEED=1). Override the seed or the
 // draw count via the CCS_FUZZ_SEED / CCS_FUZZ_DRAWS environment
@@ -30,6 +39,7 @@
 #include "common/string_util.h"
 #include "dataframe/csv.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 
 namespace ccs::dataframe {
 namespace {
@@ -360,6 +370,16 @@ class TricklingStreambuf : public std::streambuf {
   size_t next_ = 0;
 };
 
+// Hands out the whole stream in one get area: in_avail() is the rest of
+// it, so a chunk reader locates a whole chunk before it converts one.
+class WholeStreambuf : public std::streambuf {
+ public:
+  explicit WholeStreambuf(const std::string& bytes) {
+    char* begin = const_cast<char*>(bytes.data());
+    setg(begin, begin, begin + bytes.size());
+  }
+};
+
 void ExpectSameFrame(const DataFrame& got, const DataFrame& want) {
   ASSERT_TRUE(got.schema() == want.schema());
   ASSERT_EQ(got.num_rows(), want.num_rows());
@@ -402,15 +422,36 @@ struct Draw {
   std::string csv;
 };
 
+// How a draw is shaped.
+struct Shape {
+  int64_t min_rows;
+  int64_t max_rows;
+  // Per cell: a cell longer than the tokenizer's block buffer.
+  double big_cell;
+  // Per row, each: a blank line, one field short, one field extra.
+  double bad_row;
+  // The share of rare cell formats (odd numeric text, quoted text) kept;
+  // the others are drawn as a plain number or word instead.
+  double rare;
+};
+
+constexpr Shape kTrickleShape{0, 40, 0.03, 0.05, 1.0};
+constexpr Shape kWholeShape{200, 3000, 0.0005, 0.002, 0.05};
+
 std::string Pick(Rng* rng, const std::vector<std::string>& items) {
   return items[static_cast<size_t>(
       rng->UniformInt(0, static_cast<int64_t>(items.size()) - 1))];
 }
 
 // A cell's bytes as written, quoting and all.
-std::string RandomCell(Rng* rng, bool numeric, char delimiter) {
+std::string RandomCell(Rng* rng, bool numeric, char delimiter,
+                       const Shape& shape) {
   const std::string d(1, delimiter);
-  if (rng->Bernoulli(0.03)) {
+  // Whether a rare format drawn is kept (no draw when all are).
+  auto keep_rare = [&] {
+    return shape.rare >= 1.0 || rng->Bernoulli(shape.rare);
+  };
+  if (rng->Bernoulli(shape.big_cell)) {
     // Longer than the tokenizer's block buffer, quoted half the time.
     std::string big(
         internal::CsvTokenizer::kBlockBytes +
@@ -421,7 +462,9 @@ std::string RandomCell(Rng* rng, bool numeric, char delimiter) {
   if (numeric && rng->Bernoulli(0.85)) {
     char buf[64];
     const double v = rng->Gaussian(0.0, 100.0);
-    switch (rng->UniformInt(0, 5)) {
+    int64_t format = rng->UniformInt(0, 5);
+    if (format == 4 && !keep_rare()) format = 0;
+    switch (format) {
       case 0:
         std::snprintf(buf, sizeof(buf), "%.10g", v);
         break;
@@ -444,7 +487,9 @@ std::string RandomCell(Rng* rng, bool numeric, char delimiter) {
     }
     return buf;
   }
-  switch (rng->UniformInt(0, 9)) {
+  int64_t format = rng->UniformInt(0, 9);
+  if (format <= 6 && !keep_rare()) format = 7;
+  switch (format) {
     case 0:
       return "\"a" + d + "b\"";
     case 1:
@@ -464,7 +509,7 @@ std::string RandomCell(Rng* rng, bool numeric, char delimiter) {
   }
 }
 
-Draw RandomDraw(Rng* rng) {
+Draw RandomDraw(Rng* rng, const Shape& shape) {
   Draw draw;
   // Mostly ',', sometimes another plain byte, rarely a structural one.
   draw.options.delimiter = rng->Bernoulli(0.75)  ? ','
@@ -513,19 +558,22 @@ Draw RandomDraw(Rng* rng) {
     if (rng->Bernoulli(0.03)) csv = "zz";  // Missing schema columns.
     csv += line_end();
   }
-  const size_t rows = static_cast<size_t>(rng->UniformInt(0, 40));
+  const size_t rows =
+      static_cast<size_t>(rng->UniformInt(shape.min_rows, shape.max_rows));
   for (size_t r = 0; r < rows; ++r) {
-    if (rng->Bernoulli(0.05)) {
+    if (rng->Bernoulli(shape.bad_row)) {
       csv += line_end();  // Blank line: a one-empty-field record.
       continue;
     }
     size_t width = fields;
-    if (rng->Bernoulli(0.05)) width = width > 1 ? width - 1 : width + 1;
-    if (rng->Bernoulli(0.05)) ++width;
+    if (rng->Bernoulli(shape.bad_row)) {
+      width = width > 1 ? width - 1 : width + 1;
+    }
+    if (rng->Bernoulli(shape.bad_row)) ++width;
     for (size_t f = 0; f < width; ++f) {
       if (f > 0) csv += d;
       const bool is_numeric = f < attrs && numeric[order[f]];
-      csv += RandomCell(rng, is_numeric, d);
+      csv += RandomCell(rng, is_numeric, d, shape);
     }
     if (r + 1 < rows || rng->Bernoulli(0.7)) csv += line_end();
   }
@@ -533,7 +581,38 @@ Draw RandomDraw(Rng* rng) {
   return draw;
 }
 
-// ------------------------------------------------------------- the test
+// ------------------------------------------------------------- the tests
+
+// Reads `draw` through the oracle (from `want_buf`) and CsvChunkReader
+// (from `got_buf`, on `lanes` lanes) in lockstep, each call with a
+// max_rows drawn from `rng` in [1, max_rows], and checks every result,
+// rows_read(), and lines_consumed().
+void ExpectChunkReadersAgree(const Draw& draw, std::streambuf* want_buf,
+                             std::streambuf* got_buf, Rng* rng,
+                             int64_t max_rows, size_t lanes) {
+  std::istream want_in(want_buf);
+  std::istream got_in(got_buf);
+  OracleChunkReader want(&want_in, draw.schema, draw.options);
+  CsvChunkReader got(&got_in, draw.schema, draw.options);
+  // Every call consumes at least one record or ends the stream, except
+  // a header that stays unreadable at end of stream; the bound (more
+  // calls than records) stops that case once both readers agree on it.
+  const std::string& csv = draw.csv;
+  const size_t max_calls =
+      static_cast<size_t>(std::count(csv.begin(), csv.end(), '\n') +
+                          std::count(csv.begin(), csv.end(), '\r')) +
+      4;
+  for (size_t call = 0; call < max_calls; ++call) {
+    const size_t rows = static_cast<size_t>(rng->UniformInt(1, max_rows));
+    StatusOr<DataFrame> want_chunk = want.ReadChunk(rows);
+    StatusOr<DataFrame> got_chunk = got.ReadChunk(rows, lanes);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameResult(got_chunk, want_chunk))
+        << "call " << call;
+    ASSERT_EQ(got.rows_read(), want.rows_read()) << "call " << call;
+    ASSERT_EQ(got.lines_consumed(), want.lines_consumed()) << "call " << call;
+    if (want_chunk.ok() && want_chunk->num_rows() == 0) break;
+  }
+}
 
 TEST(CsvFuzzTest, BlockTokenizerMatchesByteOracle) {
   const uint64_t base_seed = EnvOr("CCS_FUZZ_SEED", 1);
@@ -545,33 +624,12 @@ TEST(CsvFuzzTest, BlockTokenizerMatchesByteOracle) {
                  " (replay: CCS_FUZZ_SEED=" + std::to_string(seed) +
                  " CCS_FUZZ_DRAWS=1)");
     Rng rng(seed);
-    const Draw draw = RandomDraw(&rng);
+    const Draw draw = RandomDraw(&rng, kTrickleShape);
 
     TricklingStreambuf want_buf(draw.csv, seed * 2);
     TricklingStreambuf got_buf(draw.csv, seed * 2 + 1);
-    std::istream want_in(&want_buf);
-    std::istream got_in(&got_buf);
-    OracleChunkReader want(&want_in, draw.schema, draw.options);
-    CsvChunkReader got(&got_in, draw.schema, draw.options);
-    // Every call consumes at least one record or ends the stream, except
-    // a header that stays unreadable at end of stream; the bound (more
-    // calls than records) stops that case once both readers agree on it.
-    const std::string& csv = draw.csv;
-    const size_t max_calls =
-        static_cast<size_t>(std::count(csv.begin(), csv.end(), '\n') +
-                            std::count(csv.begin(), csv.end(), '\r')) +
-        4;
-    for (size_t call = 0; call < max_calls; ++call) {
-      const size_t max_rows = static_cast<size_t>(rng.UniformInt(1, 12));
-      StatusOr<DataFrame> want_chunk = want.ReadChunk(max_rows);
-      StatusOr<DataFrame> got_chunk = got.ReadChunk(max_rows);
-      ASSERT_NO_FATAL_FAILURE(ExpectSameResult(got_chunk, want_chunk))
-          << "call " << call;
-      ASSERT_EQ(got.rows_read(), want.rows_read()) << "call " << call;
-      ASSERT_EQ(got.lines_consumed(), want.lines_consumed())
-          << "call " << call;
-      if (want_chunk.ok() && want_chunk->num_rows() == 0) break;
-    }
+    ASSERT_NO_FATAL_FAILURE(ExpectChunkReadersAgree(
+        draw, &want_buf, &got_buf, &rng, /*max_rows=*/12, /*lanes=*/0));
 
     CsvOptions whole = draw.options;
     whole.infer_types = rng.Bernoulli(0.8);
@@ -582,6 +640,50 @@ TEST(CsvFuzzTest, BlockTokenizerMatchesByteOracle) {
     ASSERT_NO_FATAL_FAILURE(
         ExpectSameResult(ReadCsv(got_whole_in, whole),
                          OracleReadCsv(want_whole_in, whole)));
+  }
+}
+
+TEST(CsvFuzzTest, WholeBufferRowBlocksMatchByteOracle) {
+  const uint64_t base_seed = EnvOr("CCS_FUZZ_SEED", 1);
+  const uint64_t draws = EnvOr("CCS_FUZZ_DRAWS", 60);
+  uint64_t pool_tasks = 0;  // Row blocks run at 4 lanes, over all draws.
+
+  for (uint64_t i = 0; i < draws; ++i) {
+    const uint64_t seed = base_seed + i;
+    SCOPED_TRACE("fuzz seed " + std::to_string(seed) +
+                 " (replay: CCS_FUZZ_SEED=" + std::to_string(seed) +
+                 " CCS_FUZZ_DRAWS=1)");
+    Rng rng(seed);
+    const Draw draw = RandomDraw(&rng, kWholeShape);
+    for (size_t lanes : {1u, 4u}) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes));
+      // The same max_rows sequence at every lane count.
+      Rng calls(seed * 2);
+      WholeStreambuf want_buf(draw.csv);
+      WholeStreambuf got_buf(draw.csv);
+      obs::ObsSession session;
+      ASSERT_NO_FATAL_FAILURE(ExpectChunkReadersAgree(
+          draw, &want_buf, &got_buf, &calls, /*max_rows=*/1024, lanes));
+      const uint64_t tasks = session.AggregateByName()["pool.task"].count;
+      if (lanes == 1) {
+        ASSERT_EQ(tasks, 0u);
+      }
+      pool_tasks += tasks;
+    }
+
+    CsvOptions whole = draw.options;
+    whole.infer_types = rng.Bernoulli(0.8);
+    WholeStreambuf want_whole_buf(draw.csv);
+    WholeStreambuf got_whole_buf(draw.csv);
+    std::istream want_whole_in(&want_whole_buf);
+    std::istream got_whole_in(&got_whole_buf);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameResult(ReadCsv(got_whole_in, whole),
+                         OracleReadCsv(want_whole_in, whole)));
+  }
+  // The draws reach the pool: the 4-lane runs are not serial ones.
+  if (draws >= 20) {
+    EXPECT_GT(pool_tasks, 0u);
   }
 }
 

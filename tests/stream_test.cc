@@ -1000,6 +1000,71 @@ TEST_F(StreamPipelineTest, TracingOnVsOffBitwise) {
   }
 }
 
+TEST_F(StreamPipelineTest, ThreadCountBoundsIngestLanes) {
+  // num_threads bounds ingest as well as scoring: a 1-lane run never
+  // touches the pool, and a 4-lane run converts its 1024-row chunks in
+  // row blocks there. One window per batch, each below the scorer's row
+  // block, keeps scoring off the pool, so every pool.task must fall
+  // inside a stream.ingest span.
+  DataFrame reference = TrendFrame(400, 0.0, 72);
+  std::string csv_text = ToCsv(TrendFrame(4608, 5.0, 73, /*drift_from=*/2304));
+
+  StreamPipelineOptions options;
+  options.window_rows = 512;
+  options.alarm_threshold = 0.2;
+  options.chunk_rows = 1024;
+  options.max_batch_windows = 1;
+
+  struct Observed {
+    std::vector<WindowScore> history;
+    size_t pool_tasks = 0;
+    size_t ingest_pool_tasks = 0;
+  };
+  auto run = [&](size_t lanes) {
+    options.num_threads = lanes;
+    auto pipeline = StreamPipeline::Create(reference, options);
+    CCS_CHECK(pipeline.ok());
+    std::istringstream in(csv_text);
+    Observed observed;
+    obs::ObsSession session;
+    CCS_CHECK(pipeline->Run(in).ok());
+    const std::vector<obs::TraceEvent> events = session.Collect();
+    std::vector<const obs::TraceEvent*> ingest;
+    size_t tokenize = 0, convert = 0;
+    for (const obs::TraceEvent& ev : events) {
+      const std::string name = ev.name;
+      if (name == "stream.ingest") ingest.push_back(&ev);
+      tokenize += name == "csv.tokenize";
+      convert += name == "csv.convert";
+    }
+    // One csv.tokenize and one csv.convert per ReadChunk: 5 chunks, then
+    // end of stream.
+    EXPECT_EQ(ingest.size(), 6u);
+    EXPECT_EQ(tokenize, ingest.size());
+    EXPECT_EQ(convert, ingest.size());
+    for (const obs::TraceEvent& ev : events) {
+      if (std::string(ev.name) != "pool.task") continue;
+      ++observed.pool_tasks;
+      for (const obs::TraceEvent* read : ingest) {
+        if (ev.start_ns >= read->start_ns &&
+            ev.start_ns + ev.dur_ns <= read->start_ns + read->dur_ns) {
+          ++observed.ingest_pool_tasks;
+          break;
+        }
+      }
+    }
+    observed.history = pipeline->history();
+    return observed;
+  };
+  const Observed serial = run(1);
+  const Observed parallel = run(4);
+  EXPECT_EQ(serial.pool_tasks, 0u);
+  EXPECT_GT(parallel.pool_tasks, 0u);
+  EXPECT_EQ(parallel.ingest_pool_tasks, parallel.pool_tasks);
+  ASSERT_EQ(serial.history.size(), 4608u / 512u);
+  ExpectHistoriesBitwiseEqual(parallel.history, serial.history);
+}
+
 // ------------------------- Score-once oracles -------------------------
 //
 // A sliding window scores only the rows it adds and reuses the
