@@ -23,7 +23,21 @@ std::string Join(const std::vector<std::string>& parts,
                  std::string_view separator);
 
 /// Parses a double; rejects trailing garbage, empty strings, NaN spellings.
+/// Tries ParseExactDecimal first, then std::from_chars; the bits are
+/// from_chars' either way.
 std::optional<double> ParseDouble(std::string_view text);
+
+/// Parses the exact decimal `-?digits[.digits]` at the start of [begin,
+/// end): no exponent, a mantissa m <= 2^53 (the digits without the '.';
+/// leading zeros are free) and at most 22 fraction digits k. Sets
+/// `*value` to m / 10^k, negated after a '-': one IEEE division of two
+/// exact doubles, so it is correctly rounded (Clinger's fast path) and
+/// its bits equal std::from_chars on the same text. Returns one past the
+/// last byte parsed; nullptr when the text there is not of that form or
+/// breaks a bound (a digit run is read to its end, never cut short). What
+/// may follow the number is the caller's rule.
+const char* ParseExactDecimal(const char* begin, const char* end,
+                              double* value);
 
 /// Parses a base-10 integer; rejects trailing garbage and empty strings.
 std::optional<int64_t> ParseInt(std::string_view text);

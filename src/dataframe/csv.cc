@@ -296,6 +296,8 @@ CsvChunkReader::CsvChunkReader(std::istream* in, Schema schema,
     : tokenizer_(in, options.delimiter),
       schema_(std::move(schema)),
       options_(options),
+      numeric_delimiter_((options.delimiter >= '0' && options.delimiter <= '9') ||
+                         options.delimiter == '.' || options.delimiter == '-'),
       dicts_(schema_.num_attributes()),
       numeric_(schema_.num_attributes()),
       codes_(schema_.num_attributes()) {
@@ -312,7 +314,7 @@ Status CsvChunkReader::ReadHeader() {
     // Positional mapping: schema attribute i <- stream field i.
     stream_columns_ = schema_.num_attributes();
     for (size_t i = 0; i < schema_.num_attributes(); ++i) col_map_[i] = i;
-    header_done_ = true;
+    MapFields();
     return Status::OK();
   }
   StatusOr<bool> got = tokenizer_.Next();
@@ -342,8 +344,25 @@ Status CsvChunkReader::ReadHeader() {
           "'");
     }
   }
-  header_done_ = true;
+  MapFields();
   return Status::OK();
+}
+
+void CsvChunkReader::MapFields() {
+  // Schema names are unique, so no two attributes share a field.
+  targets_.assign(stream_columns_, FieldTarget());
+  uint32_t slot = 0;
+  for (size_t i = 0; i < schema_.num_attributes(); ++i) {
+    FieldTarget& target = targets_[col_map_[i]];
+    target.attr = static_cast<uint32_t>(i);
+    if (schema_.attribute(i).type == AttributeType::kNumeric) {
+      target.kind = FieldTarget::kNumeric;
+    } else {
+      target.kind = FieldTarget::kCategorical;
+      target.slot = slot++;
+    }
+  }
+  header_done_ = true;
 }
 
 StatusOr<DataFrame> CsvChunkReader::ReadChunk(size_t max_rows,
@@ -436,11 +455,9 @@ bool CsvChunkReader::ConvertRows(size_t to, size_t num_threads) {
   common::ParallelFor(
       to - from,
       [&](size_t begin, size_t end) {
-        // Per lane and reused: a live stream converts one row per pass.
-        thread_local std::vector<std::string_view> fields;
         for (size_t r = from + begin; r < from + end; ++r) {
           // The rows after a failure are never handed out with it.
-          if (!ConvertRow(r, &fields)) break;
+          if (!ConvertRow(r)) break;
         }
       },
       common::ParallelOptions{num_threads, block_rows});
@@ -450,38 +467,92 @@ bool CsvChunkReader::ConvertRows(size_t to, size_t num_threads) {
   return false;
 }
 
-bool CsvChunkReader::ConvertRow(size_t r,
-                                std::vector<std::string_view>* fields) {
-  Fields(r, fields);
+const char* CsvChunkReader::ConvertField(FieldTarget target, size_t r,
+                                         const char* cell, const char* end,
+                                         bool split, Span* cells,
+                                         size_t* bad) {
+  // The field ends at the next delimiter of an unquoted record, or at
+  // `end`, a quoted field's own end.
+  auto field_end = [&] {
+    // No memchr over 0 bytes: an empty arena's data() may be null.
+    if (!split || cell == end) return end;
+    const void* cut = std::memchr(cell, options_.delimiter,
+                                  static_cast<size_t>(end - cell));
+    return cut == nullptr ? end : static_cast<const char*>(cut);
+  };
+  if (target.kind == FieldTarget::kNumeric) {
+    // Straight from the cursor, unless the delimiter could continue a
+    // number: then the number must fill the field.
+    const char* const limit =
+        split && numeric_delimiter_ ? field_end() : end;
+    double value = 0.0;
+    const char* stop = ParseExactDecimal(cell, limit, &value);
+    if (stop != nullptr &&
+        (stop == limit || (split && *stop == options_.delimiter))) {
+      numeric_[target.attr][r] = value;
+      return stop;
+    }
+    const char* const stop_at = field_end();
+    const std::optional<double> parsed = NumericCell(
+        std::string_view(cell, static_cast<size_t>(stop_at - cell)),
+        options_.missing_numeric);
+    if (parsed.has_value()) {
+      numeric_[target.attr][r] = *parsed;
+    } else {
+      *bad = std::min<size_t>(*bad, target.attr);
+    }
+    return stop_at;
+  }
+  const char* const stop = field_end();
+  if (target.kind == FieldTarget::kCategorical) {
+    cells[target.slot] = {static_cast<size_t>(cell - arena_.data()),
+                          static_cast<size_t>(stop - cell)};
+  }
+  return stop;
+}
+
+bool CsvChunkReader::ConvertRow(size_t r) {
+  const Located& record = located_[r];
+  Span* cells = cells_.data() + r * categorical_attrs_.size();
+  size_t bad = schema_.num_attributes();  // First bad cell, schema order.
+  // Fields walked, at most stream_columns_; `extra` when more follow.
+  size_t fields = 0;
+  bool extra = false;
+  if (record.num_spans == 0) {
+    const char* cell = arena_.data() + record.begin;
+    const char* const end = cell + record.size;
+    for (;;) {
+      if (fields == stream_columns_) {
+        extra = true;  // A field follows the last mapped one.
+        break;
+      }
+      const char* stop = ConvertField(targets_[fields++], r, cell, end,
+                                      /*split=*/true, cells, &bad);
+      if (stop == end) break;
+      cell = stop + 1;
+    }
+  } else {
+    fields = std::min(record.num_spans, stream_columns_);
+    extra = record.num_spans > stream_columns_;
+    for (size_t f = 0; f < fields; ++f) {
+      const std::string_view span = ArenaView(spans_[record.first_span + f]);
+      ConvertField(targets_[f], r, span.data(), span.data() + span.size(),
+                   /*split=*/false, cells, &bad);
+    }
+  }
   RowFailure& failure = failures_[r];
   failure = RowFailure();
   // Header-mapped streams must match the header width exactly (the
   // ragged-row rule of ReadCsv); headerless streams may carry extra
-  // trailing fields beyond the schema's.
-  const bool ragged = options_.has_header ? fields->size() != stream_columns_
-                                          : fields->size() < stream_columns_;
-  if (ragged) {
+  // trailing fields beyond the schema's. A ragged row wins over a bad
+  // cell, and the first bad cell in schema order over the others.
+  if (fields < stream_columns_ || (options_.has_header && extra)) {
     failure.kind = RowFailure::kRagged;
-    return false;
+  } else if (bad < schema_.num_attributes()) {
+    failure.kind = RowFailure::kCell;
+    failure.attr = bad;
   }
-  Span* cell_span = cells_.data() + r * categorical_attrs_.size();
-  for (size_t i = 0; i < schema_.num_attributes(); ++i) {
-    const std::string_view cell = (*fields)[col_map_[i]];
-    if (schema_.attribute(i).type == AttributeType::kNumeric) {
-      const std::optional<double> parsed =
-          NumericCell(cell, options_.missing_numeric);
-      if (!parsed.has_value()) {
-        failure.kind = RowFailure::kCell;
-        failure.attr = i;
-        return false;
-      }
-      numeric_[i][r] = *parsed;
-    } else {
-      *cell_span++ = {static_cast<size_t>(cell.data() - arena_.data()),
-                      cell.size()};
-    }
-  }
-  return true;
+  return failure.kind == RowFailure::kNone;
 }
 
 StatusOr<DataFrame> CsvChunkReader::Commit(size_t max_rows) {

@@ -31,8 +31,8 @@ struct CsvOptions {
 namespace internal {
 
 /// Splits an unquoted record at every `delimiter` into `fields`
-/// (cleared first; views into `record`). The one field loop behind
-/// CsvTokenizer::Next and CsvChunkReader's row blocks.
+/// (cleared first; views into `record`). Behind CsvTokenizer::Next and
+/// the text of CsvChunkReader's row errors.
 void SplitFields(std::string_view record, char delimiter,
                  std::vector<std::string_view>* fields);
 
@@ -148,9 +148,15 @@ StatusOr<DataFrame> ReadCsvFile(const std::string& path,
 ///     3), so a live chunk's last row is the only one handled after it
 ///     arrives.
 ///  2. Convert (row blocks on common::ParallelFor, `num_threads` lanes):
-///     each block splits its rows' fields, applies the ragged-row rule,
-///     parses numeric cells, and writes only its own rows of the chunk's
-///     pre-sized columns, plus each row's first failure.
+///     one cursor walks each row's fields once, through a stream field ->
+///     schema attribute map built at the header. A numeric cell is
+///     parsed where the cursor stands by ParseExactDecimal, the cells it
+///     does not take by ParseDouble; a categorical cell's span is kept
+///     for stage 3; an unmapped field is skipped. A quoted row's
+///     unescaped fields take the same per-field step. Each block writes
+///     only its own rows of the chunk's pre-sized columns, plus each
+///     row's first failure: a ragged row, else its first bad cell in
+///     schema order.
 ///  3. Commit (serial, row order): categorical cells are interned and
 ///     the first failing row in row order ends the chunk, so frames,
 ///     dictionaries, errors, rows_read() and lines_consumed() are those
@@ -218,16 +224,33 @@ class CsvChunkReader {
     enum Kind : uint8_t { kNone, kRagged, kCell } kind = kNone;
     size_t attr = 0;  // kCell: the schema attribute that failed.
   };
+  // What one stream field feeds.
+  struct FieldTarget {
+    enum Kind : uint8_t { kSkip, kNumeric, kCategorical } kind = kSkip;
+    uint32_t attr = 0;  // The schema attribute.
+    uint32_t slot = 0;  // kCategorical: its index in a row's cells_.
+  };
 
   Status ReadHeader();
+  // Builds targets_ from col_map_ once stream_columns_ is known.
+  void MapFields();
   // Stage 1: locates records until `max_rows` are queued, the stream
   // ends, or a row converted before a wait failed.
   void LocateRecords(size_t max_rows, size_t num_threads);
   // Stage 2 over the located rows [converted_, to); true when one of
   // them failed.
   bool ConvertRows(size_t to, size_t num_threads);
-  // Stage 2 for row `r`; false when it failed (see failures_[r]).
-  bool ConvertRow(size_t r, std::vector<std::string_view>* fields);
+  // Stage 2 for row `r`: one walk over its fields; false when it failed
+  // (see failures_[r]).
+  bool ConvertRow(size_t r);
+  // Converts the field starting at `cell` into row `r` as `target` says,
+  // lowering `*bad` to a numeric attribute whose cell does not parse.
+  // `split`: an unquoted record ending at `end`, whose field ends at the
+  // next delimiter; otherwise the field is exactly [cell, end). Returns
+  // the field's end.
+  const char* ConvertField(FieldTarget target, size_t r, const char* cell,
+                           const char* end, bool split, Span* cells,
+                           size_t* bad);
   // Stage 3: interns and assembles the rows before the first failure.
   StatusOr<DataFrame> Commit(size_t max_rows);
   // Stage 3's interning, in row order, of the rows [interned_, to).
@@ -247,6 +270,10 @@ class CsvChunkReader {
   Schema schema_;
   CsvOptions options_;
   std::vector<size_t> col_map_;  // schema index -> stream field index
+  std::vector<FieldTarget> targets_;  // stream field -> what it feeds
+  // The delimiter is a byte a number can hold ('0'-'9', '.', '-'), so a
+  // numeric cell is bounded before it is parsed.
+  bool numeric_delimiter_ = false;
   std::vector<size_t> categorical_attrs_;  // Schema indices, in order.
   // One persistent interner per categorical schema slot (unused entries
   // stay empty for numeric slots).

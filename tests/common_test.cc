@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -12,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -175,6 +177,111 @@ TEST(StringUtilTest, ParseDoubleRejectsInvalid) {
   EXPECT_FALSE(ParseDouble("abc").has_value());
   EXPECT_FALSE(ParseDouble("1.5x").has_value());
   EXPECT_FALSE(ParseDouble("--3").has_value());
+}
+
+// ParseDouble's contract without its fast path: Trim, then
+// std::from_chars over the whole text, NaN rejected.
+std::optional<double> FromCharsReference(std::string_view text) {
+  text = Trim(text);
+  if (text.empty()) return std::nullopt;
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || std::isnan(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+// Checks `text` three ways against FromCharsReference: ParseDouble's
+// acceptance and bits, and the number ParseExactDecimal reads at its
+// start, both alone (the scalar reader for short text) and followed by
+// a delimiter and padding (the sixteen-byte window). Returns how many of
+// the two ParseExactDecimal calls accepted.
+int ExpectParsesLikeFromChars(const std::string& text) {
+  SCOPED_TRACE("text '" + text + "'");
+  const std::optional<double> want = FromCharsReference(text);
+  const std::optional<double> got = ParseDouble(text);
+  EXPECT_EQ(got.has_value(), want.has_value());
+  if (got.has_value() && want.has_value()) {
+    EXPECT_EQ(DoubleBits(*got), DoubleBits(*want));
+  }
+  int accepted = 0;
+  const std::string padded = text + ",0123456789abcdef";
+  for (const std::string* buffer : {&text, &padded}) {
+    double value = 0.0;
+    const char* begin = buffer->data();
+    const char* stop =
+        ParseExactDecimal(begin, begin + buffer->size(), &value);
+    if (stop == nullptr) continue;
+    ++accepted;
+    EXPECT_LE(stop, begin + text.size());
+    const std::optional<double> prefix = FromCharsReference(
+        std::string_view(begin, static_cast<size_t>(stop - begin)));
+    EXPECT_TRUE(prefix.has_value());
+    if (prefix.has_value()) {
+      EXPECT_EQ(DoubleBits(value), DoubleBits(*prefix));
+    }
+  }
+  return accepted;
+}
+
+TEST(StringUtilTest, ParseDoubleMatchesFromCharsBitwise) {
+  // Edge forms: no digit on one side of the '.', signs, padding,
+  // exponents, the 2^53 mantissa bound, 19- and 20-digit mantissas, and
+  // 22 and 23 fraction digits.
+  for (const char* text :
+       {".5", "5.", ".", "-", "-0", "-.5", "+1", " 1", "1 ", "1e5", "0",
+        "-0.0", "00", "1.5.2", "--1", "1-", "nan", "inf", "0x10", "",
+        "9007199254740992", "9007199254740993", "-9007199254740992",
+        "900719925474099.3", "1234567890123456789", "12345678901234567890",
+        "0000000000000000001", "00000000000000000001",
+        "0.0000000000000000000001", "0.00000000000000000000001",
+        "-0.0000000000000000000000", "0.4450147717014402",
+        "123456789012345", "1234567890123456", "12345678901234.5",
+        "0.12345678901234"}) {
+    ExpectParsesLikeFromChars(text);
+  }
+  // The fast path takes the plain forms, in the window and alone, and
+  // leaves the rest to from_chars.
+  EXPECT_EQ(ExpectParsesLikeFromChars("-1.160495285"), 2);
+  EXPECT_EQ(ExpectParsesLikeFromChars("9007199254740992"), 2);
+  EXPECT_EQ(ExpectParsesLikeFromChars("0.0000000000000000000001"), 2);
+  EXPECT_EQ(ExpectParsesLikeFromChars("9007199254740993"), 0);
+  EXPECT_EQ(ExpectParsesLikeFromChars("0.00000000000000000000001"), 0);
+
+  Rng rng(20210620);
+  auto pick = [&](size_t lo, size_t hi) {
+    return static_cast<size_t>(rng.UniformInt(static_cast<int64_t>(lo),
+                                              static_cast<int64_t>(hi)));
+  };
+  // `count` digits, the first `zeros` of them '0'.
+  auto digits = [&](size_t count, size_t zeros) {
+    std::string out(zeros, '0');
+    while (out.size() < count) out += static_cast<char>('0' + pick(0, 9));
+    return out;
+  };
+  int fast = 0;
+  // Random digit strings: 1-25 digits, leading zeros, with and without
+  // '-' and '.' (the '.' anywhere, ends included).
+  for (int draw = 0; draw < 100000 && !HasFailure(); ++draw) {
+    const size_t count = pick(1, 25);
+    std::string text = digits(count, pick(0, count));
+    if (rng.Bernoulli(0.7)) text.insert(pick(0, count), 1, '.');
+    if (rng.Bernoulli(0.3)) text.insert(0, 1, '-');
+    fast += ExpectParsesLikeFromChars(text);
+  }
+  // Around the bounds: 16-17 digit mantissas (2^53 < m <= 2^54 is common
+  // there) and 22 or 23 fraction digits behind leading zeros.
+  for (int draw = 0; draw < 20000 && !HasFailure(); ++draw) {
+    std::string text = digits(pick(16, 17), 0);
+    text.insert(pick(1, 15), 1, '.');
+    fast += ExpectParsesLikeFromChars(text);
+    const size_t fraction = pick(22, 23);
+    fast += ExpectParsesLikeFromChars(
+        "0." + digits(fraction, fraction - pick(1, 16)));
+  }
+  EXPECT_GT(fast, 100000);
 }
 
 TEST(StringUtilTest, ParseIntAcceptsValid) {

@@ -2,12 +2,13 @@
 //
 // The oracle is the reader the block tokenizer replaced: one
 // std::istream::get per byte, a std::string per field, one record
-// converted and interned at a time. Each draw renders a random CSV with
-// the bytes that stress a tokenizer — quotes, "" escapes, delimiters and
-// CR/LF inside quotes, CRLF and lone-CR line ends, blank lines, a missing
-// final newline, space-padded numbers, NaN, inf, garbage cells, ragged
-// rows, unterminated quotes, and records longer than the tokenizer's
-// block buffer. The readers are called in lockstep with random max_rows;
+// converted and interned at a time, numeric cells by std::from_chars
+// directly. Each draw renders a random CSV with the bytes that stress a
+// tokenizer — quotes, "" escapes, delimiters and CR/LF inside quotes,
+// CRLF and lone-CR line ends, blank lines, a missing final newline,
+// space-padded numbers, NaN, inf, garbage cells, ragged rows,
+// unterminated quotes, and records longer than the tokenizer's block
+// buffer. The readers are called in lockstep with random max_rows;
 // every frame, every dictionary, every error (code and text),
 // rows_read(), and lines_consumed() must match. ReadCsv is checked the
 // same way. Two modes:
@@ -27,12 +28,15 @@
 // CCS_FUZZ_SEED=<seed> CCS_FUZZ_DRAWS=1.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <streambuf>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -115,10 +119,24 @@ StatusOr<bool> OracleReadRecord(std::istream& in, char delimiter,
   return true;
 }
 
+// ParseDouble's rules (Trim, the whole text, no NaN) over std::from_chars
+// alone, so the readers' exact-decimal fast path is checked, not shared.
+std::optional<double> OracleParseDouble(const std::string& cell) {
+  const std::string_view text = Trim(cell);
+  if (text.empty()) return std::nullopt;
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || std::isnan(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::optional<double> OracleNumericCell(const std::string& cell,
                                         double missing) {
   if (Trim(cell).empty()) return missing;
-  return ParseDouble(cell);
+  return OracleParseDouble(cell);
 }
 
 // CsvChunkReader as it was before the block tokenizer, record for record.
@@ -321,7 +339,7 @@ StatusOr<DataFrame> OracleReadCsv(std::istream& in, const CsvOptions& options) {
       for (const std::string& cell : cells[c]) {
         if (Trim(cell).empty()) continue;
         any_value = true;
-        if (!ParseDouble(cell).has_value()) {
+        if (!OracleParseDouble(cell).has_value()) {
           numeric = false;
           break;
         }
@@ -478,9 +496,14 @@ std::string RandomCell(Rng* rng, bool numeric, char delimiter,
         std::snprintf(buf, sizeof(buf), "%.4e", v * 1e-9);
         break;
       case 4:
+        // The last row: the exact-decimal fast path's bounds and the
+        // sixteen-byte window's edges.
         return Pick(rng, {"", " ", "NaN", "nan", "inf", "-inf", "1e400",
                           "0x1p3", "+1", "1.5.2", "garbage", "1e", "-0",
-                          ".5", "5."});
+                          ".5", "5.", "-.5", "9007199254740992",
+                          "9007199254740993", "0.0000000000000000000001",
+                          "-0.00000000000000000000001", "123456789012345",
+                          "-12345678901234.5", "0000000000000000001"});
       default:
         std::snprintf(buf, sizeof(buf), "\"%.6g\"", v);
         break;

@@ -240,5 +240,89 @@ TEST(CsvTest, TrailingEmptyNumericFieldUsesMissingValue) {
   EXPECT_DOUBLE_EQ(df->NumericValue(1, "v").value(), 7.0);
 }
 
+// ----------------------- CsvChunkReader failure order -----------------
+
+Schema NumericSchema(std::initializer_list<const char*> names) {
+  Schema schema;
+  for (const char* name : names) {
+    CCS_CHECK(schema.AddAttribute(name, AttributeType::kNumeric).ok());
+  }
+  return schema;
+}
+
+// The status of the first ReadChunk(10) over `text`.
+Status FirstChunkStatus(const std::string& text, const Schema& schema,
+                        CsvOptions options = CsvOptions()) {
+  std::istringstream in(text);
+  CsvChunkReader reader(&in, schema, options);
+  return reader.ReadChunk(10).status();
+}
+
+TEST(CsvChunkReaderTest, FirstBadCellInSchemaOrderWinsOverStreamOrder) {
+  // Stream order is b, a; both cells are bad. The error names the first
+  // bad schema attribute, a, at its stream field 1.
+  const Status status =
+      FirstChunkStatus("b,a\nbad_b,bad_a\n", NumericSchema({"a", "b"}));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "CsvChunkReader: line 2 (data row 1), column 'a' (stream field "
+            "1): cannot parse 'bad_a' as a number");
+}
+
+TEST(CsvChunkReaderTest, RaggedRowWinsOverBadCell) {
+  const Schema schema = NumericSchema({"x", "y"});
+  // Short, with a bad cell before the missing one.
+  EXPECT_EQ(FirstChunkStatus("x,y\noops\n", schema).message(),
+            "CsvChunkReader: line 2 (data row 1): has 1 fields, expected 2");
+  // Long, with a bad mapped cell.
+  EXPECT_EQ(FirstChunkStatus("x,y\n1,oops,3\n", schema).message(),
+            "CsvChunkReader: line 2 (data row 1): has 3 fields, expected 2");
+  // Headerless and short.
+  CsvOptions headerless;
+  headerless.has_header = false;
+  EXPECT_EQ(FirstChunkStatus("oops\n", schema, headerless).message(),
+            "CsvChunkReader: line 1 (data row 1): has 1 fields, expected 2");
+}
+
+TEST(CsvChunkReaderTest, HeaderlessExtraFieldsWithBadMappedCell) {
+  // Extra trailing fields are not read, so their text does not matter;
+  // the bad mapped cell fails the row.
+  CsvOptions headerless;
+  headerless.has_header = false;
+  std::istringstream in("1,2,junk\n3,oops,junk,more\n");
+  CsvChunkReader reader(&in, NumericSchema({"x", "y"}), headerless);
+  auto prefix = reader.ReadChunk(10);
+  ASSERT_TRUE(prefix.ok()) << prefix.status();
+  ASSERT_EQ(prefix->num_rows(), 1u);
+  EXPECT_EQ(prefix->NumericValue(0, "y").value(), 2.0);
+  EXPECT_EQ(reader.ReadChunk(10).status().message(),
+            "CsvChunkReader: line 2 (data row 2), column 'y' (stream field "
+            "1): cannot parse 'oops' as a number");
+}
+
+TEST(CsvChunkReaderTest, DelimiterThatCanContinueANumber) {
+  // '.', '-' and digits can sit inside a number, so a numeric cell ends
+  // at the delimiter, never past it.
+  struct Case {
+    char delimiter;
+    const char* text;
+    double x, y;
+  };
+  for (const Case& c : {Case{'.', "x.y\n-3.4\n", -3.0, 4.0},
+                        Case{'-', "x-y\n1.5-2.25\n", 1.5, 2.25},
+                        Case{'5', "x5y\n1.252.7\n", 1.2, 2.7}}) {
+    SCOPED_TRACE(std::string("delimiter ") + c.delimiter);
+    CsvOptions options;
+    options.delimiter = c.delimiter;
+    std::istringstream in(c.text);
+    CsvChunkReader reader(&in, NumericSchema({"x", "y"}), options);
+    auto chunk = reader.ReadChunk(10);
+    ASSERT_TRUE(chunk.ok()) << chunk.status();
+    ASSERT_EQ(chunk->num_rows(), 1u);
+    EXPECT_EQ(chunk->NumericValue(0, "x").value(), c.x);
+    EXPECT_EQ(chunk->NumericValue(0, "y").value(), c.y);
+  }
+}
+
 }  // namespace
 }  // namespace ccs::dataframe

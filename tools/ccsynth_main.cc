@@ -417,6 +417,12 @@ int RunMonitor(const std::vector<std::string>& args) {
   if (stream_path != "-") {
     file.open(stream_path);
     if (!file) return Fail(Status::IoError("cannot read " + stream_path));
+  } else {
+    // A stdio-synced std::cin reports nothing available, so the reader
+    // would refill one byte at a time. Unsynced, it reads blocks of what
+    // the pipe holds and still returns once a record is complete. ccsynth
+    // writes only through stdio, so no output ordering changes.
+    std::ios::sync_with_stdio(false);
   }
   std::istream& in = stream_path == "-" ? std::cin : file;
 
