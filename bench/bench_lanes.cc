@@ -9,7 +9,7 @@
 //   assess      SafetyEnvelope::AssessAll (chunk-parallel scoring
 //               kernel) against the per-row Assess loop, serving a
 //               second seed of the same frame shape.
-//   pipeline    stream::StreamPipeline (CSV ingest || windowing ||
+//   pipeline    stream::StreamPipeline (CSV ingest || windowing +
 //               pool-parallel scoring, refresh every 16 windows) against
 //               the serial parse-then-ObserveWindow loop, plus the
 //               tracing on/off overhead line.
@@ -375,7 +375,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\n(every lane bitwise identical to its one-lane path; the pipeline\n"
-      "overlaps ingest and windowing with scoring, so speedup > 1 is\n"
+      "overlaps ingest with windowing and scoring, so speedup > 1 is\n"
       "expected even at 1 score lane on multicore hardware)\n");
   return 0;
 }

@@ -18,7 +18,8 @@
 //     deterministically — so it is not serialized.
 //
 // Windower state is deliberately NOT serialized: the rolling buffers
-// live on the windowing thread mid-run. Instead the resume skips
+// hold only the in-flight tail after the last consumed window, which the
+// rows themselves determine. Instead the resume skips
 // rows_consumed good data rows through the same CsvChunkReader and
 // lets a fresh Windower rebuild the in-flight tail — deterministic
 // because parsing is, and cheap because skipping parses but never

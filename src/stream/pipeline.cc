@@ -1,6 +1,8 @@
 #include "stream/pipeline.h"
 
 #include <algorithm>
+#include <deque>
+#include <iterator>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -23,23 +25,19 @@ using dataframe::DataFrame;
 
 namespace {
 
-// Cross-thread result slot for one pipeline stage. The stage thread
-// publishes its outcome under the mutex as it exits; the driving thread
-// reads it back (under the same mutex) after joining the stage. The
+// Cross-thread result slot for the ingest stage. The ingest thread
+// publishes its outcome under the mutex as it exits; the calling thread
+// reads it back (under the same mutex) after joining it. The
 // join alone would order the accesses, but the explicit lock keeps the
 // hand-off visible to the thread-safety analysis — and correct if a
-// future scheduler ever polls a stage before it finishes.
-struct StageResult {
+// future scheduler ever polls the stage before it finishes.
+struct IngestResult {
   common::Mutex mu;
   Status status CCS_GUARDED_BY(mu);
-  // Stage-specific counters (rows ingested; windower telemetry).
   size_t rows CCS_GUARDED_BY(mu) = 0;
   size_t retries CCS_GUARDED_BY(mu) = 0;
   bool stopped CCS_GUARDED_BY(mu) = false;
   std::vector<QuarantineRecord> quarantined CCS_GUARDED_BY(mu);
-  size_t rows_copied CCS_GUARDED_BY(mu) = 0;
-  size_t buffer_reallocs CCS_GUARDED_BY(mu) = 0;
-  size_t buffer_capacity CCS_GUARDED_BY(mu) = 0;
 };
 
 }  // namespace
@@ -394,10 +392,6 @@ PipelineRunResult StreamPipeline::Run(
       options_.queue_capacity,
       {registry.GetHistogram("stream.chunk_queue.push_wait_us"),
        registry.GetHistogram("stream.chunk_queue.pop_wait_us")});
-  BoundedQueue<DataFrame> window_queue(
-      options_.queue_capacity,
-      {registry.GetHistogram("stream.window_queue.push_wait_us"),
-       registry.GetHistogram("stream.window_queue.pop_wait_us")});
 
   const size_t skip_rows = resume_skip_rows_;
   resume_skip_rows_ = 0;
@@ -408,13 +402,13 @@ PipelineRunResult StreamPipeline::Run(
   const std::atomic<bool>* stop = options_.stop;
 
   // ---- Stage 1: ingest. Parses schema-shaped chunks until EOF; each
-  // Push blocks while the windowing stage is behind (backpressure).
+  // Push blocks while the calling thread is behind (backpressure).
   // The ccs-lint thread-spawn rule normally routes work through the
-  // common/parallel pool; these two spawns ARE the pipeline's stage
-  // structure (long-lived, one per stage, joined before Run returns),
-  // which a bounded task pool cannot express without risking
-  // pool-exhaustion deadlock between blocking stages.
-  StageResult ingest_result;
+  // common/parallel pool; this spawn IS the pipeline's stage structure
+  // (long-lived, joined before Run returns), which a bounded task pool
+  // cannot express without risking pool-exhaustion deadlock on a stage
+  // that blocks on its queue.
+  IngestResult ingest_result;
   // ccs-lint: allow(thread-spawn): dedicated stage thread, joined below; pool tasks must not block on queues
   std::thread ingest([&] {
     Status status;
@@ -493,83 +487,73 @@ PipelineRunResult StreamPipeline::Run(
     ingest_result.quarantined = std::move(quarantined);
   });
 
-  // ---- Stage 2: windowing. Reassembles chunks into windows; emits in
-  // stream order into the (bounded) window queue.
-  StageResult window_result;
-  // ccs-lint: allow(thread-spawn): dedicated stage thread, joined below; pool tasks must not block on queues
-  std::thread windowing([&] {
-    Status status;
-    size_t retries = 0;
-    std::vector<QuarantineRecord> quarantined;
-    StatusOr<Windower> windower =
-        Windower::Create(options_.window_rows, options_.slide_rows);
-    if (!windower.ok()) {
-      status = windower.status();
-    } else {
-      size_t chunk_ordinal = 0;
-      bool cancelled = false;
-      while (std::optional<DataFrame> chunk = chunk_queue.Pop()) {
-        ++chunk_ordinal;
-        std::vector<DataFrame> windows;
-        auto attempt = [&]() -> Status {
-          CCS_FAULT_POINT("stream.window.push");
-          StatusOr<std::vector<DataFrame>> produced = [&] {
-            obs::ObsSpan window_span("stream.window", "stream");
-            return windower->Push(*chunk);
-          }();
-          if (!produced.ok()) return std::move(produced).status();
-          windows = std::move(*produced);
-          return Status::OK();
-        };
-        SuperviseResult supervised =
-            Supervise(options_.window_policy, attempt, stop);
-        retries += supervised.retries;
-        if (supervised.action == SuperviseAction::kFail) {
-          status = std::move(supervised.status);
-          break;
-        }
-        if (supervised.action == SuperviseAction::kQuarantine) {
-          QuarantineRecord record;
-          record.stage = "window";
-          record.index = chunk_ordinal;
-          record.rows_lost = chunk->num_rows();
-          record.reason = std::move(supervised.status);
-          quarantined.push_back(std::move(record));
-          continue;
-        }
-        for (DataFrame& w : windows) {
-          if (!window_queue.Push(std::move(w))) {
-            cancelled = true;  // Cancelled downstream; not an error.
-            break;
-          }
-        }
-        if (cancelled) break;
-      }
+  // ---- Stage 2: windowing, scoring and ordered commit, all on the
+  // calling thread, so a chunk crosses one thread boundary and a window
+  // none. Each popped chunk is windowed under the window policy; the
+  // windows it completes wait in `pending`, in stream order, for a batch
+  // of at most max_batch_windows that never spans a refresh boundary,
+  // scored over the pool and committed in arrival order.
+  StatusOr<Windower> windower =
+      Windower::Create(options_.window_rows, options_.slide_rows);
+  CCS_CHECK(windower.ok()) << windower.status().ToString();  // Create checked.
+  std::deque<DataFrame> pending;
+  size_t pending_peak = 0;
+  std::vector<QuarantineRecord> window_quarantined;
+  Status window_status;
+  size_t chunk_ordinal = 0;
+  bool chunks_open = true;
+  // A fail-fast windowing failure ends the chunk stream (and cancels
+  // ingest); the windows already pending are still scored, as a serial
+  // loop would have scored them before reaching the failing chunk.
+  auto window_chunk = [&](const DataFrame& chunk) {
+    ++chunk_ordinal;
+    std::vector<DataFrame> windows;
+    auto attempt = [&]() -> Status {
+      CCS_FAULT_POINT("stream.window.push");
+      StatusOr<std::vector<DataFrame>> produced = [&] {
+        obs::ObsSpan window_span("stream.window", "stream");
+        return windower->Push(chunk);
+      }();
+      if (!produced.ok()) return std::move(produced).status();
+      windows = std::move(*produced);
+      return Status::OK();
+    };
+    SuperviseResult supervised =
+        Supervise(options_.window_policy, attempt, stop);
+    stats.retries += supervised.retries;
+    if (supervised.action == SuperviseAction::kFail) {
+      window_status = std::move(supervised.status);
+      chunks_open = false;
+      chunk_queue.Close();  // Ingest's blocked Push returns false.
+      return;
     }
-    // On error, also unblock the ingest stage (its Push would otherwise
-    // wait forever on a full chunk queue).
-    chunk_queue.Close();
-    window_queue.Close();
-    MutexLock lock(&window_result.mu);
-    window_result.status = std::move(status);
-    window_result.retries = retries;
-    window_result.quarantined = std::move(quarantined);
-    if (windower.ok()) {
-      window_result.rows_copied = windower->rows_copied_out();
-      window_result.buffer_reallocs = windower->buffer_reallocs();
-      window_result.buffer_capacity = windower->buffer_capacity_rows();
+    if (supervised.action == SuperviseAction::kQuarantine) {
+      QuarantineRecord record;
+      record.stage = "window";
+      record.index = chunk_ordinal;
+      record.rows_lost = chunk.num_rows();
+      record.reason = std::move(supervised.status);
+      window_quarantined.push_back(std::move(record));
+      return;
     }
-  });
+    for (DataFrame& window : windows) pending.push_back(std::move(window));
+    pending_peak = std::max(pending_peak, pending.size());
+  };
 
-  // ---- Stage 3: scoring + ordered commit on the calling thread. Drains
-  // every ready window (never blocking past the first), capped at the
-  // batch limit and at the next refresh boundary, then scores the batch
-  // over the pool and commits in arrival order.
   Status commit_status;
   const bool checkpointing = !options_.checkpoint_path.empty();
-  while (std::optional<DataFrame> first = window_queue.Pop()) {
-    std::vector<DataFrame> batch;
-    batch.push_back(std::move(*first));
+  while (true) {
+    // Block on the chunk queue only while no window is pending: a
+    // completed window is never held back waiting for the next chunk.
+    while (pending.empty() && chunks_open) {
+      std::optional<DataFrame> chunk = chunk_queue.Pop();
+      if (!chunk) {
+        chunks_open = false;  // Ingest finished and every chunk drained.
+        break;
+      }
+      window_chunk(*chunk);
+    }
+    if (pending.empty()) break;
     size_t cap = options_.max_batch_windows;
     if (options_.refresh_every > 0) {
       // Never score past a refresh boundary: windows after it must see
@@ -579,11 +563,18 @@ PipelineRunResult StreamPipeline::Run(
           monitor_.history_size() % options_.refresh_every;
       if (until_refresh < cap) cap = until_refresh;
     }
-    while (batch.size() < cap) {
-      std::optional<DataFrame> next = window_queue.TryPop();
-      if (!next) break;
-      batch.push_back(std::move(*next));
+    // Top the batch up from chunks already queued; windows past the cap
+    // stay pending for the next batch.
+    while (chunks_open && pending.size() < cap) {
+      std::optional<DataFrame> chunk = chunk_queue.TryPop();
+      if (!chunk) break;
+      window_chunk(*chunk);
     }
+    const size_t take = std::min(cap, pending.size());
+    std::vector<DataFrame> batch(
+        std::make_move_iterator(pending.begin()),
+        std::make_move_iterator(pending.begin() + take));
+    pending.erase(pending.begin(), pending.begin() + take);
     commit_status = CommitBatch(std::move(batch), on_score, &stats);
     if (commit_status.ok() && checkpointing && options_.checkpoint_every > 0 &&
         windows_consumed_ - last_checkpoint_windows_ >=
@@ -596,20 +587,16 @@ PipelineRunResult StreamPipeline::Run(
       }
     }
     if (!commit_status.ok()) {
-      // Cancel upstream: producers' blocked Push calls return false.
-      chunk_queue.Close();
-      window_queue.Close();
+      chunk_queue.Close();  // Cancel ingest: its blocked Push returns false.
       break;
     }
   }
 
   ingest.join();
-  windowing.join();
 
   // Fold the stage outcomes into the stats FIRST, so a failing run still
   // reports everything it did (the whole point of PipelineRunResult).
   Status ingest_status;
-  Status window_status;
   {
     MutexLock lock(&ingest_result.mu);
     ingest_status = std::move(ingest_result.status);
@@ -626,18 +613,13 @@ PipelineRunResult StreamPipeline::Run(
       stats.quarantine.push_back(std::move(record));
     }
   }
-  {
-    MutexLock lock(&window_result.mu);
-    window_status = std::move(window_result.status);
-    stats.retries += window_result.retries;
-    for (QuarantineRecord& record : window_result.quarantined) {
-      stats.rows_quarantined += record.rows_lost;
-      stats.quarantine.push_back(std::move(record));
-    }
-    stats.window_rows_copied = window_result.rows_copied;
-    stats.window_buffer_reallocs = window_result.buffer_reallocs;
-    stats.window_buffer_capacity_rows = window_result.buffer_capacity;
+  for (QuarantineRecord& record : window_quarantined) {
+    stats.rows_quarantined += record.rows_lost;
+    stats.quarantine.push_back(std::move(record));
   }
+  stats.window_rows_copied = windower->rows_copied_out();
+  stats.window_buffer_reallocs = windower->buffer_reallocs();
+  stats.window_buffer_capacity_rows = windower->buffer_capacity_rows();
   if (!ingest_status.ok()) {
     result.status = std::move(ingest_status);
   } else if (!window_status.ok()) {
@@ -658,7 +640,7 @@ PipelineRunResult StreamPipeline::Run(
   }
 
   stats.chunk_queue_peak = chunk_queue.peak_depth();
-  stats.window_queue_peak = window_queue.peak_depth();
+  stats.window_queue_peak = pending_peak;
   stats.faults_injected = static_cast<size_t>(
       common::fault::Injector::Global().injected() - faults_before);
   stats.elapsed_seconds =

@@ -1,23 +1,27 @@
 // StreamPipeline: the end-to-end streaming-serving engine.
 //
-// Three concurrent stages connected by bounded queues (blocking push =
+// Two concurrent stages connected by one bounded queue (blocking push =
 // backpressure, so a fast parser can never buffer an unbounded stream):
 //
 //   ingest (thread)     CsvChunkReader parses schema-shaped row chunks
 //   (+ pool)            (records located serially, converted in row
 //                       blocks on the pool lanes, committed in row order)
 //      │  BoundedQueue<DataFrame>
-//   windowing (thread)  Windower completes tumbling/sliding windows
-//      │  BoundedQueue<DataFrame>
-//   scoring + commit    the calling thread drains ready windows, scores
-//   (caller + pool)     each row once (a sliding window scores only the
-//                       rows it adds and reuses the violations of the rows
-//                       it shares with the previous window; fanned out
-//                       over common::ParallelFor's pool lanes), and
-//                       commits WindowScores strictly in arrival order;
-//                       every `refresh_every` windows it folds the scored
-//                       rows into an IncrementalSynthesizer and swaps the
+//   windowing, scoring  the calling thread pops each chunk and windows
+//   + commit            it (Windower: tumbling/sliding windows), then
+//   (caller + pool)     scores the pending windows in batches, each row
+//                       once (a sliding window scores only the rows it
+//                       adds and reuses the violations of the rows it
+//                       shares with the previous window; fanned out over
+//                       common::ParallelFor's pool lanes), and commits
+//                       WindowScores strictly in arrival order; every
+//                       `refresh_every` windows it folds the scored rows
+//                       into an IncrementalSynthesizer and swaps the
 //                       reference profile (§4.3.2 streaming Gram sum).
+//
+// A chunk crosses one thread boundary on its way to a verdict, and a
+// window none: the calling thread blocks on the chunk queue only when no
+// completed window is pending.
 //
 // Each stage runs under a FailurePolicy (stream/supervisor.h): fail-fast
 // (the default, and the only pre-robustness behavior), bounded retry of
@@ -81,8 +85,8 @@ struct StreamPipelineOptions {
   size_t num_threads = 0;
   /// Rows per ingest chunk (parse granularity, not window geometry).
   size_t chunk_rows = 1024;
-  /// Capacity of each inter-stage queue, in chunks / windows. This bounds
-  /// how far ingest can run ahead of scoring.
+  /// Capacity of the chunk queue between ingest and the calling thread,
+  /// in chunks. This bounds how far ingest can run ahead of scoring.
   size_t queue_capacity = 4;
   /// Upper bound on windows scored per batch (one parallel scoring pass).
   size_t max_batch_windows = 32;
@@ -115,10 +119,11 @@ struct StreamPipelineOptions {
   /// period.
   FailurePolicy score_policy;
   /// Invoked on the calling thread, in deterministic commit order, for
-  /// every quarantined unit of the commit-thread stages ("score" and
-  /// "refresh" records only: ingest/window quarantines happen on their
-  /// own threads, interleave nondeterministically with commits, and are
-  /// therefore only collected into PipelineStats::quarantine).
+  /// every quarantined unit of the commit stage ("score" and "refresh"
+  /// records only: ingest quarantines happen on the ingest thread and
+  /// interleave nondeterministically with commits, and "window" records
+  /// are kept beside them, so both are only collected into
+  /// PipelineStats::quarantine).
   std::function<void(const QuarantineRecord&)> on_quarantine;
 
   /// Checkpoint file path; empty disables checkpointing.
@@ -145,12 +150,15 @@ struct PipelineStats {
   size_t rows_scored = 0;
   size_t alarms = 0;
   size_t refreshes = 0;
-  /// High-water marks of the two queues: how deep backpressure buffered.
+  /// High-water mark of the chunk queue: how deep backpressure buffered.
   size_t chunk_queue_peak = 0;
+  /// High-water mark of the windows pending on the calling thread:
+  /// windowed, not yet taken into a scoring batch.
   size_t window_queue_peak = 0;
   /// Windower allocation telemetry for this Run (see stream/windower.h):
-  /// rows copied into emitted windows (the whole per-emit cost), rolling
-  /// buffer growth events, and the final rolling-buffer capacity. A
+  /// rows copied into emitted windows (the whole per-emit cost; 0 for a
+  /// tumbling window emitted as its chunk), rolling buffer growth
+  /// events, and the final rolling-buffer capacity. A
   /// steady-state stream reallocates a handful of times up front and
   /// then never again — `ccsynth monitor --stats` surfaces these.
   size_t window_rows_copied = 0;
@@ -208,7 +216,7 @@ class StreamPipeline {
   static StatusOr<StreamPipeline> Create(const dataframe::DataFrame& reference,
                                          StreamPipelineOptions options);
 
-  /// Runs ingest -> windowing -> scoring over `in` until end of stream,
+  /// Runs ingest -> windowing + scoring over `in` until end of stream,
   /// graceful stop, or first unabsorbed error (a failing stage cancels
   /// the others; stats collected so far are returned either way).
   /// `on_score`, when set, is invoked on the calling thread once per

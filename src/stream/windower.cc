@@ -21,13 +21,18 @@ StatusOr<Windower> Windower::Create(size_t window_rows, size_t slide_rows) {
   return Windower(window_rows, slide_rows);
 }
 
-Status Windower::AppendChunk(const DataFrame& chunk) {
+Status Windower::AdoptOrCheckSchema(const DataFrame& chunk) {
   if (schema_.num_attributes() == 0 && buffers_.empty()) {
     schema_ = chunk.schema();
     buffers_.resize(schema_.num_attributes());
   } else if (!(chunk.schema() == schema_)) {
     return Status::InvalidArgument("Windower: chunk schema mismatch");
   }
+  return Status::OK();
+}
+
+Status Windower::AppendChunk(const DataFrame& chunk) {
+  CCS_RETURN_IF_ERROR(AdoptOrCheckSchema(chunk));
   const size_t rows = chunk.num_rows();
   for (size_t c = 0; c < buffers_.size(); ++c) {
     const Column& col = chunk.column(c);
@@ -92,6 +97,15 @@ StatusOr<std::vector<DataFrame>> Windower::Push(const DataFrame& chunk) {
   // deterministically, not only when the offending chunk happens to
   // carry rows. Only a column-less placeholder frame is ignored.
   if (chunk.num_columns() > 0) {
+    // A tumbling window that is exactly this chunk, with nothing
+    // buffered ahead of it, is the chunk itself: emit it sharing the
+    // chunk's storage instead of copying it through the buffers.
+    if (buffered_rows_ == 0 && slide_rows_ == window_rows_ &&
+        chunk.num_rows() == window_rows_) {
+      CCS_RETURN_IF_ERROR(AdoptOrCheckSchema(chunk));
+      ++windows_emitted_;
+      return std::vector<DataFrame>{chunk};
+    }
     CCS_RETURN_IF_ERROR(AppendChunk(chunk));
   }
   std::vector<DataFrame> windows;

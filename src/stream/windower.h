@@ -13,13 +13,17 @@
 //
 // Rows are held in per-column rolling buffers (raw doubles and
 // dictionary codes, never whole DataFrames), consumed by advancing a
-// start offset and compacted once per Push. Each emitted window copies
-// exactly `window_rows` rows out of the rolling buffers into fresh
+// start offset and compacted once per Push. A window assembled there
+// copies its `window_rows` rows out of the rolling buffers into fresh
 // shared column storage — O(window) per emit, with the categorical
 // dictionary shared, not copied — and the rolling buffers themselves
 // stop reallocating once their capacity covers window + chunk
 // (`buffer_reallocs()` / `buffer_capacity_rows()` expose this for the
-// regression test and `ccsynth monitor --stats`).
+// regression test and `ccsynth monitor --stats`). One shape copies
+// nothing: a tumbling window that is exactly one incoming chunk,
+// arriving while no rows are buffered, is emitted as that chunk and
+// shares its storage (`ccsynth monitor` caps its chunk at the window
+// step, so every tumbling run on it takes this path).
 
 #ifndef CCS_STREAM_WINDOWER_H_
 #define CCS_STREAM_WINDOWER_H_
@@ -43,9 +47,11 @@ class Windower {
   static StatusOr<Windower> Create(size_t window_rows, size_t slide_rows = 0);
 
   /// Appends a chunk (its schema must match earlier chunks) and returns
-  /// every window it completes, oldest first. Emitted windows own their
-  /// storage (sharing only the categorical dictionaries) and stay valid
-  /// after further pushes.
+  /// every window it completes, oldest first. Emitted windows stay
+  /// valid after further pushes: an assembled window owns its storage
+  /// (sharing only the categorical dictionaries), and a tumbling window
+  /// that is exactly `chunk` (nothing buffered) shares the chunk's
+  /// immutable column storage.
   ///
   /// Edge semantics (defined, not accidental — the scenario gauntlet's
   /// empty/short-stream cases rely on them):
@@ -77,9 +83,10 @@ class Windower {
   /// Current rolling-buffer capacity, in rows (max across columns).
   size_t buffer_capacity_rows() const;
 
-  /// Total rows copied into emitted windows (= windows_emitted *
-  /// window_rows): the entire per-emit cost, independent of how many
-  /// rows sit in the rolling buffer.
+  /// Total rows copied into emitted windows: `window_rows` per window
+  /// assembled in the rolling buffers, none for a window emitted as its
+  /// chunk. The entire per-emit cost, independent of how many rows sit
+  /// in the rolling buffer.
   size_t rows_copied_out() const { return rows_copied_out_; }
 
  private:
@@ -94,6 +101,9 @@ class Windower {
   Windower(size_t window_rows, size_t slide_rows)
       : window_rows_(window_rows), slide_rows_(slide_rows) {}
 
+  // Adopts the first chunk's schema, or rejects a chunk whose schema
+  // differs from it.
+  Status AdoptOrCheckSchema(const dataframe::DataFrame& chunk);
   Status AppendChunk(const dataframe::DataFrame& chunk);
   dataframe::DataFrame EmitWindow();
 

@@ -262,8 +262,8 @@ TEST(PipelineStressTest, ConcurrentHistoryReadersDuringRun) {
 
 TEST(PipelineStressTest, TeardownMidStreamOnIngestError) {
   // A malformed cell mid-stream fails ingest while windowing and
-  // scoring are busy: the error must cancel both queues, unblock every
-  // stage, and surface as Run's status — with no thread left behind for
+  // scoring are busy: the error must close the chunk queue, unblock
+  // both stages, and surface as Run's status — with no thread left behind for
   // TSan to flag at process exit.
   DataFrame reference = ReferenceFrame(200, /*seed=*/21);
   for (int round = 0; round < 10; ++round) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -443,6 +444,131 @@ TEST(WindowerTest, EmittedWindowsSurviveLaterPushesAndCompaction) {
                 df.NumericValue(w * 10 + r, "y").value());
       EXPECT_EQ(kept[w].CategoricalValue(r, "label").value(),
                 df.CategoricalValue(w * 10 + r, "label").value());
+    }
+  }
+}
+
+// TrendFrame plus a categorical column, so window checks cover the
+// dictionary-code path too.
+DataFrame LabeledTrendFrame(size_t n, uint64_t seed) {
+  DataFrame df = TrendFrame(n, 0.0, seed);
+  std::vector<std::string> label(n);
+  for (size_t i = 0; i < n; ++i) {
+    label[i] = "v" + std::to_string((i * 7 + seed) % 5);
+  }
+  CCS_CHECK(df.AddCategoricalColumn("label", std::move(label)).ok());
+  return df;
+}
+
+TEST(WindowerTest, AlignedTumblingChunkIsEmittedWithoutCopy) {
+  // A tumbling window that is exactly one chunk, arriving while nothing
+  // is buffered, is the chunk itself: it shares the chunk's storage,
+  // copies no row, and survives later pushes (the chunk's buffers are
+  // immutable and shared).
+  constexpr size_t kWindow = 30;
+  auto windower = Windower::Create(kWindow);
+  ASSERT_TRUE(windower.ok());
+  std::vector<DataFrame> kept;
+  for (uint64_t seed = 70; seed < 73; ++seed) {
+    const DataFrame chunk = LabeledTrendFrame(kWindow, seed);
+    auto out = windower->Push(chunk);
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(out->size(), 1u);
+    const DataFrame& window = (*out)[0];
+    ASSERT_TRUE(window.schema() == chunk.schema());
+    for (size_t c = 0; c < chunk.num_columns(); ++c) {
+      if (chunk.column(c).is_numeric()) {
+        EXPECT_EQ(window.column(c).numeric_buffer().data(),
+                  chunk.column(c).numeric_buffer().data())
+            << "column " << c;
+      } else {
+        EXPECT_EQ(window.column(c).code_buffer().data(),
+                  chunk.column(c).code_buffer().data())
+            << "column " << c;
+      }
+    }
+    kept.push_back(std::move((*out)[0]));
+  }
+  EXPECT_EQ(windower->rows_copied_out(), 0u);
+  EXPECT_EQ(windower->windows_emitted(), 3u);
+  EXPECT_EQ(windower->buffered_rows(), 0u);
+
+  // Later pushes go through the rolling buffers: a 45-row chunk
+  // assembles (copies) one window and leaves 15 rows buffered.
+  auto later = windower->Push(LabeledTrendFrame(45, 80));
+  ASSERT_TRUE(later.ok()) << later.status();
+  ASSERT_EQ(later->size(), 1u);
+  ExpectFramesBitwiseEqual((*later)[0],
+                           LabeledTrendFrame(45, 80).Slice(0, kWindow));
+  EXPECT_EQ(windower->rows_copied_out(), kWindow);
+  EXPECT_EQ(windower->buffered_rows(), 15u);
+  for (size_t w = 0; w < kept.size(); ++w) {
+    SCOPED_TRACE("kept window " + std::to_string(w));
+    ExpectFramesBitwiseEqual(kept[w], LabeledTrendFrame(kWindow, 70 + w));
+  }
+}
+
+TEST(WindowerTest, AlignedTumblingChunkStillChecksTheSchema) {
+  // The copy-free path adopts the first chunk's schema and rejects a
+  // mismatching chunk exactly as the buffered path does.
+  DataFrame other;
+  CCS_CHECK(other.AddNumericColumn("z", {1.0, 2.0, 3.0, 4.0}).ok());
+  auto windower = Windower::Create(4);
+  ASSERT_TRUE(windower.ok());
+  ASSERT_TRUE(windower->Push(TrendFrame(4, 0.0, 74)).ok());
+  auto rejected = windower->Push(other);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  // The schema adopted on the copy-free path also guards buffered rows.
+  EXPECT_FALSE(windower->Push(other.Slice(0, 2)).ok());
+  auto more = windower->Push(TrendFrame(4, 0.0, 75));
+  ASSERT_TRUE(more.ok()) << more.status();
+  EXPECT_EQ(more->size(), 1u);
+  EXPECT_EQ(windower->rows_copied_out(), 0u);
+}
+
+TEST(WindowerTest, MisalignedChunksAndSlidingGeometryStillCopy) {
+  // Only the aligned tumbling shape skips the copy: a short chunk, a
+  // window-sized chunk arriving while rows are buffered, and every
+  // sliding window are assembled in the rolling buffers, and each gives
+  // the same window as its slice of the stream.
+  constexpr size_t kWindow = 30;
+  const DataFrame df = LabeledTrendFrame(300, 76);
+  struct Case {
+    size_t slide;
+    std::vector<size_t> chunks;
+    size_t copied_windows;  // Windows assembled in the rolling buffers.
+  };
+  const Case kCases[] = {
+      // 30 (copy-free), 10 (buffered), 30 (arrives behind 10 buffered
+      // rows: assembles rows 30..59), 20 (assembles 60..89), 30 (copy-free).
+      {0, {30, 10, 30, 20, 30}, 2},
+      // Short chunks only: every window is assembled.
+      {0, {7, 7, 7, 7, 7, 7, 7, 7, 7}, 2},
+      // Sliding windows never share a chunk, even window-sized ones.
+      {10, {30, 30, 30, 30}, 10},
+      {30, {30, 30, 30}, 0},  // An explicit slide of one window tumbles.
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE("slide " + std::to_string(c.slide) + ", " +
+                 std::to_string(c.chunks.size()) + " chunks");
+    auto windower = Windower::Create(kWindow, c.slide);
+    ASSERT_TRUE(windower.ok());
+    std::vector<DataFrame> windows;
+    size_t begin = 0;
+    for (size_t rows : c.chunks) {
+      auto out = windower->Push(df.Slice(begin, begin + rows));
+      ASSERT_TRUE(out.ok()) << out.status();
+      for (auto& w : *out) windows.push_back(std::move(w));
+      begin += rows;
+    }
+    const size_t step = c.slide == 0 ? kWindow : c.slide;
+    ASSERT_EQ(windows.size(), (begin - kWindow) / step + 1);
+    EXPECT_EQ(windower->rows_copied_out(), c.copied_windows * kWindow);
+    for (size_t w = 0; w < windows.size(); ++w) {
+      SCOPED_TRACE("window " + std::to_string(w));
+      ExpectFramesBitwiseEqual(windows[w],
+                               df.Slice(w * step, w * step + kWindow));
     }
   }
 }
@@ -1252,6 +1378,123 @@ TEST_F(StreamPipelineTest, ScoreOnceRescoresWholeWindowAfterQuarantine) {
                     2 * (options.window_rows - options.slide_rows));
       ExpectHistoriesBitwiseEqual(pipeline->history(), expected);
     }
+  }
+}
+
+// `csv_text` without data rows [begin, end) (0-based, header kept).
+std::string WithoutRows(const std::string& csv_text, size_t begin,
+                        size_t end) {
+  std::istringstream in(csv_text);
+  std::string line;
+  std::string out;
+  std::getline(in, line);
+  out += line + "\n";
+  for (size_t row = 0; std::getline(in, line); ++row) {
+    if (row < begin || row >= end) out += line + "\n";
+  }
+  return out;
+}
+
+TEST_F(StreamPipelineTest, WindowQuarantineDropsOneChunkAtAnyQueueDepth) {
+  // A window-stage fault on chunk k quarantines that chunk: one "window"
+  // record (index = chunk ordinal, rows_lost = its rows), and the
+  // Windower never sees its rows, so the history is the serial loop's
+  // over the stream without them. Each 64-row chunk completes more
+  // windows than one batch takes (window 8, cap 3), so windows wait
+  // pending across batches and refresh boundaries; none of that may
+  // move a bit at any queue depth or lane count.
+  constexpr size_t kRows = 640;
+  constexpr size_t kChunk = 64;
+  constexpr size_t kDropped = 3;  // 1-based chunk ordinal.
+  DataFrame reference = TrendFrame(300, 0.0, 62);
+  const std::string csv_text =
+      ToCsv(TrendFrame(kRows, 5.0, 63, /*drift_from=*/kRows / 2));
+  const std::string kept_text =
+      WithoutRows(csv_text, (kDropped - 1) * kChunk, kDropped * kChunk);
+
+  StreamPipelineOptions options;
+  options.window_rows = 8;
+  options.alarm_threshold = 0.25;
+  options.chunk_rows = kChunk;
+  options.max_batch_windows = 3;
+  options.refresh_every = 5;
+  options.window_policy.mode = FailureMode::kQuarantine;
+  common::fault::FaultSpec spec;
+  common::fault::FaultPoint p;
+  p.point = "stream.window.push";
+  p.at = kDropped;
+  p.code = "internal";
+  spec.points.push_back(p);
+
+  for (size_t slide : {0u, 3u}) {
+    options.slide_rows = slide;
+    const std::vector<WindowScore> expected =
+        SerialLoop(reference, {kept_text}, options);
+    ASSERT_FALSE(expected.empty());
+    // Meaningful: a clean head, and the drift alarms before the
+    // refreshes absorb it.
+    EXPECT_FALSE(expected.front().alarm);
+    EXPECT_TRUE(std::any_of(expected.begin(), expected.end(),
+                            [](const WindowScore& s) { return s.alarm; }));
+    for (size_t capacity : {1u, 4u}) {
+      for (size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("slide " + std::to_string(slide) + " queue " +
+                     std::to_string(capacity) + " threads " +
+                     std::to_string(threads));
+        options.queue_capacity = capacity;
+        options.num_threads = threads;
+        auto pipeline = StreamPipeline::Create(reference, options);
+        ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+        ASSERT_TRUE(common::fault::Injector::Global().Arm(spec).ok());
+        std::istringstream in(csv_text);
+        auto result = pipeline->Run(in);
+        common::fault::Injector::Global().Disarm();
+        ASSERT_TRUE(result.ok()) << result.status;
+        EXPECT_EQ(result->rows_ingested, kRows);
+        EXPECT_EQ(result->faults_injected, 1u);
+        ASSERT_EQ(result->quarantine.size(), 1u);
+        EXPECT_EQ(result->quarantine[0].stage, "window");
+        EXPECT_EQ(result->quarantine[0].index, kDropped);
+        EXPECT_EQ(result->quarantine[0].rows_lost, kChunk);
+        EXPECT_EQ(result->rows_quarantined, kChunk);
+        EXPECT_EQ(result->windows_quarantined, 0u);
+        EXPECT_EQ(result->windows_scored, expected.size());
+        if (slide == 0) {
+          // A chunk's 8 windows are pending at once; at most cap - 1
+          // more can be ahead of them.
+          EXPECT_GE(result->window_queue_peak, kChunk / 8);
+          EXPECT_LE(result->window_queue_peak,
+                    kChunk / 8 + options.max_batch_windows - 1);
+        }
+        ExpectHistoriesBitwiseEqual(pipeline->history(), expected);
+      }
+    }
+  }
+}
+
+TEST_F(StreamPipelineTest, AlignedTumblingRunCopiesNoWindowRows) {
+  // With chunk_rows = window_rows (what `ccsynth monitor` picks for a
+  // tumbling run) every window is its chunk; a sliding run over the
+  // same chunks still assembles, and copies, every window.
+  DataFrame reference = TrendFrame(300, 0.0, 64);
+  const std::string csv_text = ToCsv(TrendFrame(500, 5.0, 65, 250));
+  StreamPipelineOptions options;
+  options.window_rows = 50;
+  options.chunk_rows = 50;
+  options.alarm_threshold = 0.25;
+  for (size_t slide : {0u, 25u}) {
+    SCOPED_TRACE("slide " + std::to_string(slide));
+    options.slide_rows = slide;
+    const std::vector<WindowScore> serial =
+        SerialLoop(reference, {csv_text}, options);
+    auto pipeline = StreamPipeline::Create(reference, options);
+    ASSERT_TRUE(pipeline.ok());
+    std::istringstream in(csv_text);
+    auto result = pipeline->Run(in);
+    ASSERT_TRUE(result.ok()) << result.status;
+    EXPECT_EQ(result->window_rows_copied,
+              slide == 0 ? 0u : serial.size() * options.window_rows);
+    ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
   }
 }
 

@@ -496,18 +496,18 @@ int RunMonitor(const std::vector<std::string>& args) {
                  stats->checkpoints_written, options.checkpoint_path.c_str());
   }
   if (emit_stats) {
-    // The allocation-free-windowing confirmation: each emitted window
-    // copies exactly window_rows rows out of the rolling buffer, and
-    // after warm-up the buffer itself stops reallocating.
+    // The allocation-free-windowing confirmation: a window assembled in
+    // the rolling buffer copies window_rows rows out of it, a tumbling
+    // window that is exactly one chunk copies none, and after warm-up
+    // the buffer itself stops reallocating.
     double rows_per_window =
         stats->windows_scored > 0
             ? static_cast<double>(stats->window_rows_copied) /
                   static_cast<double>(stats->windows_scored)
             : 0.0;
     std::fprintf(stderr,
-                 "ccsynth: window emits copied %zu rows (%.0f rows/window, "
-                 "O(window) per emit); rolling buffer: %zu reallocs, "
-                 "capacity %zu rows\n",
+                 "ccsynth: window emits copied %zu rows (%.0f rows/window); "
+                 "rolling buffer: %zu reallocs, capacity %zu rows\n",
                  stats->window_rows_copied, rows_per_window,
                  stats->window_buffer_reallocs,
                  stats->window_buffer_capacity_rows);
