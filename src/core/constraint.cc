@@ -84,6 +84,11 @@ StatusOr<SimpleConstraint> SimpleConstraint::Create(
   SimpleConstraint out;
   out.names_ = std::move(attribute_names);
   out.conjuncts_ = std::move(conjuncts);
+  out.coef_ = linalg::Matrix(out.names_.size(), out.conjuncts_.size());
+  for (size_t k = 0; k < out.conjuncts_.size(); ++k) {
+    const linalg::Vector& c = out.conjuncts_[k].projection().coefficients();
+    for (size_t j = 0; j < c.size(); ++j) out.coef_.At(j, k) = c[j];
+  }
   return out;
 }
 
@@ -109,19 +114,10 @@ double SimpleConstraint::ViolationAligned(
   return std::clamp(acc, 0.0, 1.0);
 }
 
-linalg::Matrix SimpleConstraint::CoefficientMatrix() const {
-  linalg::Matrix coef(names_.size(), conjuncts_.size());
-  for (size_t k = 0; k < conjuncts_.size(); ++k) {
-    const linalg::Vector& c = conjuncts_[k].projection().coefficients();
-    for (size_t j = 0; j < c.size(); ++j) coef.At(j, k) = c[j];
-  }
-  return coef;
-}
-
 CCS_NOINLINE void SimpleConstraint::ViolationRowRange(
-    const linalg::MatrixView& data, const linalg::Matrix& coef, size_t begin,
-    size_t end, double* out) const {
-  const linalg::Matrix values = data.MultiplyRowRange(begin, end, coef);
+    const linalg::MatrixView& data, size_t begin, size_t end,
+    double* out) const {
+  const linalg::Matrix values = data.MultiplyRowRange(begin, end, coef_);
   for (size_t i = 0; i < end - begin; ++i) {
     // The per-row fold of ViolationAligned, term for term.
     double acc = 0.0;
@@ -137,11 +133,10 @@ linalg::Vector SimpleConstraint::ViolationAllAligned(
     const linalg::MatrixView& data, size_t num_threads) const {
   linalg::Vector out(data.rows());
   if (conjuncts_.empty() || data.rows() == 0) return out;
-  const linalg::Matrix coef = CoefficientMatrix();
   common::ParallelFor(
       data.rows(),
       [&](size_t begin, size_t end) {
-        ViolationRowRange(data, coef, begin, end, &out[begin]);
+        ViolationRowRange(data, begin, end, &out[begin]);
       },
       common::ParallelOptions{num_threads});
   return out;
@@ -209,38 +204,47 @@ StatusOr<linalg::Vector> DisjunctiveConstraint::ViolationAll(
   if (cases_.empty() || df.num_rows() == 0) return out;
 
   // One plan per case named by a dictionary entry, built before any lane
-  // starts: its coefficient matrix and its aligned view of the whole
-  // frame (zero-copy, borrowing df). The case map is consulted once per
-  // distinct value; the per-row passes below compare integer codes.
+  // starts: its constraint and its aligned view of the whole frame
+  // (zero-copy, borrowing df). The case map is consulted once per
+  // distinct value, and the frame's columns are resolved once per
+  // distinct attribute list (cases learned on one frame share theirs);
+  // the per-row passes below compare integer codes.
+  struct AlignedView {
+    const std::vector<std::string>* names;
+    StatusOr<linalg::MatrixView> data;
+  };
   struct CasePlan {
     const SimpleConstraint* constraint;
-    linalg::Matrix coef;
-    linalg::MatrixView data;
-    Status aligned;
+    size_t view;  // Index into `views`.
   };
   constexpr size_t kNoCase = ~size_t{0};
   const std::vector<std::string>& dict = col->dictionary();
   std::vector<size_t> code_plan(dict.size(), kNoCase);
   std::vector<CasePlan> plans;
+  std::vector<AlignedView> views;
   bool all_aligned = true;
   for (size_t c = 0; c < dict.size(); ++c) {
     auto it = cases_.find(dict[c]);
     if (it == cases_.end()) continue;
     const SimpleConstraint& constraint = it->second;
-    StatusOr<linalg::MatrixView> data =
-        df.NumericViewFor(constraint.attribute_names());
+    const std::vector<std::string>& names = constraint.attribute_names();
+    size_t v = 0;
+    while (v < views.size() && *views[v].names != names) ++v;
+    if (v == views.size()) {
+      views.push_back({&names, df.NumericViewFor(names)});
+      all_aligned = all_aligned && views.back().data.ok();
+    }
     code_plan[c] = plans.size();
-    plans.push_back({&constraint, constraint.CoefficientMatrix(), {},
-                     data.status()});
-    if (data.ok()) plans.back().data = *data;
-    all_aligned = all_aligned && data.ok();
+    plans.push_back({&constraint, v});
   }
   if (!all_aligned) {
     // A case that cannot be aligned fails the call only when some row
     // selects it, as scoring that row alone would.
     for (size_t i = 0; i < df.num_rows(); ++i) {
       const size_t p = code_plan[col->CodeAt(i)];
-      if (p != kNoCase && !plans[p].aligned.ok()) return plans[p].aligned;
+      if (p == kNoCase) continue;
+      const StatusOr<linalg::MatrixView>& data = views[plans[p].view].data;
+      if (!data.ok()) return data.status();
     }
   }
 
@@ -270,7 +274,7 @@ StatusOr<linalg::Vector> DisjunctiveConstraint::ViolationAll(
           rows.assign(order.begin() + offset[p], order.begin() + offset[p + 1]);
           violations.resize(rows.size());
           plans[p].constraint->ViolationRowRange(
-              plans[p].data.RowSubset(&rows), plans[p].coef, 0, rows.size(),
+              views[plans[p].view].data->RowSubset(&rows), 0, rows.size(),
               violations.data());
           for (size_t g = 0; g < rows.size(); ++g) {
             out[rows[g]] = violations[g];

@@ -121,21 +121,20 @@ class SimpleConstraint {
  private:
   friend class DisjunctiveConstraint;
 
-  // Column k holds conjunct k's projection coefficients, so one
-  // data * coef product evaluates every projection on every row.
-  linalg::Matrix CoefficientMatrix() const;
-
   // The one serial scoring body behind global and disjunctive batch
   // scoring: writes the violations of logical rows [begin, end) of
-  // `data` to out[0 .. end - begin). `coef` is CoefficientMatrix().
-  // Never inlined, so every caller runs the same compiled fold.
+  // `data` to out[0 .. end - begin). Never inlined, so every caller runs
+  // the same compiled fold.
   CCS_NOINLINE void ViolationRowRange(const linalg::MatrixView& data,
-                                      const linalg::Matrix& coef,
                                       size_t begin, size_t end,
                                       double* out) const;
 
   std::vector<std::string> names_;
   std::vector<BoundedConstraint> conjuncts_;
+  // Column k holds conjunct k's projection coefficients, so one
+  // data * coef_ product evaluates every projection on every row. Built
+  // once by Create, the only writer of conjuncts_.
+  linalg::Matrix coef_;
 };
 
 /// OR((A = c_k) |> phi_k): a disjunction switched on one categorical

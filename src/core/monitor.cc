@@ -18,7 +18,7 @@ void IncrementalSynthesizer::Observe(const linalg::Vector& numeric_tuple) {
 }
 
 Status IncrementalSynthesizer::ObserveAll(const dataframe::DataFrame& df) {
-  // The stream pipeline feeds rolling-buffer window views through here
+  // The stream pipeline feeds generation-buffer window views through here
   // every slide; walking them in place keeps the refresh path
   // allocation-free in the window size.
   CCS_ASSIGN_OR_RETURN(linalg::MatrixView data, df.NumericViewFor(names_));

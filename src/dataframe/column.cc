@@ -67,6 +67,36 @@ Column Column::CategoricalFromCodes(
   return col;
 }
 
+Column Column::NumericView(
+    std::shared_ptr<std::vector<double>> buffer,
+    std::shared_ptr<const std::vector<size_t>> selection) {
+  CCS_CHECK(buffer != nullptr && selection != nullptr);
+#ifndef NDEBUG
+  for (size_t phys : *selection) CCS_DCHECK(phys < buffer->size());
+#endif
+  Column col(AttributeType::kNumeric);
+  col.numeric_ = std::move(buffer);
+  col.selection_ = std::move(selection);
+  return col;
+}
+
+Column Column::CategoricalView(
+    std::shared_ptr<std::vector<uint32_t>> codes,
+    std::shared_ptr<const std::vector<std::string>> dictionary,
+    std::shared_ptr<const std::vector<size_t>> selection) {
+  CCS_CHECK(codes != nullptr && dictionary != nullptr && selection != nullptr);
+#ifndef NDEBUG
+  for (size_t phys : *selection) {
+    CCS_DCHECK(phys < codes->size() && (*codes)[phys] < dictionary->size());
+  }
+#endif
+  Column col(AttributeType::kCategorical);
+  col.codes_ = std::move(codes);
+  col.dictionary_ = std::move(dictionary);
+  col.selection_ = std::move(selection);
+  return col;
+}
+
 void Column::EnsureOwnedNumeric() {
   CCS_DCHECK(is_numeric());
   if (!selection_ && numeric_.use_count() == 1) return;

@@ -87,6 +87,22 @@ class Column {
       std::vector<uint32_t> codes,
       std::shared_ptr<const std::vector<std::string>> dictionary);
 
+  /// A zero-copy view of the physical rows `selection` of a shared
+  /// numeric buffer whose producer goes on writing rows the selection
+  /// does not name (stream::Windower's generation buffers). The
+  /// producer must never resize the buffer, nor rewrite a row once a
+  /// view names it.
+  static Column NumericView(
+      std::shared_ptr<std::vector<double>> buffer,
+      std::shared_ptr<const std::vector<size_t>> selection);
+
+  /// The categorical twin of NumericView: the selected codes must index
+  /// `dictionary` (codes past the selection may not yet).
+  static Column CategoricalView(
+      std::shared_ptr<std::vector<uint32_t>> codes,
+      std::shared_ptr<const std::vector<std::string>> dictionary,
+      std::shared_ptr<const std::vector<size_t>> selection);
+
   AttributeType type() const { return type_; }
   bool is_numeric() const { return type_ == AttributeType::kNumeric; }
 

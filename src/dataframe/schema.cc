@@ -38,7 +38,12 @@ StatusOr<size_t> Schema::IndexOf(const std::string& name) const {
 }
 
 bool Schema::Contains(const std::string& name) const {
-  return IndexOf(name).ok();
+  // Scans directly: a miss is the common case (every AddColumn asks),
+  // and IndexOf's NotFound would build its message each time.
+  for (const Attribute& attribute : attributes_) {
+    if (attribute.name == name) return true;
+  }
+  return false;
 }
 
 std::vector<size_t> Schema::NumericIndices() const {

@@ -17,7 +17,7 @@
 //     reference CSV, which the resuming process re-Fits
 //     deterministically — so it is not serialized.
 //
-// Windower state is deliberately NOT serialized: the rolling buffers
+// Windower state is deliberately NOT serialized: the generation buffers
 // hold only the in-flight tail after the last consumed window, which the
 // rows themselves determine. Instead the resume skips
 // rows_consumed good data rows through the same CsvChunkReader and

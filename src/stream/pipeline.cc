@@ -152,7 +152,7 @@ void StreamPipeline::RecordQuarantine(QuarantineRecord record,
 }
 
 Status StreamPipeline::CommitBatch(
-    std::vector<DataFrame> batch,
+    std::vector<StampedFrame> batch,
     const std::function<void(const WindowScore&)>& on_score,
     PipelineStats* stats) {
   obs::ObsSpan commit_span("stream.commit", "stream");
@@ -163,16 +163,19 @@ Status StreamPipeline::CommitBatch(
   // the windows happened to batch up.
   std::vector<DataFrame> survivors;
   std::vector<size_t> survivor_ordinals;
+  std::vector<uint64_t> survivor_parsed_ns;
   std::vector<QuarantineRecord> pending_quarantine;
   survivors.reserve(batch.size());
   survivor_ordinals.reserve(batch.size());
+  survivor_parsed_ns.reserve(batch.size());
   // A fail-fast gate failure is deferred until the batch prefix before it
   // has committed: a serial loop would have scored those windows before
   // reaching the failing one, and batch boundaries are the one thing in
   // this pipeline that is NOT deterministic — the termination trace must
   // not depend on them.
   Status gate_failure;
-  for (DataFrame& window : batch) {
+  for (StampedFrame& pending : batch) {
+    DataFrame& window = pending.frame;
     ++windows_consumed_;
     auto gate = [&]() -> Status {
       CCS_FAULT_POINT("stream.score.window");
@@ -199,6 +202,7 @@ Status StreamPipeline::CommitBatch(
     }
     survivors.push_back(std::move(window));
     survivor_ordinals.push_back(windows_consumed_);
+    survivor_parsed_ns.push_back(pending.parsed_ns);
   }
   if (survivors.empty()) {
     for (QuarantineRecord& record : pending_quarantine) {
@@ -308,6 +312,8 @@ Status StreamPipeline::CommitBatch(
             [](const QuarantineRecord& a, const QuarantineRecord& b) {
               return a.index < b.index;
             });
+  obs::Histogram* window_latency =
+      obs::Registry::Global().GetHistogram("stream.window_latency_us");
   size_t next_pending = 0;
   for (size_t i = 0; i < committed.size(); ++i) {
     const size_t ordinal = survivor_ordinals[committed[i]];
@@ -318,6 +324,10 @@ Status StreamPipeline::CommitBatch(
     const WindowScore& score = scores[i];
     ++stats->windows_scored;
     if (score.alarm) ++stats->alarms;
+    window_latency->Observe(
+        static_cast<double>(obs::NowNanos() -
+                            survivor_parsed_ns[committed[i]]) *
+        1e-3);
     if (on_score) on_score(score);
   }
   while (next_pending < pending_quarantine.size()) {
@@ -388,7 +398,7 @@ PipelineRunResult StreamPipeline::Run(
   const uint64_t faults_before = common::fault::Injector::Global().injected();
 
   obs::Registry& registry = obs::Registry::Global();
-  BoundedQueue<DataFrame> chunk_queue(
+  BoundedQueue<StampedFrame> chunk_queue(
       options_.queue_capacity,
       {registry.GetHistogram("stream.chunk_queue.push_wait_us"),
        registry.GetHistogram("stream.chunk_queue.pop_wait_us")});
@@ -476,7 +486,9 @@ PipelineRunResult StreamPipeline::Run(
       }
       if (chunk.num_rows() == 0) break;  // End of stream.
       rows_ingested += chunk.num_rows();
-      if (!chunk_queue.Push(std::move(chunk))) break;  // Cancelled.
+      if (!chunk_queue.Push({std::move(chunk), obs::NowNanos()})) {
+        break;  // Cancelled.
+      }
     }
     chunk_queue.Close();
     MutexLock lock(&ingest_result.mu);
@@ -496,7 +508,7 @@ PipelineRunResult StreamPipeline::Run(
   StatusOr<Windower> windower =
       Windower::Create(options_.window_rows, options_.slide_rows);
   CCS_CHECK(windower.ok()) << windower.status().ToString();  // Create checked.
-  std::deque<DataFrame> pending;
+  std::deque<StampedFrame> pending;
   size_t pending_peak = 0;
   std::vector<QuarantineRecord> window_quarantined;
   Status window_status;
@@ -505,7 +517,8 @@ PipelineRunResult StreamPipeline::Run(
   // A fail-fast windowing failure ends the chunk stream (and cancels
   // ingest); the windows already pending are still scored, as a serial
   // loop would have scored them before reaching the failing chunk.
-  auto window_chunk = [&](const DataFrame& chunk) {
+  auto window_chunk = [&](const StampedFrame& parsed) {
+    const DataFrame& chunk = parsed.frame;
     ++chunk_ordinal;
     std::vector<DataFrame> windows;
     auto attempt = [&]() -> Status {
@@ -536,7 +549,9 @@ PipelineRunResult StreamPipeline::Run(
       window_quarantined.push_back(std::move(record));
       return;
     }
-    for (DataFrame& window : windows) pending.push_back(std::move(window));
+    for (DataFrame& window : windows) {
+      pending.push_back({std::move(window), parsed.parsed_ns});
+    }
     pending_peak = std::max(pending_peak, pending.size());
   };
 
@@ -546,7 +561,7 @@ PipelineRunResult StreamPipeline::Run(
     // Block on the chunk queue only while no window is pending: a
     // completed window is never held back waiting for the next chunk.
     while (pending.empty() && chunks_open) {
-      std::optional<DataFrame> chunk = chunk_queue.Pop();
+      std::optional<StampedFrame> chunk = chunk_queue.Pop();
       if (!chunk) {
         chunks_open = false;  // Ingest finished and every chunk drained.
         break;
@@ -566,12 +581,12 @@ PipelineRunResult StreamPipeline::Run(
     // Top the batch up from chunks already queued; windows past the cap
     // stay pending for the next batch.
     while (chunks_open && pending.size() < cap) {
-      std::optional<DataFrame> chunk = chunk_queue.TryPop();
+      std::optional<StampedFrame> chunk = chunk_queue.TryPop();
       if (!chunk) break;
       window_chunk(*chunk);
     }
     const size_t take = std::min(cap, pending.size());
-    std::vector<DataFrame> batch(
+    std::vector<StampedFrame> batch(
         std::make_move_iterator(pending.begin()),
         std::make_move_iterator(pending.begin() + take));
     pending.erase(pending.begin(), pending.begin() + take);

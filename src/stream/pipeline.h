@@ -6,7 +6,7 @@
 //   ingest (thread)     CsvChunkReader parses schema-shaped row chunks
 //   (+ pool)            (records located serially, converted in row
 //                       blocks on the pool lanes, committed in row order)
-//      │  BoundedQueue<DataFrame>
+//      │  BoundedQueue of parse-stamped chunks
 //   windowing, scoring  the calling thread pops each chunk and windows
 //   + commit            it (Windower: tumbling/sliding windows), then
 //   (caller + pool)     scores the pending windows in batches, each row
@@ -156,11 +156,12 @@ struct PipelineStats {
   /// windowed, not yet taken into a scoring batch.
   size_t window_queue_peak = 0;
   /// Windower allocation telemetry for this Run (see stream/windower.h):
-  /// rows copied into emitted windows (the whole per-emit cost; 0 for a
-  /// tumbling window emitted as its chunk), rolling buffer growth
-  /// events, and the final rolling-buffer capacity. A
-  /// steady-state stream reallocates a handful of times up front and
-  /// then never again — `ccsynth monitor --stats` surfaces these.
+  /// rows carried into new generation buffers (each change copies the
+  /// live tail, fewer than window_rows; emits copy nothing), generation
+  /// changes, and the final generation's capacity in rows. A generation
+  /// takes at least 3 windows of new rows, so the rows carried stay
+  /// under a third of the rows windowed — `ccsynth monitor --stats`
+  /// surfaces these.
   size_t window_rows_copied = 0;
   size_t window_buffer_reallocs = 0;
   size_t window_buffer_capacity_rows = 0;
@@ -267,10 +268,18 @@ class StreamPipeline {
         schema_(std::move(schema)),
         options_(options) {}
 
+  // A chunk, or a window it completed, stamped with the time ingest
+  // finished parsing that chunk. The stamp only feeds the
+  // stream.window_latency_us histogram (out-of-band).
+  struct StampedFrame {
+    dataframe::DataFrame frame;
+    uint64_t parsed_ns = 0;
+  };
+
   // Scores `batch` (never spanning a refresh boundary) under the score
   // policy, commits survivors in order, feeds the profile, and refreshes
   // it at the cadence boundary.
-  Status CommitBatch(std::vector<dataframe::DataFrame> batch,
+  Status CommitBatch(std::vector<StampedFrame> batch,
                      const std::function<void(const core::WindowScore&)>& on_score,
                      PipelineStats* stats);
 

@@ -1,6 +1,8 @@
 #include "stream/windower.h"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 #include <utility>
 
 namespace ccs::stream {
@@ -31,28 +33,57 @@ Status Windower::AdoptOrCheckSchema(const DataFrame& chunk) {
   return Status::OK();
 }
 
+void Windower::StartGeneration(size_t chunk_rows) {
+  const size_t live = end_ - start_;
+  CCS_DCHECK(live < window_rows_);
+  const bool first = capacity_ == 0;
+  capacity_ = kGenerationWindows * window_rows_ + chunk_rows;
+  for (size_t c = 0; c < buffers_.size(); ++c) {
+    ColumnBuffer& buf = buffers_[c];
+    if (schema_.attribute(c).type == AttributeType::kNumeric) {
+      auto next = std::make_shared<std::vector<double>>(capacity_);
+      if (live > 0) {
+        std::copy(buf.numeric->begin() + start_, buf.numeric->begin() + end_,
+                  next->begin());
+      }
+      buf.numeric = std::move(next);
+    } else {
+      auto next = std::make_shared<std::vector<uint32_t>>(capacity_);
+      if (live > 0) {
+        std::copy(buf.codes->begin() + start_, buf.codes->begin() + end_,
+                  next->begin());
+      }
+      buf.codes = std::move(next);
+    }
+  }
+  start_ = 0;
+  end_ = live;
+  rows_carried_ += live;
+  if (!first) ++generation_changes_;
+}
+
 Status Windower::AppendChunk(const DataFrame& chunk) {
   CCS_RETURN_IF_ERROR(AdoptOrCheckSchema(chunk));
   const size_t rows = chunk.num_rows();
+  if (rows == 0) return Status::OK();
+  if (end_ + rows > capacity_) StartGeneration(rows);
   for (size_t c = 0; c < buffers_.size(); ++c) {
     const Column& col = chunk.column(c);
     ColumnBuffer& buf = buffers_[c];
+    // Rows past end_ are named by no emitted window: writing them races
+    // with nothing a window reads.
     if (col.is_numeric()) {
-      size_t old_capacity = buf.numeric.capacity();
+      double* out = buf.numeric->data() + end_;
       const std::vector<double>& data = col.numeric_buffer();
       if (const std::vector<size_t>* sel = col.selection()) {
-        for (size_t i = 0; i < rows; ++i) {
-          buf.numeric.push_back(data[(*sel)[i]]);
-        }
+        for (size_t i = 0; i < rows; ++i) out[i] = data[(*sel)[i]];
       } else {
-        buf.numeric.insert(buf.numeric.end(), data.begin(), data.end());
+        std::copy(data.begin(), data.end(), out);
       }
-      if (buf.numeric.capacity() != old_capacity) ++buffer_reallocs_;
     } else {
-      size_t old_capacity = buf.codes.capacity();
-      // Translate the chunk's dictionary codes into the rolling
+      // Translate the chunk's dictionary codes into the windower's
       // dictionary once per *dictionary entry*; the per-row loop then
-      // appends integers. With CsvChunkReader's persistent dictionaries
+      // writes integers. With CsvChunkReader's persistent dictionaries
       // the translation is the identity after the first chunk, but any
       // chunk dictionary is accepted.
       const std::vector<std::string>& chunk_dict = col.dictionary();
@@ -60,34 +91,33 @@ Status Windower::AppendChunk(const DataFrame& chunk) {
       for (uint32_t v = 0; v < chunk_dict.size(); ++v) {
         translate[v] = buf.dict.Intern(chunk_dict[v]);
       }
-      for (size_t i = 0; i < rows; ++i) {
-        buf.codes.push_back(translate[col.CodeAt(i)]);
-      }
-      if (buf.codes.capacity() != old_capacity) ++buffer_reallocs_;
+      uint32_t* out = buf.codes->data() + end_;
+      for (size_t i = 0; i < rows; ++i) out[i] = translate[col.CodeAt(i)];
     }
   }
-  buffered_rows_ += rows;
+  end_ += rows;
   return Status::OK();
 }
 
 DataFrame Windower::EmitWindow() {
+  // One index vector shared by every column: the window's rows of the
+  // current generation. Nothing is copied out.
+  auto selection = std::make_shared<std::vector<size_t>>(window_rows_);
+  std::iota(selection->begin(), selection->end(), start_);
   DataFrame out;
   for (size_t c = 0; c < buffers_.size(); ++c) {
-    ColumnBuffer& buf = buffers_[c];
+    const ColumnBuffer& buf = buffers_[c];
     const std::string& name = schema_.attribute(c).name;
     if (schema_.attribute(c).type == AttributeType::kNumeric) {
-      std::vector<double> values(buf.numeric.begin() + start_,
-                                 buf.numeric.begin() + start_ + window_rows_);
-      CCS_CHECK(out.AddNumericColumn(name, std::move(values)).ok());
+      CCS_CHECK(
+          out.AddColumn(name, Column::NumericView(buf.numeric, selection)).ok());
     } else {
-      std::vector<uint32_t> codes(buf.codes.begin() + start_,
-                                  buf.codes.begin() + start_ + window_rows_);
-      CCS_CHECK(out.AddColumn(name, Column::CategoricalFromCodes(
-                                        std::move(codes), buf.dict.snapshot()))
+      CCS_CHECK(out.AddColumn(name, Column::CategoricalView(
+                                        buf.codes, buf.dict.snapshot(),
+                                        selection))
                     .ok());
     }
   }
-  rows_copied_out_ += window_rows_;
   return out;
 }
 
@@ -99,8 +129,8 @@ StatusOr<std::vector<DataFrame>> Windower::Push(const DataFrame& chunk) {
   if (chunk.num_columns() > 0) {
     // A tumbling window that is exactly this chunk, with nothing
     // buffered ahead of it, is the chunk itself: emit it sharing the
-    // chunk's storage instead of copying it through the buffers.
-    if (buffered_rows_ == 0 && slide_rows_ == window_rows_ &&
+    // chunk's storage instead of writing it through the buffers.
+    if (buffered_rows() == 0 && slide_rows_ == window_rows_ &&
         chunk.num_rows() == window_rows_) {
       CCS_RETURN_IF_ERROR(AdoptOrCheckSchema(chunk));
       ++windows_emitted_;
@@ -109,34 +139,12 @@ StatusOr<std::vector<DataFrame>> Windower::Push(const DataFrame& chunk) {
     CCS_RETURN_IF_ERROR(AppendChunk(chunk));
   }
   std::vector<DataFrame> windows;
-  while (buffered_rows_ >= window_rows_) {
+  while (buffered_rows() >= window_rows_) {
     windows.push_back(EmitWindow());
     start_ += slide_rows_;
-    buffered_rows_ -= slide_rows_;
     ++windows_emitted_;
   }
-  // Compact the consumed prefix once per Push (not per emit): erase
-  // keeps the vector capacity, so steady-state pushes never reallocate.
-  if (start_ > 0) {
-    for (ColumnBuffer& buf : buffers_) {
-      buf.numeric.erase(
-          buf.numeric.begin(),
-          buf.numeric.begin() + std::min(start_, buf.numeric.size()));
-      buf.codes.erase(buf.codes.begin(),
-                      buf.codes.begin() + std::min(start_, buf.codes.size()));
-    }
-    start_ = 0;
-  }
   return windows;
-}
-
-size_t Windower::buffer_capacity_rows() const {
-  size_t capacity = 0;
-  for (const ColumnBuffer& buf : buffers_) {
-    capacity = std::max(capacity, buf.numeric.capacity());
-    capacity = std::max(capacity, buf.codes.capacity());
-  }
-  return capacity;
 }
 
 }  // namespace ccs::stream

@@ -9,10 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "common/line_reader.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/constraint.h"
 #include "core/projection.h"
+#include "core/serialize.h"
 #include "core/synthesizer.h"
 #include "synth/airlines.h"
 #include "synth/evl.h"
@@ -461,6 +463,112 @@ TEST(DisjunctiveConstraintTest, UnalignableCaseFailsOnlyWhenSelected) {
   ASSERT_TRUE(fine.ok()) << fine.status();
   for (size_t i = 0; i < only_a.num_rows(); ++i) {
     EXPECT_TRUE(SameBits((*fine)[i], d.Violation(only_a, i).value()));
+  }
+}
+
+// The scoring setup is built once: each SimpleConstraint keeps the
+// coefficient matrix Create built, and ViolationAll resolves one aligned
+// view per distinct attribute list. Cases sharing a list ("a", "b", "c")
+// share a view; "d" and "e" list the same attributes in other orders
+// (a view each); "f" cannot be aligned, and no row selects it although
+// its value is in the frame's dictionary; "u1"/"u2" have no case. At 1
+// and 4 lanes, on the frame and on a view of it, the pass is bit for bit
+// the per-row Violation — for the original constraint, for one whose
+// cases went through AppendSimple/ReadSimple, and for a copy.
+TEST(DisjunctiveConstraintTest, ScoringPlanMatchesPerRowAcrossViewsAndCopies) {
+  Rng rng(91);
+  const std::vector<std::string> xyz = {"x", "y", "z"};
+  std::map<std::string, SimpleConstraint> cases;
+  for (const char* value : {"a", "b", "c"}) {
+    cases.emplace(value, RandomSimple(xyz, rng));
+  }
+  cases.emplace("d", RandomSimple({"z", "x", "y"}, rng));
+  cases.emplace("e", RandomSimple({"y", "z", "x"}, rng));
+  cases.emplace("f", RandomSimple({"x", "w"}, rng));  // No column w.
+  const DisjunctiveConstraint original("m", cases);
+
+  std::map<std::string, SimpleConstraint> decoded_cases;
+  for (const auto& [value, simple] : cases) {
+    std::string text;
+    AppendSimple(simple, &text);
+    common::LineReader reader(text, "end of block");
+    auto decoded = ReadSimple(&reader);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    ASSERT_TRUE(ConstraintsBitwiseEqual(*decoded, simple)) << value;
+    decoded_cases.emplace(value, std::move(decoded).value());
+  }
+  const DisjunctiveConstraint decoded("m", std::move(decoded_cases));
+  const DisjunctiveConstraint copied = original;
+
+  // SkewedSwitchFrame's switch takes a..d, u1, u2; remap a share of the
+  // rows to "e", and name "f" in the dictionary through a row the view
+  // below filters out.
+  DataFrame base = SkewedSwitchFrame(3000, 92);
+  std::vector<std::string> m;
+  for (size_t i = 0; i < base.num_rows(); ++i) {
+    std::string value = base.CategoricalValue(i, "m").value();
+    if (i % 11 == 4) value = "e";
+    if (i == 5) value = "f";
+    m.push_back(std::move(value));
+  }
+  DataFrame owned;
+  for (const char* name : {"x", "y", "z"}) {
+    ASSERT_TRUE(
+        owned.AddColumn(name, *base.ColumnByName(name).value()).ok());
+  }
+  ASSERT_TRUE(owned.AddCategoricalColumn("m", std::move(m)).ok());
+  const DataFrame view =
+      owned.Slice(3, owned.num_rows()).Filter([](size_t i) { return i != 2; });
+
+  // Selecting "f" fails the call, as scoring that row alone would.
+  auto selected = original.ViolationAll(owned, 1);
+  ASSERT_FALSE(selected.ok());
+  EXPECT_EQ(selected.status().message(),
+            owned.ColumnByName("w").status().message());
+
+  std::map<std::string, size_t> seen;
+  for (size_t i = 0; i < view.num_rows(); ++i) {
+    ++seen[view.CategoricalValue(i, "m").value()];
+  }
+  for (const char* value : {"a", "b", "c", "d", "e", "u1", "u2"}) {
+    ASSERT_GT(seen[value], 0u) << value;
+  }
+  ASSERT_EQ(seen.count("f"), 0u);
+
+  std::vector<double> rows;
+  for (size_t i = 0; i < view.num_rows(); ++i) {
+    rows.push_back(original.Violation(view, i).value());
+  }
+  for (const DisjunctiveConstraint* d : {&original, &decoded, &copied}) {
+    for (size_t lanes : {size_t{1}, size_t{4}}) {
+      auto all = d->ViolationAll(view, lanes);
+      ASSERT_TRUE(all.ok()) << all.status();
+      size_t bad = 0;
+      for (size_t i = 0; i < view.num_rows(); ++i) {
+        if (!SameBits((*all)[i], rows[i])) ++bad;
+        if (!SameBits(d->Violation(view, i).value(), rows[i])) ++bad;
+      }
+      EXPECT_EQ(bad, 0u) << lanes << " lane(s)";
+    }
+  }
+
+  // The global path: a decoded and a copied SimpleConstraint score
+  // bitwise like the original.
+  const SimpleConstraint& simple = cases.at("a");
+  const SimpleConstraint simple_copy = simple;
+  const SimpleConstraint& simple_decoded = decoded.cases().at("a");
+  for (size_t lanes : {size_t{1}, size_t{4}}) {
+    auto want = simple.ViolationAll(view, lanes);
+    ASSERT_TRUE(want.ok()) << want.status();
+    for (const SimpleConstraint* c : {&simple_copy, &simple_decoded}) {
+      auto got = c->ViolationAll(view, lanes);
+      ASSERT_TRUE(got.ok()) << got.status();
+      for (size_t i = 0; i < view.num_rows(); ++i) {
+        ASSERT_TRUE(SameBits((*got)[i], (*want)[i])) << "row " << i;
+        ASSERT_TRUE(SameBits((*got)[i], simple.Violation(view, i).value()))
+            << "row " << i;
+      }
+    }
   }
 }
 

@@ -366,9 +366,10 @@ TEST(WindowerTest, TrailingSegmentShorterThanSlideIsNeverEmitted) {
 TEST(WindowerTest, SlidingBufferCapacityIsStableAcross100Slides) {
   // The regression this pins: the rolling buffer used to be rebuilt by
   // Concat + Slice per emitted window (a fresh allocation every slide).
-  // Now sliding consumes an offset and compacts in place, so after a
-  // brief warm-up the buffer capacity must not move — and windows must
-  // still come out right.
+  // Now rows are written once into fixed-capacity generation buffers and
+  // windows are views of them: the capacity never moves, a new
+  // generation starts only when a chunk does not fit, and it carries
+  // only the live tail — and windows must still come out right.
   constexpr size_t kWindow = 64;
   constexpr size_t kSlide = 16;
   constexpr size_t kChunk = 16;
@@ -393,12 +394,18 @@ TEST(WindowerTest, SlidingBufferCapacityIsStableAcross100Slides) {
     begin += kChunk;
     ASSERT_LE(begin, all.num_rows());
   }
-  // 100 further slides: zero growth, zero reallocation.
+  // 100 further slides: zero growth. A generation holds 4 windows plus
+  // one chunk (272 rows). The first takes 272 / 16 = 17 chunks; each
+  // later one starts with the 48-row live tail (window - slide) and
+  // takes (272 - 48) / 16 = 14 more. 105 chunks in, generations changed
+  // at chunks 18, 32, ..., 102: 7 changes, 48 rows carried by each, and
+  // no row copied by any emit.
+  EXPECT_EQ(warm_capacity, 4 * kWindow + kChunk);
   EXPECT_EQ(windower->buffer_capacity_rows(), warm_capacity);
-  EXPECT_EQ(windower->buffer_reallocs(), warm_reallocs);
-  // Each emit copied exactly one window of rows.
-  EXPECT_EQ(windower->rows_copied_out(),
-            windower->windows_emitted() * kWindow);
+  EXPECT_EQ(warm_reallocs, 0u);
+  ASSERT_EQ(begin, 105 * kChunk);
+  EXPECT_EQ(windower->buffer_reallocs(), 7u);
+  EXPECT_EQ(windower->rows_copied_out(), 7 * (kWindow - kSlide));
 
   // And the windows are the right rows: window w covers [w*slide,
   // w*slide + window).
@@ -416,9 +423,9 @@ TEST(WindowerTest, SlidingBufferCapacityIsStableAcross100Slides) {
 }
 
 TEST(WindowerTest, EmittedWindowsSurviveLaterPushesAndCompaction) {
-  // Windows own their storage (sharing only the dictionary): pushing
-  // more chunks — which compacts and overwrites the rolling buffer —
-  // must not disturb previously emitted windows.
+  // Windows are views that keep their generation alive: pushing more
+  // chunks — which writes past them and starts new generations — must
+  // not disturb previously emitted windows.
   DataFrame df = TrendFrame(90, 0.0, 42);
   CCS_CHECK(df.AddCategoricalColumn(
                   "label", [] {
@@ -493,14 +500,18 @@ TEST(WindowerTest, AlignedTumblingChunkIsEmittedWithoutCopy) {
   EXPECT_EQ(windower->windows_emitted(), 3u);
   EXPECT_EQ(windower->buffered_rows(), 0u);
 
-  // Later pushes go through the rolling buffers: a 45-row chunk
-  // assembles (copies) one window and leaves 15 rows buffered.
+  // Later pushes go through the generation buffers: a 45-row chunk
+  // opens the first generation, emits one window as a view of it and
+  // leaves 15 rows buffered. Nothing is carried, so nothing is copied.
   auto later = windower->Push(LabeledTrendFrame(45, 80));
   ASSERT_TRUE(later.ok()) << later.status();
   ASSERT_EQ(later->size(), 1u);
   ExpectFramesBitwiseEqual((*later)[0],
                            LabeledTrendFrame(45, 80).Slice(0, kWindow));
-  EXPECT_EQ(windower->rows_copied_out(), kWindow);
+  EXPECT_TRUE((*later)[0].is_view());
+  EXPECT_EQ(windower->rows_copied_out(), 0u);
+  EXPECT_EQ(windower->buffer_reallocs(), 0u);
+  EXPECT_EQ(windower->buffer_capacity_rows(), 4 * kWindow + 45);
   EXPECT_EQ(windower->buffered_rows(), 15u);
   for (size_t w = 0; w < kept.size(); ++w) {
     SCOPED_TRACE("kept window " + std::to_string(w));
@@ -528,26 +539,34 @@ TEST(WindowerTest, AlignedTumblingChunkStillChecksTheSchema) {
 }
 
 TEST(WindowerTest, MisalignedChunksAndSlidingGeometryStillCopy) {
-  // Only the aligned tumbling shape skips the copy: a short chunk, a
-  // window-sized chunk arriving while rows are buffered, and every
-  // sliding window are assembled in the rolling buffers, and each gives
-  // the same window as its slice of the stream.
+  // Only the aligned tumbling shape skips the generation buffers: a
+  // short chunk, a window-sized chunk arriving while rows are buffered,
+  // and every sliding window are written there and emitted as views of
+  // them. The only rows copied are the live tails carried into new
+  // generations, and each window equals its slice of the stream.
   constexpr size_t kWindow = 30;
   const DataFrame df = LabeledTrendFrame(300, 76);
   struct Case {
     size_t slide;
     std::vector<size_t> chunks;
-    size_t copied_windows;  // Windows assembled in the rolling buffers.
+    size_t generation_changes;
+    size_t rows_carried;
   };
   const Case kCases[] = {
-      // 30 (copy-free), 10 (buffered), 30 (arrives behind 10 buffered
-      // rows: assembles rows 30..59), 20 (assembles 60..89), 30 (copy-free).
-      {0, {30, 10, 30, 20, 30}, 2},
-      // Short chunks only: every window is assembled.
-      {0, {7, 7, 7, 7, 7, 7, 7, 7, 7}, 2},
-      // Sliding windows never share a chunk, even window-sized ones.
-      {10, {30, 30, 30, 30}, 10},
-      {30, {30, 30, 30}, 0},  // An explicit slide of one window tumbles.
+      // 30 (copy-free), 10 (opens a 130-row generation), 30 (arrives
+      // behind 10 buffered rows: emits rows 30..59), 20 (emits 60..89),
+      // 30 (copy-free). All 60 buffered rows fit the first generation.
+      {0, {30, 10, 30, 20, 30}, 0, 0},
+      // Short chunks only: 63 rows fit the first (127-row) generation.
+      {0, {7, 7, 7, 7, 7, 7, 7, 7, 7}, 0, 0},
+      // Sliding windows never share a chunk, even window-sized ones; 120
+      // rows fit the first (150-row) generation.
+      {10, {30, 30, 30, 30}, 0, 0},
+      // 270 rows: after 150 the next chunk does not fit. Windows started
+      // at rows 0, 10, ..., 120, so the live tail 130..149 (20 rows) is
+      // carried into the second generation, which takes the rest.
+      {10, {30, 30, 30, 30, 30, 30, 30, 30, 30}, 1, 20},
+      {30, {30, 30, 30}, 0, 0},  // An explicit slide of one window tumbles.
   };
   for (const Case& c : kCases) {
     SCOPED_TRACE("slide " + std::to_string(c.slide) + ", " +
@@ -564,12 +583,64 @@ TEST(WindowerTest, MisalignedChunksAndSlidingGeometryStillCopy) {
     }
     const size_t step = c.slide == 0 ? kWindow : c.slide;
     ASSERT_EQ(windows.size(), (begin - kWindow) / step + 1);
-    EXPECT_EQ(windower->rows_copied_out(), c.copied_windows * kWindow);
+    EXPECT_EQ(windower->buffer_reallocs(), c.generation_changes);
+    EXPECT_EQ(windower->rows_copied_out(), c.rows_carried);
     for (size_t w = 0; w < windows.size(); ++w) {
       SCOPED_TRACE("window " + std::to_string(w));
       ExpectFramesBitwiseEqual(windows[w],
                                df.Slice(w * step, w * step + kWindow));
     }
+  }
+}
+
+TEST(WindowerTest, WindowsHeldAcrossGenerationChangesStayIntact) {
+  // Windows are views of generation buffers. Holding every window while
+  // the stream runs through several generations must leave each one
+  // bitwise equal to its slice of the stream: rows are written once past
+  // the last written row, never moved, and a retired generation lives on
+  // in the windows that see it. Chunks that do not divide the slide make
+  // windows complete mid-chunk; a categorical column gains new values as
+  // the stream goes (dictionary snapshots), and NaN/-inf cells must keep
+  // their bits.
+  constexpr size_t kRows = 1000;
+  constexpr size_t kWindow = 40;
+  constexpr size_t kSlide = 7;
+  DataFrame df = TrendFrame(kRows, 0.0, 81);
+  std::vector<double> z(kRows);
+  std::vector<std::string> label(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    z[i] = i % 13 == 5   ? std::numeric_limits<double>::quiet_NaN()
+           : i % 17 == 3 ? -std::numeric_limits<double>::infinity()
+                         : 0.5 * static_cast<double>(i);
+    label[i] = "v" + std::to_string(i / 90);  // A new value every 90 rows.
+  }
+  CCS_CHECK(df.AddCategoricalColumn("label", std::move(label)).ok());
+  CCS_CHECK(df.AddNumericColumn("z", std::move(z)).ok());
+  for (size_t chunk : {11u, 64u}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    auto windower = Windower::Create(kWindow, kSlide);
+    ASSERT_TRUE(windower.ok());
+    std::vector<DataFrame> windows;
+    for (size_t begin = 0; begin < kRows; begin += chunk) {
+      auto out = windower->Push(df.Slice(begin, begin + chunk));
+      ASSERT_TRUE(out.ok()) << out.status();
+      for (auto& w : *out) windows.push_back(std::move(w));
+    }
+    EXPECT_GE(windower->buffer_reallocs(), 3u);
+    EXPECT_LT(windower->rows_copied_out(),
+              windower->buffer_reallocs() * kWindow);
+    ASSERT_EQ(windows.size(), (kRows - kWindow) / kSlide + 1);
+    for (size_t w = 0; w < windows.size(); ++w) {
+      SCOPED_TRACE("window " + std::to_string(w));
+      ExpectFramesBitwiseEqual(windows[w],
+                               df.Slice(w * kSlide, w * kSlide + kWindow));
+    }
+    // The windows outlive their windower, too.
+    windower = Windower::Create(kWindow, kSlide);
+    ExpectFramesBitwiseEqual(windows.front(), df.Slice(0, kWindow));
+    ExpectFramesBitwiseEqual(
+        windows.back(), df.Slice((windows.size() - 1) * kSlide,
+                                 (windows.size() - 1) * kSlide + kWindow));
   }
 }
 
@@ -1126,6 +1197,36 @@ TEST_F(StreamPipelineTest, TracingOnVsOffBitwise) {
   }
 }
 
+TEST_F(StreamPipelineTest, WindowLatencyHistogramCountsEveryCommittedWindow) {
+  // stream.window_latency_us takes one sample per committed window —
+  // from the end of the parse of the chunk that completed it to its
+  // on_score.
+  DataFrame reference = TrendFrame(300, 0.0, 33);
+  const std::string csv_text = ToCsv(TrendFrame(400, 5.0, 34, 200));
+  StreamPipelineOptions options;
+  options.window_rows = 40;
+  options.slide_rows = 15;
+  options.chunk_rows = 23;
+  options.alarm_threshold = 0.25;
+  obs::Histogram* latency =
+      obs::Registry::Global().GetHistogram("stream.window_latency_us");
+  const uint64_t before = latency->Snapshot().total_count;
+  auto pipeline = StreamPipeline::Create(reference, options);
+  ASSERT_TRUE(pipeline.ok());
+  std::istringstream in(csv_text);
+  size_t scored = 0;
+  auto result = pipeline->Run(in, [&](const WindowScore&) {
+    // Sampled before the callback runs.
+    EXPECT_EQ(latency->Snapshot().total_count, before + scored + 1);
+    ++scored;
+  });
+  ASSERT_TRUE(result.ok()) << result.status;
+  ASSERT_EQ(scored, (400 - 40) / 15 + 1);
+  const obs::HistogramSnapshot after = latency->Snapshot();
+  EXPECT_EQ(after.total_count, before + scored);
+  EXPECT_GE(after.sum, 0.0);
+}
+
 TEST_F(StreamPipelineTest, ThreadCountBoundsIngestLanes) {
   // num_threads bounds ingest as well as scoring: a 1-lane run never
   // touches the pool, and a 4-lane run converts its 1024-row chunks in
@@ -1475,7 +1576,7 @@ TEST_F(StreamPipelineTest, WindowQuarantineDropsOneChunkAtAnyQueueDepth) {
 TEST_F(StreamPipelineTest, AlignedTumblingRunCopiesNoWindowRows) {
   // With chunk_rows = window_rows (what `ccsynth monitor` picks for a
   // tumbling run) every window is its chunk; a sliding run over the
-  // same chunks still assembles, and copies, every window.
+  // same chunks writes them into generation buffers and emits views.
   DataFrame reference = TrendFrame(300, 0.0, 64);
   const std::string csv_text = ToCsv(TrendFrame(500, 5.0, 65, 250));
   StreamPipelineOptions options;
@@ -1492,8 +1593,11 @@ TEST_F(StreamPipelineTest, AlignedTumblingRunCopiesNoWindowRows) {
     std::istringstream in(csv_text);
     auto result = pipeline->Run(in);
     ASSERT_TRUE(result.ok()) << result.status;
-    EXPECT_EQ(result->window_rows_copied,
-              slide == 0 ? 0u : serial.size() * options.window_rows);
+    // Sliding: each generation holds 4 windows + one chunk (250 rows).
+    // The first takes 5 chunks; each later one starts with the 25-row
+    // live tail and takes 4, so the 10 chunks change generations twice.
+    EXPECT_EQ(result->window_rows_copied, slide == 0 ? 0u : 50u);
+    EXPECT_EQ(result->window_buffer_reallocs, slide == 0 ? 0u : 2u);
     ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
   }
 }

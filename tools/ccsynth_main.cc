@@ -496,20 +496,14 @@ int RunMonitor(const std::vector<std::string>& args) {
                  stats->checkpoints_written, options.checkpoint_path.c_str());
   }
   if (emit_stats) {
-    // The allocation-free-windowing confirmation: a window assembled in
-    // the rolling buffer copies window_rows rows out of it, a tumbling
-    // window that is exactly one chunk copies none, and after warm-up
-    // the buffer itself stops reallocating.
-    double rows_per_window =
-        stats->windows_scored > 0
-            ? static_cast<double>(stats->window_rows_copied) /
-                  static_cast<double>(stats->windows_scored)
-            : 0.0;
+    // The copy-free-windowing confirmation: an emitted window is a view
+    // of a generation buffer, so the only rows copied are the live tails
+    // carried into new generations (fewer than one window each, none on
+    // an aligned tumbling run, whose windows are their chunks).
     std::fprintf(stderr,
-                 "ccsynth: window emits copied %zu rows (%.0f rows/window); "
-                 "rolling buffer: %zu reallocs, capacity %zu rows\n",
-                 stats->window_rows_copied, rows_per_window,
-                 stats->window_buffer_reallocs,
+                 "ccsynth: windows carried %zu rows over %zu generation "
+                 "changes (capacity %zu rows)\n",
+                 stats->window_rows_copied, stats->window_buffer_reallocs,
                  stats->window_buffer_capacity_rows);
     // The score-once confirmation: a sliding window scores only the
     // rows it adds, so rows scored per window falls to about the slide.
