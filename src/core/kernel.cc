@@ -2,104 +2,44 @@
 
 namespace ccs::core {
 
-std::vector<std::string> ExpandedNames(
-    const std::vector<std::string>& numeric,
-    const PolynomialExpansionOptions& options) {
-  const size_t m = numeric.size();
-  std::vector<std::string> names;
-  if (options.keep_linear) {
-    for (size_t j = 0; j < m; ++j) names.push_back(numeric[j]);
-  }
-  if (options.include_squares) {
-    for (size_t j = 0; j < m; ++j) names.push_back(numeric[j] + "^2");
-  }
-  if (options.include_cross_terms) {
-    for (size_t j = 0; j < m; ++j) {
-      for (size_t k = j + 1; k < m; ++k) {
-        names.push_back(numeric[j] + "*" + numeric[k]);
-      }
-    }
-  }
-  return names;
-}
-
-std::vector<dataframe::ColumnExpr> ExpansionExprs(
-    const std::vector<std::string>& numeric,
-    const PolynomialExpansionOptions& options) {
-  const size_t m = numeric.size();
-  std::vector<dataframe::ColumnExpr> exprs;
-  if (options.keep_linear) {
-    for (size_t j = 0; j < m; ++j) {
-      exprs.push_back(dataframe::ColumnExpr::Source(numeric[j]));
-    }
-  }
-  if (options.include_squares) {
-    for (size_t j = 0; j < m; ++j) {
-      exprs.push_back(dataframe::ColumnExpr::Product(numeric[j], numeric[j]));
-    }
-  }
-  if (options.include_cross_terms) {
-    for (size_t j = 0; j < m; ++j) {
-      for (size_t k = j + 1; k < m; ++k) {
-        exprs.push_back(
-            dataframe::ColumnExpr::Product(numeric[j], numeric[k]));
-      }
-    }
-  }
-  return exprs;
-}
-
-StatusOr<ExpandedView> ExpandPolynomialView(
-    const dataframe::DataFrame& df,
-    const PolynomialExpansionOptions& options) {
-  std::vector<std::string> numeric = df.NumericNames();
-  if (numeric.empty()) {
-    return Status::InvalidArgument(
-        "ExpandPolynomial: no numeric attributes to expand");
-  }
-  ExpandedView out;
-  out.names = ExpandedNames(numeric, options);
-  if (out.names.empty()) {
-    return Status::InvalidArgument(
-        "ExpandPolynomial: options produced an empty expansion");
-  }
-  CCS_ASSIGN_OR_RETURN(out.view,
-                       df.DerivedViewFor(ExpansionExprs(numeric, options)));
-  return out;
-}
-
 StatusOr<dataframe::DataFrame> ExpandPolynomial(
-    const dataframe::DataFrame& df,
-    const PolynomialExpansionOptions& options) {
-  std::vector<std::string> numeric = df.NumericNames();
+    const dataframe::DataFrame& df) {
+  const std::vector<std::string> numeric = df.NumericNames();
   if (numeric.empty()) {
     return Status::InvalidArgument(
         "ExpandPolynomial: no numeric attributes to expand");
   }
-  // Materialize each expanded column through the lazy view's compiled
-  // kernels: the only difference from ExpandPolynomialView is WHERE the
-  // cells land (owned buffers vs. kernel scratch), never their bits.
-  const std::vector<std::string> names = ExpandedNames(numeric, options);
-  const std::vector<dataframe::ColumnExpr> exprs =
-      ExpansionExprs(numeric, options);
-  CCS_ASSIGN_OR_RETURN(linalg::MatrixView view, df.DerivedViewFor(exprs));
+  CCS_ASSIGN_OR_RETURN(linalg::MatrixView view, df.NumericViewFor(numeric));
+  const size_t m = numeric.size();
   const size_t n = df.num_rows();
+
+  // Linear terms first, gathered flat so every product below reads
+  // contiguous operands; then squares, then cross terms.
+  std::vector<std::string> names = numeric;
+  std::vector<std::vector<double>> columns(m, std::vector<double>(n));
+  for (size_t j = 0; j < m; ++j) view.MaterializeColumn(j, columns[j].data());
+  auto add_product = [&](size_t a, size_t b, std::string name) {
+    std::vector<double> col(n);
+    for (size_t i = 0; i < n; ++i) col[i] = columns[a][i] * columns[b][i];
+    names.push_back(std::move(name));
+    columns.push_back(std::move(col));
+  };
+  for (size_t j = 0; j < m; ++j) add_product(j, j, numeric[j] + "^2");
+  for (size_t j = 0; j < m; ++j) {
+    for (size_t k = j + 1; k < m; ++k) {
+      add_product(j, k, numeric[j] + "*" + numeric[k]);
+    }
+  }
 
   dataframe::DataFrame out;
   for (size_t j = 0; j < names.size(); ++j) {
-    std::vector<double> col(n);
-    view.MaterializeColumn(j, col.data());
-    CCS_RETURN_IF_ERROR(out.AddNumericColumn(names[j], std::move(col)));
+    CCS_RETURN_IF_ERROR(out.AddNumericColumn(names[j], std::move(columns[j])));
   }
   // Categorical attributes pass through for disjunctive synthesis,
   // sharing the source column's buffers (zero copy).
   for (const std::string& name : df.CategoricalNames()) {
     CCS_ASSIGN_OR_RETURN(const dataframe::Column* col, df.ColumnByName(name));
     CCS_RETURN_IF_ERROR(out.AddColumn(name, *col));
-  }
-  if (out.num_columns() == 0) {
-    return Status::InvalidArgument(
-        "ExpandPolynomial: options produced an empty expansion");
   }
   return out;
 }

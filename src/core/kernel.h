@@ -14,61 +14,12 @@
 
 namespace ccs::core {
 
-/// Options for the polynomial expansion.
-struct PolynomialExpansionOptions {
-  /// Include squared terms x_i^2 (named "<a>^2").
-  bool include_squares = true;
-  /// Include cross terms x_i * x_j, i < j (named "<a>*<b>").
-  bool include_cross_terms = true;
-  /// Keep the original (degree-1) attributes.
-  bool keep_linear = true;
-};
-
-/// The expanded attribute names, in expansion order: linear terms,
-/// then squares ("<a>^2"), then cross terms ("<a>*<b>", a before b in
-/// `numeric` order). Shared by both expansion paths below, so the lazy
-/// and materialized expansions always agree on schema.
-std::vector<std::string> ExpandedNames(
-    const std::vector<std::string>& numeric,
-    const PolynomialExpansionOptions& options = PolynomialExpansionOptions());
-
-/// The expansion as derived-column expressions over `numeric` (same
-/// order as ExpandedNames): Source for linear terms, Product for
-/// squares and cross terms. Feed to DataFrame::DerivedViewFor.
-std::vector<dataframe::ColumnExpr> ExpansionExprs(
-    const std::vector<std::string>& numeric,
-    const PolynomialExpansionOptions& options = PolynomialExpansionOptions());
-
-/// A lazy polynomial expansion: names plus a zero-allocation derived
-/// view over the source frame.
-struct ExpandedView {
-  std::vector<std::string> names;
-  linalg::MatrixView view;
-};
-
-/// The degree-2 expansion of `df`'s numeric attributes as a *lazy*
-/// derived-column view — nothing materialized; squares and cross terms
-/// are computed block-by-block by the shared Eval*Column kernels as
-/// consumers (Gram accumulation, scoring) walk the view. Bitwise
-/// identical to synthesizing over ExpandPolynomial's output (one
-/// compiled kernel per op on both paths). The view borrows `df`'s
-/// buffers: it must not outlive the frame. Unlike ExpandPolynomial the
-/// result carries numeric columns only (no categorical passthrough),
-/// so an options combination producing no terms is an error even when
-/// `df` has categorical attributes.
-StatusOr<ExpandedView> ExpandPolynomialView(
-    const dataframe::DataFrame& df,
-    const PolynomialExpansionOptions& options = PolynomialExpansionOptions());
-
 /// Returns a copy of `df` whose numeric attributes are expanded with
-/// degree-2 terms; categorical attributes pass through unchanged.
+/// degree-2 terms, in this column order: the linear terms, then the
+/// squares ("<a>^2"), then the cross terms ("<a>*<b>", a before b in
+/// schema order). Categorical attributes pass through unchanged.
 /// Synthesizing on the result yields nonlinear conformance constraints.
-/// Materializes each expanded column through the same compiled kernels
-/// the lazy view runs (MatrixView::MaterializeColumn), so the two
-/// paths cannot diverge bitwise.
-StatusOr<dataframe::DataFrame> ExpandPolynomial(
-    const dataframe::DataFrame& df,
-    const PolynomialExpansionOptions& options = PolynomialExpansionOptions());
+StatusOr<dataframe::DataFrame> ExpandPolynomial(const dataframe::DataFrame& df);
 
 }  // namespace ccs::core
 

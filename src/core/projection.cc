@@ -32,21 +32,31 @@ StatusOr<double> Projection::Evaluate(const dataframe::DataFrame& df,
   return acc;
 }
 
+namespace {
+
+// out[r] = sum over j ascending of coefficients[j] * view(r, j), seeded
+// from 0.0, multiply-then-add: per-row Evaluate's term order, so each
+// entry has the bits Evaluate gives its row. Walks one gathered column
+// at a time.
+CCS_NOINLINE void EvaluateRows(const linalg::MatrixView& view,
+                               const linalg::Vector& coefficients,
+                               linalg::Vector* out) {
+  std::vector<double> column(view.rows());
+  for (size_t j = 0; j < view.cols(); ++j) {
+    view.MaterializeColumn(j, column.data());
+    for (size_t r = 0; r < column.size(); ++r) {
+      (*out)[r] += coefficients[j] * column[r];
+    }
+  }
+}
+
+}  // namespace
+
 StatusOr<linalg::Vector> Projection::EvaluateAll(
     const dataframe::DataFrame& df) const {
-  // Lazy path: one derived kCombine column over the named attributes,
-  // evaluated by the shared EvalCombineColumn kernel straight into the
-  // result vector — the n x k matrix this used to materialize through
-  // NumericMatrixFor is gone. Term order (ascending j, value *
-  // coefficient, seeded from 0.0) matches per-row Evaluate and the
-  // aligned mat-vec kernels, so finite-data results are bitwise
-  // identical to the old data.Multiply(coefficients_) route (see
-  // docs/architecture.md, "Derived columns").
-  const std::vector<dataframe::ColumnExpr> exprs = {
-      dataframe::ColumnExpr::Combine(names_, &coefficients_.data())};
-  CCS_ASSIGN_OR_RETURN(linalg::MatrixView view, df.DerivedViewFor(exprs));
+  CCS_ASSIGN_OR_RETURN(linalg::MatrixView view, df.NumericViewFor(names_));
   linalg::Vector out(view.rows());
-  view.MaterializeColumn(0, out.data().data());
+  EvaluateRows(view, coefficients_, &out);
   return out;
 }
 

@@ -47,31 +47,6 @@ StatusOr<SimpleConstraint> Synthesizer::SynthesizeSimple(
   return SynthesizeSimpleFromGram(names, gram);
 }
 
-StatusOr<SimpleConstraint> Synthesizer::SynthesizeSimpleFromView(
-    const std::vector<std::string>& attribute_names,
-    const linalg::MatrixView& view) const {
-  obs::ObsSpan span("synth.simple", "synth");
-  if (attribute_names.size() != view.cols()) {
-    return Status::InvalidArgument(
-        "SynthesizeSimpleFromView: attribute count mismatch");
-  }
-  if (attribute_names.empty()) {
-    return Status::InvalidArgument(
-        "SynthesizeSimpleFromView: dataset has no numeric attributes");
-  }
-  if (view.rows() == 0) {
-    return Status::InvalidArgument("SynthesizeSimpleFromView: empty dataset");
-  }
-  // Same shape as SynthesizeSimple, but the view's columns may be
-  // derived (polynomial terms, scaled attributes): the Gram walk
-  // evaluates them block-by-block into its gather scratch, so the whole
-  // synthesize half of the pipeline runs without materializing an
-  // expanded frame.
-  linalg::GramAccumulator gram(attribute_names.size());
-  gram.AddView(view);
-  return SynthesizeSimpleFromGram(attribute_names, gram);
-}
-
 StatusOr<SimpleConstraint> Synthesizer::SynthesizeSimpleFromGram(
     const std::vector<std::string>& attribute_names,
     const linalg::GramAccumulator& gram) const {

@@ -105,21 +105,6 @@ class Synthesizer {
       const std::vector<std::string>& attribute_names,
       const linalg::GramAccumulator& gram) const;
 
-  /// Algorithm 1 over an arbitrary (possibly derived) column view: the
-  /// synthesize half of a lazy synthesize→score pipeline. Feeds the
-  /// view — including lazily computed columns (polynomial expansions,
-  /// scaled attributes) — straight into the Gram accumulator, so no
-  /// expanded frame or matrix is ever materialized. Bitwise identical
-  /// to SynthesizeSimple over the materialized data (one compiled
-  /// Gram-ingest kernel on both paths).
-  ///
-  /// \param attribute_names  Names for the view's columns, in order;
-  ///                         the count must equal view.cols().
-  /// \param view             Training data; needs >= 1 column and row.
-  StatusOr<SimpleConstraint> SynthesizeSimpleFromView(
-      const std::vector<std::string>& attribute_names,
-      const linalg::MatrixView& view) const;
-
   /// One disjunctive constraint switched on `attribute` (must be
   /// categorical with a small-enough domain). Partitions synthesize
   /// concurrently over a work queue; cases are committed in switch-value

@@ -142,8 +142,8 @@ StatusOr<linalg::Matrix> DataFrame::NumericMatrixFor(
   return out;
 }
 
-StatusOr<linalg::MatrixView> DataFrame::NumericViewFor(
-    const std::vector<std::string>& names) const {
+StatusOr<std::vector<linalg::MatrixView::ColumnRef>>
+DataFrame::NumericColumnRefs(const std::vector<std::string>& names) const {
   std::vector<linalg::MatrixView::ColumnRef> refs;
   refs.reserve(names.size());
   for (const std::string& name : names) {
@@ -153,6 +153,13 @@ StatusOr<linalg::MatrixView> DataFrame::NumericViewFor(
     }
     refs.push_back({col->numeric_buffer().data(), col->selection()});
   }
+  return refs;
+}
+
+StatusOr<linalg::MatrixView> DataFrame::NumericViewFor(
+    const std::vector<std::string>& names) const {
+  CCS_ASSIGN_OR_RETURN(std::vector<linalg::MatrixView::ColumnRef> refs,
+                       NumericColumnRefs(names));
   return linalg::MatrixView(num_rows_, std::move(refs));
 }
 
@@ -164,142 +171,9 @@ StatusOr<linalg::MatrixView> DataFrame::NumericViewFor(
       return Status::OutOfRange("NumericViewFor: row index out of range");
     }
   }
-  std::vector<linalg::MatrixView::ColumnRef> refs;
-  refs.reserve(names.size());
-  for (const std::string& name : names) {
-    CCS_ASSIGN_OR_RETURN(const Column* col, ColumnByName(name));
-    if (!col->is_numeric()) {
-      return Status::InvalidArgument("column is not numeric: " + name);
-    }
-    refs.push_back({col->numeric_buffer().data(), col->selection()});
-  }
+  CCS_ASSIGN_OR_RETURN(std::vector<linalg::MatrixView::ColumnRef> refs,
+                       NumericColumnRefs(names));
   return linalg::MatrixView(rows.size(), std::move(refs), &rows);
-}
-
-ColumnExpr ColumnExpr::Source(std::string name) {
-  ColumnExpr expr;
-  expr.op = linalg::ColumnOp::kSource;
-  expr.inputs.push_back(std::move(name));
-  return expr;
-}
-
-ColumnExpr ColumnExpr::Scale(std::string name, double shift, double divide) {
-  ColumnExpr expr;
-  expr.op = linalg::ColumnOp::kScale;
-  expr.inputs.push_back(std::move(name));
-  expr.shift = shift;
-  expr.divide = divide;
-  return expr;
-}
-
-ColumnExpr ColumnExpr::Product(std::string a, std::string b) {
-  ColumnExpr expr;
-  expr.op = linalg::ColumnOp::kProduct;
-  expr.inputs.push_back(std::move(a));
-  expr.inputs.push_back(std::move(b));
-  return expr;
-}
-
-ColumnExpr ColumnExpr::Combine(std::vector<std::string> columns,
-                               const std::vector<double>* weights) {
-  ColumnExpr expr;
-  expr.op = linalg::ColumnOp::kCombine;
-  expr.inputs = std::move(columns);
-  expr.weights = weights;
-  return expr;
-}
-
-namespace {
-
-// Resolves one expression into a ColumnRef (appending any derived
-// inputs to the view's source pool). Shared by both DerivedViewFor
-// overloads.
-Status AppendExprColumn(const DataFrame& df, const ColumnExpr& expr,
-                        std::vector<linalg::MatrixView::ColumnRef>* refs,
-                        std::vector<linalg::ViewSource>* sources) {
-  std::vector<linalg::ViewSource> inputs;
-  inputs.reserve(expr.inputs.size());
-  for (const std::string& name : expr.inputs) {
-    CCS_ASSIGN_OR_RETURN(const Column* col, df.ColumnByName(name));
-    if (!col->is_numeric()) {
-      return Status::InvalidArgument("column is not numeric: " + name);
-    }
-    inputs.push_back({col->numeric_buffer().data(), col->selection()});
-  }
-  linalg::MatrixView::ColumnRef ref;
-  ref.op = expr.op;
-  switch (expr.op) {
-    case linalg::ColumnOp::kSource:
-      if (inputs.size() != 1) {
-        return Status::InvalidArgument(
-            "ColumnExpr: Source takes exactly 1 input column");
-      }
-      ref.buffer = inputs[0].buffer;
-      ref.selection = inputs[0].selection;
-      refs->push_back(ref);
-      return Status::OK();
-    case linalg::ColumnOp::kScale:
-      if (inputs.size() != 1) {
-        return Status::InvalidArgument(
-            "ColumnExpr: Scale takes exactly 1 input column");
-      }
-      ref.shift = expr.shift;
-      ref.divide = expr.divide;
-      break;
-    case linalg::ColumnOp::kProduct:
-      if (inputs.size() != 2) {
-        return Status::InvalidArgument(
-            "ColumnExpr: Product takes exactly 2 input columns");
-      }
-      break;
-    case linalg::ColumnOp::kCombine:
-      if (inputs.empty()) {
-        return Status::InvalidArgument(
-            "ColumnExpr: Combine takes at least 1 input column");
-      }
-      if (expr.weights == nullptr || expr.weights->size() != inputs.size()) {
-        return Status::InvalidArgument(
-            "ColumnExpr: Combine weights must match input columns");
-      }
-      ref.weights = expr.weights->data();
-      break;
-  }
-  ref.input_begin = sources->size();
-  ref.input_count = inputs.size();
-  sources->insert(sources->end(), inputs.begin(), inputs.end());
-  refs->push_back(ref);
-  return Status::OK();
-}
-
-}  // namespace
-
-StatusOr<linalg::MatrixView> DataFrame::DerivedViewFor(
-    const std::vector<ColumnExpr>& exprs) const {
-  std::vector<linalg::MatrixView::ColumnRef> refs;
-  std::vector<linalg::ViewSource> sources;
-  refs.reserve(exprs.size());
-  for (const ColumnExpr& expr : exprs) {
-    CCS_RETURN_IF_ERROR(AppendExprColumn(*this, expr, &refs, &sources));
-  }
-  return linalg::MatrixView(num_rows_, std::move(refs), std::move(sources));
-}
-
-StatusOr<linalg::MatrixView> DataFrame::DerivedViewFor(
-    const std::vector<ColumnExpr>& exprs,
-    const std::vector<size_t>& rows) const {
-  for (size_t r : rows) {
-    if (r >= num_rows_) {
-      return Status::OutOfRange("DerivedViewFor: row index out of range");
-    }
-  }
-  std::vector<linalg::MatrixView::ColumnRef> refs;
-  std::vector<linalg::ViewSource> sources;
-  refs.reserve(exprs.size());
-  for (const ColumnExpr& expr : exprs) {
-    CCS_RETURN_IF_ERROR(AppendExprColumn(*this, expr, &refs, &sources));
-  }
-  return linalg::MatrixView(rows.size(), std::move(refs), std::move(sources),
-                            &rows);
 }
 
 std::vector<std::string> DataFrame::NumericNames() const {

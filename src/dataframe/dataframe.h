@@ -18,36 +18,6 @@
 
 namespace ccs::dataframe {
 
-/// A recipe for one (possibly derived) column of a DerivedViewFor
-/// view: a named source column read through unchanged, or a computed
-/// column over named numeric inputs. The expression is evaluated
-/// lazily, block-by-block, by the linalg::internal::Eval*Column
-/// kernels as view-walking consumers (Gram, scoring, mat-mul) touch
-/// it — nothing is materialized. See docs/architecture.md, "Derived
-/// columns".
-struct ColumnExpr {
-  /// The named numeric column, read through unchanged (zero-copy).
-  static ColumnExpr Source(std::string name);
-  /// (column - shift) / divide — the StandardScaler transform shape.
-  static ColumnExpr Scale(std::string name, double shift, double divide);
-  /// a * b elementwise — polynomial square (a == b) or cross term.
-  static ColumnExpr Product(std::string a, std::string b);
-  /// sum_k (*weights)[k] * columns[k], accumulated in ascending k — a
-  /// projection. `weights` is borrowed (like the view it builds): it
-  /// must hold exactly columns.size() entries and outlive any view
-  /// built from this expression.
-  static ColumnExpr Combine(std::vector<std::string> columns,
-                            const std::vector<double>* weights);
-
-  linalg::ColumnOp op = linalg::ColumnOp::kSource;
-  /// Named numeric inputs: 1 for Source/Scale, 2 for Product, n for
-  /// Combine.
-  std::vector<std::string> inputs;
-  double shift = 0.0;
-  double divide = 1.0;
-  const std::vector<double>* weights = nullptr;
-};
-
 /// A column-oriented table with a typed schema.
 ///
 /// Columns are appended via AddNumericColumn / AddCategoricalColumn; all
@@ -138,28 +108,6 @@ class DataFrame {
       const std::vector<std::string>& names,
       std::vector<size_t>&& rows) const = delete;
 
-  /// A lazy n x exprs.size() view whose columns are the given
-  /// expressions over this frame's numeric columns — scaling,
-  /// polynomial terms, and projections composed without materializing
-  /// anything. Still O(exprs + inputs) to build and zero-copy: derived
-  /// cells are computed on demand by one CCS_NOINLINE kernel per op as
-  /// kernels walk the view. Borrows this frame's buffers and any
-  /// Combine weights; all must outlive the view.
-  StatusOr<linalg::MatrixView> DerivedViewFor(
-      const std::vector<ColumnExpr>& exprs) const;
-
-  /// The row-subset variant (the per-partition / per-window case).
-  /// Row indices are validated up front; the view additionally borrows
-  /// `rows`, which must outlive it.
-  StatusOr<linalg::MatrixView> DerivedViewFor(
-      const std::vector<ColumnExpr>& exprs,
-      const std::vector<size_t>& rows) const;
-
-  /// Deleted for the same dangling-rows reason as NumericViewFor.
-  StatusOr<linalg::MatrixView> DerivedViewFor(
-      const std::vector<ColumnExpr>& exprs,
-      std::vector<size_t>&& rows) const = delete;
-
   /// Names of numeric / categorical columns in schema order.
   std::vector<std::string> NumericNames() const;
   std::vector<std::string> CategoricalNames() const;
@@ -211,6 +159,12 @@ class DataFrame {
 
  private:
   Status CheckNewColumn(const std::string& name, size_t length) const;
+
+  // The (buffer, selection) refs of the named numeric columns — the one
+  // name resolution both NumericViewFor overloads build their views
+  // from. Fails on a missing or non-numeric column.
+  StatusOr<std::vector<linalg::MatrixView::ColumnRef>> NumericColumnRefs(
+      const std::vector<std::string>& names) const;
 
   Schema schema_;
   std::vector<Column> columns_;

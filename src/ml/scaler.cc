@@ -19,24 +19,26 @@ StatusOr<StandardScaler> StandardScaler::Fit(const linalg::Matrix& data) {
   return StandardScaler(std::move(means), std::move(stddevs));
 }
 
+namespace {
+
+// The one cell transform both overloads share. Division, not a
+// reciprocal multiply: the two are not bitwise equal.
+double Standardize(double x, double mean, double stddev) {
+  return (x - mean) / stddev;
+}
+
+}  // namespace
+
 StatusOr<linalg::Matrix> StandardScaler::Transform(
     const linalg::Matrix& data) const {
   if (data.cols() != means_.size()) {
     return Status::InvalidArgument("StandardScaler: width mismatch");
   }
   linalg::Matrix out = data;
-  const size_t n = out.rows();
-  const size_t m = out.cols();
-  if (n == 0 || m == 0) return out;
-  // Column-at-a-time through the shared scale kernel, striding down the
-  // row-major storage — the same compiled loop the lazy TransformView
-  // runs, so materialized and lazy scaling cannot diverge bitwise.
-  for (size_t j = 0; j < m; ++j) {
-    linalg::internal::EvalScaleColumn(data.data().data() + j, m,
-                                      /*selection=*/nullptr,
-                                      /*row_indices=*/nullptr, 0, n,
-                                      means_[j], stddevs_[j], &out.At(0, j),
-                                      m);
+  for (size_t i = 0; i < out.rows(); ++i) {
+    for (size_t j = 0; j < out.cols(); ++j) {
+      out.At(i, j) = Standardize(out.At(i, j), means_[j], stddevs_[j]);
+    }
   }
   return out;
 }
@@ -46,42 +48,11 @@ StatusOr<linalg::Vector> StandardScaler::Transform(
   if (row.size() != means_.size()) {
     return Status::InvalidArgument("StandardScaler: width mismatch");
   }
-  // One kernel call per element (each has its own mean/stddev): a row
-  // is a height-1 slice of every column. Cold path — tuples, not
-  // batches — so the per-call overhead is irrelevant next to keeping
-  // one compiled copy of the transform.
   linalg::Vector out(row.size());
   for (size_t j = 0; j < row.size(); ++j) {
-    linalg::internal::EvalScaleColumn(&row.data()[j], 1,
-                                      /*selection=*/nullptr,
-                                      /*row_indices=*/nullptr, 0, 1,
-                                      means_[j], stddevs_[j], &out[j], 1);
+    out[j] = Standardize(row[j], means_[j], stddevs_[j]);
   }
   return out;
-}
-
-StatusOr<std::vector<dataframe::ColumnExpr>> StandardScaler::ScaleExprs(
-    const std::vector<std::string>& names) const {
-  if (names.size() != means_.size()) {
-    return Status::InvalidArgument("StandardScaler: width mismatch");
-  }
-  std::vector<dataframe::ColumnExpr> exprs;
-  exprs.reserve(names.size());
-  for (size_t j = 0; j < names.size(); ++j) {
-    exprs.push_back(
-        dataframe::ColumnExpr::Scale(names[j], means_[j], stddevs_[j]));
-  }
-  return exprs;
-}
-
-StatusOr<linalg::MatrixView> StandardScaler::TransformView(
-    const dataframe::DataFrame& df,
-    const std::vector<std::string>& names) const {
-  CCS_ASSIGN_OR_RETURN(std::vector<dataframe::ColumnExpr> exprs,
-                       ScaleExprs(names));
-  // The expressions bake buffer pointers and scale parameters into the
-  // view; the view borrows only `df`'s storage, not `exprs`.
-  return df.DerivedViewFor(exprs);
 }
 
 }  // namespace ccs::ml

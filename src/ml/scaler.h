@@ -3,13 +3,8 @@
 #ifndef CCS_ML_SCALER_H_
 #define CCS_ML_SCALER_H_
 
-#include <string>
-#include <vector>
-
 #include "common/statusor.h"
-#include "dataframe/dataframe.h"
 #include "linalg/matrix.h"
-#include "linalg/matrix_view.h"
 #include "linalg/vector.h"
 
 namespace ccs::ml {
@@ -17,11 +12,9 @@ namespace ccs::ml {
 /// Per-column standardization fit on a training matrix and applied to any
 /// matrix with the same width. Constant columns scale to 0 (divisor 1).
 ///
-/// Every transform — materialized matrix, single row, and the lazy
-/// TransformView — funnels through the one compiled
-/// linalg::internal::EvalScaleColumn kernel computing
-/// (x - mean) / stddev, so all paths produce identical bits (see
-/// docs/architecture.md, "Derived columns").
+/// Both transforms compute each cell as (x - mean) / stddev through one
+/// per-element helper, so a row transforms to the same bits as that row
+/// of a transformed matrix.
 class StandardScaler {
  public:
   /// Learns per-column mean and stddev from `data` (n x m, n >= 1).
@@ -32,21 +25,6 @@ class StandardScaler {
 
   /// Transforms a single row vector.
   StatusOr<linalg::Vector> Transform(const linalg::Vector& row) const;
-
-  /// The transform as derived-column expressions over the named columns
-  /// (names[j] scales by means()[j]/stddevs()[j]; the count must match
-  /// the fit width). Feed to DataFrame::DerivedViewFor to compose with
-  /// other derived columns.
-  StatusOr<std::vector<dataframe::ColumnExpr>> ScaleExprs(
-      const std::vector<std::string>& names) const;
-
-  /// The scaled data as a *lazy* derived view over `df`'s named numeric
-  /// columns — nothing materialized; cells are standardized by the
-  /// shared kernel as consumers (Gram refresh, scoring) walk the view.
-  /// The view borrows `df`'s buffers and must not outlive the frame.
-  StatusOr<linalg::MatrixView> TransformView(
-      const dataframe::DataFrame& df,
-      const std::vector<std::string>& names) const;
 
   const linalg::Vector& means() const { return means_; }
   const linalg::Vector& stddevs() const { return stddevs_; }

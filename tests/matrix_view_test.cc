@@ -144,6 +144,14 @@ TEST(MatrixViewTest, RowSubsetOverloadMatchesNumericMatrixFor) {
     ASSERT_TRUE(matrix.ok());
     EXPECT_EQ(view->rows(), rows.size());
     ExpectMatricesBitwiseEqual(view->ToMatrix(), *matrix);
+    // MaterializeColumn gathers through both indirections too.
+    for (size_t j = 0; j < names.size(); ++j) {
+      std::vector<double> column(view->rows());
+      view->MaterializeColumn(j, column.data());
+      for (size_t i = 0; i < column.size(); ++i) {
+        EXPECT_TRUE(BitsEqual(column[i], matrix->At(i, j))) << i << "," << j;
+      }
+    }
   }
 }
 
@@ -152,6 +160,12 @@ TEST(MatrixViewTest, ErrorsMirrorNumericMatrixFor) {
   EXPECT_EQ(df.NumericViewFor({"tag"}).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(df.NumericViewFor({"nope"}).status().code(),
+            StatusCode::kNotFound);
+  // The row-subset overload resolves names the same way.
+  std::vector<size_t> rows = {0, 1};
+  EXPECT_EQ(df.NumericViewFor({"tag"}, rows).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(df.NumericViewFor({"nope"}, rows).status().code(),
             StatusCode::kNotFound);
   // Row bounds are validated up front, before any per-column work.
   std::vector<size_t> bad_rows = {0, df.num_rows()};
@@ -311,181 +325,6 @@ TEST(ViewScoringTest, PerRowBatchAndViewKernelsBitwiseAgreeOnNonFinite) {
       ASSERT_TRUE(via_frame.ok());
       ExpectVectorsBitwiseEqual(via_view, per_row);
       ExpectVectorsBitwiseEqual(*via_frame, per_row);
-    }
-  }
-  common::SetDefaultThreadCount(0);
-}
-
-// --------------------------- derived columns ---------------------------
-
-using dataframe::ColumnExpr;
-
-// Independent reference semantics for a derived cell: the same IEEE
-// operation sequence as the Eval*Column kernels (ascending k,
-// multiply-then-add, no reciprocal trick), computed through the public
-// per-cell accessors. On data with at most one NaN operand per term the
-// bits are fully determined, so this cross-checks the kernels without
-// being compiled from the same code.
-double ManualExprCell(const DataFrame& df, const ColumnExpr& e, size_t r) {
-  auto cell = [&](const std::string& name) {
-    return df.NumericValue(r, name).value();
-  };
-  switch (e.op) {
-    case ColumnOp::kSource:
-      return cell(e.inputs[0]);
-    case ColumnOp::kScale:
-      return (cell(e.inputs[0]) - e.shift) / e.divide;
-    case ColumnOp::kProduct:
-      return cell(e.inputs[0]) * cell(e.inputs[1]);
-    case ColumnOp::kCombine: {
-      double acc = 0.0;
-      for (size_t k = 0; k < e.inputs.size(); ++k) {
-        acc += cell(e.inputs[k]) * (*e.weights)[k];
-      }
-      return acc;
-    }
-  }
-  return 0.0;
-}
-
-TEST(DerivedColumnTest, DerivedCellsBitwiseMatchManualEvaluation) {
-  // n > 256 so ToMatrix/At cover more than one consumer gather block.
-  DataFrame owned = MakeFrame(300, 11, /*non_finite=*/true);
-  const std::vector<double> weights = {0.5, -2.0, 0.125};
-  const std::vector<ColumnExpr> exprs = {
-      ColumnExpr::Source("z"),
-      ColumnExpr::Scale("x", 1.25, 2.5),
-      ColumnExpr::Product("x", "y"),
-      ColumnExpr::Product("x", "x"),  // Square: both inputs share a cell.
-      ColumnExpr::Combine({"x", "y", "z"}, &weights)};
-  for (const DataFrame& frame :
-       {owned, owned.Gather({5, 5, 0, 299, 63}), ViewOfView(owned, 10)}) {
-    auto view = frame.DerivedViewFor(exprs);
-    ASSERT_TRUE(view.ok()) << view.status();
-    ASSERT_EQ(view->rows(), frame.num_rows());
-    ASSERT_EQ(view->cols(), exprs.size());
-    Matrix gathered = view->ToMatrix();
-    for (size_t j = 0; j < exprs.size(); ++j) {
-      std::vector<double> column(view->rows());
-      view->MaterializeColumn(j, column.data());
-      for (size_t i = 0; i < view->rows(); ++i) {
-        double manual = ManualExprCell(frame, exprs[j], i);
-        EXPECT_TRUE(BitsEqual(view->At(i, j), manual)) << i << "," << j;
-        EXPECT_TRUE(BitsEqual(gathered.At(i, j), manual)) << i << "," << j;
-        EXPECT_TRUE(BitsEqual(column[i], manual)) << i << "," << j;
-      }
-    }
-  }
-}
-
-TEST(DerivedColumnTest, RowSubsetOverloadMatchesFullView) {
-  DataFrame owned = MakeFrame(90, 12, /*non_finite=*/true);
-  DataFrame view_frame = ViewOfView(owned, 4);
-  const std::vector<double> weights = {-1.0, 4.0};
-  const std::vector<ColumnExpr> exprs = {
-      ColumnExpr::Scale("y", -0.5, 3.0), ColumnExpr::Product("y", "z"),
-      ColumnExpr::Combine({"z", "x"}, &weights)};
-  for (const DataFrame& frame : {owned, view_frame}) {
-    std::vector<size_t> rows = {7, 0, 7, 3, frame.num_rows() - 1};
-    auto full = frame.DerivedViewFor(exprs);
-    auto subset = frame.DerivedViewFor(exprs, rows);
-    ASSERT_TRUE(full.ok());
-    ASSERT_TRUE(subset.ok());
-    ASSERT_EQ(subset->rows(), rows.size());
-    Matrix gathered = subset->ToMatrix();
-    for (size_t t = 0; t < rows.size(); ++t) {
-      for (size_t j = 0; j < exprs.size(); ++j) {
-        EXPECT_TRUE(BitsEqual(subset->At(t, j), full->At(rows[t], j)));
-        EXPECT_TRUE(BitsEqual(gathered.At(t, j), full->At(rows[t], j)));
-      }
-    }
-  }
-  DataFrame empty = owned.Gather({});
-  auto view = empty.DerivedViewFor(exprs);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view->rows(), 0u);
-  EXPECT_EQ(view->ToMatrix().rows(), 0u);
-}
-
-TEST(DerivedColumnTest, ErrorsMirrorNumericViewFor) {
-  DataFrame df = MakeFrame(20, 13, /*non_finite=*/false);
-  EXPECT_EQ(df.DerivedViewFor({ColumnExpr::Source("tag")}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(df.DerivedViewFor({ColumnExpr::Product("x", "nope")})
-                .status()
-                .code(),
-            StatusCode::kNotFound);
-  std::vector<double> short_weights = {1.0};
-  EXPECT_EQ(
-      df.DerivedViewFor({ColumnExpr::Combine({"x", "y"}, &short_weights)})
-          .status()
-          .code(),
-      StatusCode::kInvalidArgument);
-  std::vector<size_t> bad_rows = {0, df.num_rows()};
-  EXPECT_EQ(df.DerivedViewFor({ColumnExpr::Source("x")}, bad_rows)
-                .status()
-                .code(),
-            StatusCode::kOutOfRange);
-}
-
-TEST(DerivedColumnTest, GramAddViewOnDerivedBitwiseMatchesMaterialized) {
-  // > 2 shards of kGramShardRows so the parallel merge really shards,
-  // and derived blocks cross many 256-row gather boundaries.
-  const size_t n = 2 * kGramShardRows + 513;
-  DataFrame owned = MakeFrame(n, 14, /*non_finite=*/true);
-  const std::vector<double> weights = {1.0, -0.5, 3.0};
-  const std::vector<ColumnExpr> exprs = {
-      ColumnExpr::Source("x"), ColumnExpr::Product("x", "y"),
-      ColumnExpr::Scale("z", 2.0, 1.5),
-      ColumnExpr::Combine({"x", "y", "z"}, &weights)};
-  for (const DataFrame& frame : {owned, ViewOfView(owned, 9)}) {
-    auto view = frame.DerivedViewFor(exprs);
-    ASSERT_TRUE(view.ok());
-    // The derived columns computed once and stored in a frame of their
-    // own, then walked as plain stored columns.
-    Matrix materialized = view->ToMatrix();
-    DataFrame stored;
-    std::vector<std::string> names;
-    for (size_t c = 0; c < exprs.size(); ++c) {
-      names.push_back("d" + std::to_string(c));
-      CCS_CHECK(stored.AddNumericColumn(names.back(),
-                                        materialized.Col(c).data())
-                    .ok());
-    }
-    auto stored_view = stored.NumericViewFor(names);
-    ASSERT_TRUE(stored_view.ok());
-    for (size_t threads : {1u, 4u}) {
-      common::SetDefaultThreadCount(threads);
-      GramAccumulator by_stored(exprs.size());
-      by_stored.AddView(*stored_view);
-      GramAccumulator by_view(exprs.size());
-      by_view.AddView(*view);
-      EXPECT_EQ(by_view.count(), by_stored.count());
-      ExpectMatricesBitwiseEqual(by_view.AugmentedGram(),
-                                 by_stored.AugmentedGram());
-    }
-  }
-  common::SetDefaultThreadCount(0);
-}
-
-TEST(DerivedColumnTest, ScoringWalksDerivedViewsBitwiseOnNonFinite) {
-  SimpleConstraint constraint = MakeConstraint();  // Over 3 attributes.
-  DataFrame owned = MakeFrame(300, 15, /*non_finite=*/true);
-  const std::vector<ColumnExpr> exprs = {ColumnExpr::Scale("x", 0.5, 2.0),
-                                         ColumnExpr::Product("y", "z"),
-                                         ColumnExpr::Source("z")};
-  for (const DataFrame& frame : {owned, ViewOfView(owned, 5)}) {
-    auto view = frame.DerivedViewFor(exprs);
-    ASSERT_TRUE(view.ok());
-    Matrix materialized = view->ToMatrix();
-    Vector per_row(materialized.rows());
-    for (size_t r = 0; r < materialized.rows(); ++r) {
-      per_row[r] = constraint.ViolationAligned(materialized.Row(r));
-    }
-    for (size_t threads : {1u, 4u}) {
-      common::SetDefaultThreadCount(threads);
-      Vector lazy = constraint.ViolationAllAligned(*view);
-      ExpectVectorsBitwiseEqual(lazy, per_row);
     }
   }
   common::SetDefaultThreadCount(0);

@@ -18,12 +18,10 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/constraint.h"
-#include "core/kernel.h"
 #include "core/projection.h"
 #include "core/synthesizer.h"
 #include "dataframe/csv.h"
 #include "dataframe/dataframe.h"
-#include "ml/scaler.h"
 
 namespace ccs::dataframe {
 namespace {
@@ -372,13 +370,7 @@ TEST(ViewEquivalenceTest, ViolationAllOnViewsBitwiseMatchesMaterialized) {
   common::SetDefaultThreadCount(0);
 }
 
-// ------------------- derived-column pipelines --------------------------
-//
-// The lazy derived-column paths (ExpandPolynomialView, TransformView,
-// Projection::EvaluateAll) must be bitwise indistinguishable from
-// materializing the expanded/scaled frame first: both sides funnel every
-// cell through the same compiled Eval*Column kernels, so not a single
-// bit may move — at any thread count.
+// ------------------------ projection evaluation ------------------------
 
 void ExpectVectorsBitwiseEqual(const linalg::Vector& a,
                                const linalg::Vector& b) {
@@ -388,35 +380,7 @@ void ExpectVectorsBitwiseEqual(const linalg::Vector& a,
   }
 }
 
-TEST(DerivedPipelineTest, LazyExpansionBitwiseMatchesMaterialized) {
-  DataFrame df = MakeFrame(400, 20);
-  for (size_t threads : {1u, 4u}) {
-    common::SetDefaultThreadCount(threads);
-    auto lazy = core::ExpandPolynomialView(df);
-    auto flat = core::ExpandPolynomial(df);
-    ASSERT_TRUE(lazy.ok()) << lazy.status();
-    ASSERT_TRUE(flat.ok()) << flat.status();
-    // Same schema, same bits: the lazy view gathers what the
-    // materialized frame stores.
-    EXPECT_EQ(lazy->names, flat->NumericNames());
-    auto matrix = flat->NumericMatrixFor(lazy->names);
-    ASSERT_TRUE(matrix.ok());
-    ExpectMatricesBitwiseEqual(lazy->view.ToMatrix(), *matrix);
-    // Synthesis straight from the derived view vs. over the expanded
-    // frame: identical constraints, conjunct by conjunct.
-    core::Synthesizer synthesizer;
-    auto from_view =
-        synthesizer.SynthesizeSimpleFromView(lazy->names, lazy->view);
-    auto from_flat = synthesizer.SynthesizeSimple(*flat);
-    ASSERT_TRUE(from_view.ok()) << from_view.status();
-    ASSERT_TRUE(from_flat.ok()) << from_flat.status();
-    EXPECT_TRUE(core::ConstraintsBitwiseEqual(*from_view, *from_flat))
-        << "threads=" << threads;
-  }
-  common::SetDefaultThreadCount(0);
-}
-
-TEST(DerivedPipelineTest, ProjectionEvaluateAllMatchesAlignedKernel) {
+TEST(ProjectionViewTest, EvaluateAllMatchesAlignedKernel) {
   DataFrame df = MakeFrame(350, 21);
   std::vector<std::string> names = {"x", "y", "z"};
   auto projection =
@@ -424,7 +388,7 @@ TEST(DerivedPipelineTest, ProjectionEvaluateAllMatchesAlignedKernel) {
   ASSERT_TRUE(projection.ok());
   auto matrix = df.NumericMatrixFor(names);
   ASSERT_TRUE(matrix.ok());
-  // Finite data: the lazy Combine kernel and the materialized
+  // Finite data: EvaluateAll's column walk and the materialized
   // matrix-vector kernel run the same accumulation order (ascending
   // term index, multiply-then-add, no FMA), so the bits agree even
   // though they are separately compiled.
@@ -436,38 +400,20 @@ TEST(DerivedPipelineTest, ProjectionEvaluateAllMatchesAlignedKernel) {
       view_matrix->Multiply(projection->coefficients());
   for (size_t threads : {1u, 4u}) {
     common::SetDefaultThreadCount(threads);
-    auto lazy = projection->EvaluateAll(df);
-    ASSERT_TRUE(lazy.ok()) << lazy.status();
-    ExpectVectorsBitwiseEqual(*lazy, aligned);
-    auto lazy_view = projection->EvaluateAll(view);
-    ASSERT_TRUE(lazy_view.ok());
-    ExpectVectorsBitwiseEqual(*lazy_view, view_aligned);
+    auto all = projection->EvaluateAll(df);
+    ASSERT_TRUE(all.ok()) << all.status();
+    ExpectVectorsBitwiseEqual(*all, aligned);
+    auto all_view = projection->EvaluateAll(view);
+    ASSERT_TRUE(all_view.ok());
+    ExpectVectorsBitwiseEqual(*all_view, view_aligned);
+    // And row by row against the by-name Evaluate.
+    for (size_t r = 0; r < view.num_rows(); ++r) {
+      auto one = projection->Evaluate(view, r);
+      ASSERT_TRUE(one.ok());
+      EXPECT_TRUE(BitsEqual((*all_view)[r], *one)) << "row " << r;
+    }
   }
   common::SetDefaultThreadCount(0);
-}
-
-TEST(DerivedPipelineTest, ScalerTransformViewBitwiseMatchesTransform) {
-  DataFrame df = MakeFrame(300, 22);
-  std::vector<std::string> names = {"z", "x", "y"};  // Reordered subset.
-  auto matrix = df.NumericMatrixFor(names);
-  ASSERT_TRUE(matrix.ok());
-  auto scaler = ml::StandardScaler::Fit(*matrix);
-  ASSERT_TRUE(scaler.ok());
-  auto flat = scaler->Transform(*matrix);
-  ASSERT_TRUE(flat.ok());
-  auto view = scaler->TransformView(df, names);
-  ASSERT_TRUE(view.ok()) << view.status();
-  ExpectMatricesBitwiseEqual(view->ToMatrix(), *flat);
-  // The same lazy transform composed over a view-of-a-view frame.
-  DataFrame sliced = df.Slice(40, 260).Filter(
-      [](size_t i) { return i % 2 == 0; });
-  auto sliced_matrix = sliced.NumericMatrixFor(names);
-  ASSERT_TRUE(sliced_matrix.ok());
-  auto sliced_flat = scaler->Transform(*sliced_matrix);
-  ASSERT_TRUE(sliced_flat.ok());
-  auto sliced_view = scaler->TransformView(sliced, names);
-  ASSERT_TRUE(sliced_view.ok());
-  ExpectMatricesBitwiseEqual(sliced_view->ToMatrix(), *sliced_flat);
 }
 
 }  // namespace

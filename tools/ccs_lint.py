@@ -43,8 +43,8 @@ Rules
   matrix-materialize
                    a NumericMatrixFor call under src/core/ or
                    src/stream/ — the hot synthesize→score layers. Those
-                   paths walk zero-copy NumericViewFor / DerivedViewFor
-                   views (docs/architecture.md, "Derived columns"); a
+                   paths walk zero-copy NumericViewFor views
+                   (docs/architecture.md, "Columnar storage & views"); a
                    materialized per-call Matrix there reintroduces the
                    allocations the view layer exists to eliminate.
                    Explain and repair walk views too; a genuinely cold
@@ -370,9 +370,8 @@ class FileLinter:
             if matrix_banned and MATRIX_MATERIALIZE_RE.search(line):
                 self._report(idx, "matrix-materialize",
                              "NumericMatrixFor in a hot synthesize/score "
-                             "layer — walk NumericViewFor/DerivedViewFor "
-                             "views instead, or explain why this caller is "
-                             "cold")
+                             "layer — walk NumericViewFor views instead, "
+                             "or explain why this caller is cold")
             if not rng_ok and has_parallel and RNG_RE.search(line):
                 self._report(idx, "rng-parallel",
                              "Rng in a file that dispatches parallel work — "

@@ -1,7 +1,7 @@
 // Seeded violations for the matrix-materialize rule: NumericMatrixFor
 // under src/core/ or src/stream/ rebuilds a per-call Matrix in the hot
 // synthesize→score layers, reintroducing the allocations the zero-copy
-// view layer (NumericViewFor / DerivedViewFor) exists to eliminate.
+// view layer (NumericViewFor) exists to eliminate.
 // ccs-lint-fixture-path: src/core/matrix_materialize.cc
 
 namespace fixture {
