@@ -68,7 +68,12 @@ bool CsvTokenizer::Refill() {
   if (available <= 0) {
     // Nothing buffered upstream: wait in one underflow for one byte, as a
     // byte-wise read would, then take whatever that underflow buffered.
-    const traits::int_type first = source->sbumpc();
+    // The wait has its own span, so a caught-up live reader's idle time
+    // shows as waiting rather than tokenizing.
+    const traits::int_type first = [&] {
+      obs::ObsSpan wait_span("csv.wait", "dataframe");
+      return source->sbumpc();
+    }();
     if (traits::eq_int_type(first, traits::eof())) return false;
     buffer_[end_++] = traits::to_char_type(first);
     available = source->in_avail();
@@ -400,6 +405,11 @@ StatusOr<DataFrame> CsvChunkReader::ReadChunk(size_t max_rows,
   obs::ObsSpan convert_span("csv.convert", "dataframe");
   ConvertRows(std::min(located_.size(), max_rows), num_threads);
   return Commit(max_rows);
+}
+
+bool CsvChunkReader::WouldBlock() {
+  return pending_error_.ok() && stream_error_.ok() && located_.empty() &&
+         tokenizer_.WouldBlock();
 }
 
 void CsvChunkReader::LocateRecords(size_t max_rows, size_t num_threads) {

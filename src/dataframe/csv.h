@@ -193,6 +193,13 @@ class CsvChunkReader {
   /// then tears down cleanly with this status).
   StatusOr<DataFrame> ReadChunk(size_t max_rows, size_t num_threads = 0);
 
+  /// True when the next ReadChunk would wait for input before it
+  /// returned anything: no error is deferred or located, no record is
+  /// queued after a failing row, and the tokenizer would block
+  /// (internal::CsvTokenizer::WouldBlock). A scheduling hint only: what
+  /// ReadChunk returns depends on the bytes, not on the calling thread.
+  bool WouldBlock();
+
   /// Data rows successfully returned so far (header excluded).
   size_t rows_read() const { return rows_read_; }
 

@@ -25,20 +25,30 @@ using dataframe::DataFrame;
 
 namespace {
 
-// Cross-thread result slot for the ingest stage. The ingest thread
-// publishes its outcome under the mutex as it exits; the calling thread
-// reads it back (under the same mutex) after joining it. The
-// join alone would order the accesses, but the explicit lock keeps the
-// hand-off visible to the thread-safety analysis — and correct if a
-// future scheduler ever polls the stage before it finishes.
-struct IngestResult {
+// The ingest state, shared by the two threads. It is written by whichever
+// thread owns the CsvChunkReader (the ingest thread, or the calling
+// thread while the stream is caught up) and read back after the join.
+// The same lock orders the reader's handoff from the calling thread back
+// to a parked ingest thread.
+struct IngestState {
   common::Mutex mu;
   Status status CCS_GUARDED_BY(mu);
   size_t rows CCS_GUARDED_BY(mu) = 0;
   size_t retries CCS_GUARDED_BY(mu) = 0;
   bool stopped CCS_GUARDED_BY(mu) = false;
   std::vector<QuarantineRecord> quarantined CCS_GUARDED_BY(mu);
+  // False from the moment ingest hands the reader to the calling thread
+  // until the calling thread hands it back.
+  bool ingest_owns_reader CCS_GUARDED_BY(mu) = true;
+  // The calling thread is done with the stream: a parked ingest thread
+  // exits instead of waiting for the reader.
+  bool done CCS_GUARDED_BY(mu) = false;
+  common::CondVar reader_back;
 };
+
+// What one supervised read produced: a chunk, a quarantined read, or the
+// end of the stream (end of input, a stop, or a failure in `status`).
+enum class ReadOutcome { kChunk, kQuarantined, kEnd };
 
 }  // namespace
 
@@ -398,11 +408,6 @@ PipelineRunResult StreamPipeline::Run(
   const uint64_t faults_before = common::fault::Injector::Global().injected();
 
   obs::Registry& registry = obs::Registry::Global();
-  BoundedQueue<StampedFrame> chunk_queue(
-      options_.queue_capacity,
-      {registry.GetHistogram("stream.chunk_queue.push_wait_us"),
-       registry.GetHistogram("stream.chunk_queue.pop_wait_us")});
-
   const size_t skip_rows = resume_skip_rows_;
   resume_skip_rows_ = 0;
   // Every Run windows its stream afresh, but consumed ordinals continue
@@ -411,29 +416,84 @@ PipelineRunResult StreamPipeline::Run(
   chain_ordinal_ = 0;
   const std::atomic<bool>* stop = options_.stop;
 
-  // ---- Stage 1: ingest. Parses schema-shaped chunks until EOF; each
-  // Push blocks while the calling thread is behind (backpressure).
-  // The ccs-lint thread-spawn rule normally routes work through the
-  // common/parallel pool; this spawn IS the pipeline's stage structure
-  // (long-lived, joined before Run returns), which a bounded task pool
-  // cannot express without risking pool-exhaustion deadlock on a stage
-  // that blocks on its queue.
-  IngestResult ingest_result;
-  // ccs-lint: allow(thread-spawn): dedicated stage thread, joined below; pool tasks must not block on queues
-  std::thread ingest([&] {
-    Status status;
-    size_t rows_ingested = 0;
-    size_t retries = 0;
-    bool stopped = false;
-    std::vector<QuarantineRecord> quarantined;
-    dataframe::CsvChunkReader reader(&in, schema_, csv_options);
+  // The reader has one owner at a time. Ingest reads ahead on its own
+  // thread while bytes are buffered (a backlog), and hands the reader to
+  // the calling thread whenever the next read would wait for input, so
+  // on a caught-up live stream the thread that waits for a window's last
+  // row is the thread that windows, scores and commits it. Chunk
+  // contents depend only on the bytes, never on the reading thread.
+  dataframe::CsvChunkReader reader(&in, schema_, csv_options);
+  IngestState ingest;
 
+  // One supervised read, run by whichever thread owns the reader.
+  auto read_step = [&](DataFrame* chunk) -> ReadOutcome {
+    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+      MutexLock lock(&ingest.mu);
+      ingest.stopped = true;  // Graceful drain: treat as end of stream.
+      return ReadOutcome::kEnd;
+    }
+    auto attempt = [&]() -> Status {
+      CCS_FAULT_POINT("stream.ingest.read");
+      StatusOr<DataFrame> next = [&] {
+        obs::ObsSpan ingest_span("stream.ingest", "stream");
+        return reader.ReadChunk(options_.chunk_rows, options_.num_threads);
+      }();
+      if (!next.ok()) return std::move(next).status();
+      *chunk = std::move(*next);
+      return Status::OK();
+    };
+    SuperviseResult supervised =
+        Supervise(options_.ingest_policy, attempt, stop);
+    MutexLock lock(&ingest.mu);
+    ingest.retries += supervised.retries;
+    if (supervised.action == SuperviseAction::kFail) {
+      ingest.status = std::move(supervised.status);
+      return ReadOutcome::kEnd;
+    }
+    if (supervised.action == SuperviseAction::kQuarantine) {
+      QuarantineRecord record;
+      record.stage = "ingest";
+      record.index = reader.rows_read();
+      // A parse error means the reader consumed the malformed record;
+      // an injected fault fires before the read and consumes nothing.
+      record.rows_lost =
+          supervised.status.code() == StatusCode::kInvalidArgument ? 1 : 0;
+      record.reason = std::move(supervised.status);
+      ingest.quarantined.push_back(std::move(record));
+      return ReadOutcome::kQuarantined;
+    }
+    if (chunk->num_rows() == 0) return ReadOutcome::kEnd;
+    ingest.rows += chunk->num_rows();
+    return ReadOutcome::kChunk;
+  };
+
+  // A chunk queue entry: a parsed chunk, or the marker ingest pushes
+  // behind the chunks it has queued when it hands over the reader.
+  struct Queued {
+    StampedFrame chunk;
+    bool reader_handoff = false;
+  };
+  BoundedQueue<Queued> chunk_queue(
+      options_.queue_capacity,
+      {registry.GetHistogram("stream.chunk_queue.push_wait_us"),
+       registry.GetHistogram("stream.chunk_queue.pop_wait_us")});
+
+  // ---- Stage 1: ingest. While it owns the reader it parses
+  // schema-shaped chunks; each Push blocks while the calling thread is
+  // behind (backpressure). The ccs-lint thread-spawn rule normally routes
+  // work through the common/parallel pool; this spawn IS the pipeline's
+  // stage structure (long-lived, joined before Run returns), which a
+  // bounded task pool cannot express without risking pool-exhaustion
+  // deadlock on a stage that blocks on its queue.
+  // ccs-lint: allow(thread-spawn): dedicated stage thread, joined below; pool tasks must not block on queues
+  std::thread ingest_thread([&] {
     // Resume skip: wind the reader past the rows the checkpointed run
     // already consumed. Parses but never scores; malformed records in
     // the consumed region were quarantined (and accounted) by the
     // pre-crash process, so they are re-skipped silently. Each ReadChunk
     // error has consumed its malformed record, so the loop always makes
     // progress.
+    bool reading = true;
     size_t to_skip = skip_rows;
     while (to_skip > 0) {
       StatusOr<DataFrame> chunk =
@@ -441,70 +501,52 @@ PipelineRunResult StreamPipeline::Run(
                            options_.num_threads);
       if (!chunk.ok()) continue;
       if (chunk->num_rows() == 0) {
-        status = Status::FailedPrecondition(
+        MutexLock lock(&ingest.mu);
+        ingest.status = Status::FailedPrecondition(
             "StreamPipeline: stream ended before the checkpoint's resume "
             "offset — resuming against a different stream?");
+        reading = false;
         break;
       }
       to_skip -= chunk->num_rows();
     }
 
-    while (status.ok()) {
-      if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-        stopped = true;  // Graceful drain: treat as end of stream.
-        break;
-      }
-      DataFrame chunk;
-      auto attempt = [&]() -> Status {
-        CCS_FAULT_POINT("stream.ingest.read");
-        StatusOr<DataFrame> next = [&] {
-          obs::ObsSpan ingest_span("stream.ingest", "stream");
-          return reader.ReadChunk(options_.chunk_rows, options_.num_threads);
-        }();
-        if (!next.ok()) return std::move(next).status();
-        chunk = std::move(*next);
-        return Status::OK();
-      };
-      SuperviseResult supervised =
-          Supervise(options_.ingest_policy, attempt, stop);
-      retries += supervised.retries;
-      if (supervised.action == SuperviseAction::kFail) {
-        status = std::move(supervised.status);
-        break;
-      }
-      if (supervised.action == SuperviseAction::kQuarantine) {
-        QuarantineRecord record;
-        record.stage = "ingest";
-        record.index = reader.rows_read();
-        // A parse error means the reader consumed the malformed record;
-        // an injected fault fires before the read and consumes nothing.
-        record.rows_lost =
-            supervised.status.code() == StatusCode::kInvalidArgument ? 1 : 0;
-        record.reason = std::move(supervised.status);
-        quarantined.push_back(std::move(record));
+    while (reading) {
+      if (reader.WouldBlock()) {
+        // Caught up: hand the reader over behind the queued chunks, and
+        // park until it comes back or the run is over.
+        {
+          MutexLock lock(&ingest.mu);
+          ingest.ingest_owns_reader = false;
+        }
+        if (!chunk_queue.Push({StampedFrame(), /*reader_handoff=*/true})) {
+          break;  // Cancelled.
+        }
+        MutexLock lock(&ingest.mu);
+        while (!ingest.ingest_owns_reader && !ingest.done) {
+          ingest.reader_back.Wait(&ingest.mu);
+        }
+        reading = !ingest.done;
         continue;
       }
-      if (chunk.num_rows() == 0) break;  // End of stream.
-      rows_ingested += chunk.num_rows();
-      if (!chunk_queue.Push({std::move(chunk), obs::NowNanos()})) {
+      DataFrame chunk;
+      const ReadOutcome read = read_step(&chunk);
+      if (read == ReadOutcome::kQuarantined) continue;
+      if (read == ReadOutcome::kEnd) break;
+      if (!chunk_queue.Push({{std::move(chunk), obs::NowNanos()}})) {
         break;  // Cancelled.
       }
     }
     chunk_queue.Close();
-    MutexLock lock(&ingest_result.mu);
-    ingest_result.status = std::move(status);
-    ingest_result.rows = rows_ingested;
-    ingest_result.retries = retries;
-    ingest_result.stopped = stopped;
-    ingest_result.quarantined = std::move(quarantined);
   });
 
   // ---- Stage 2: windowing, scoring and ordered commit, all on the
-  // calling thread, so a chunk crosses one thread boundary and a window
-  // none. Each popped chunk is windowed under the window policy; the
-  // windows it completes wait in `pending`, in stream order, for a batch
-  // of at most max_batch_windows that never spans a refresh boundary,
-  // scored over the pool and committed in arrival order.
+  // calling thread, so a window crosses no thread boundary, and a chunk
+  // one only while ingest owns the reader. Each chunk is windowed under
+  // the window policy; the windows it completes wait in `pending`, in
+  // stream order, for a batch of at most max_batch_windows that never
+  // spans a refresh boundary, scored over the pool and committed in
+  // arrival order.
   StatusOr<Windower> windower =
       Windower::Create(options_.window_rows, options_.slide_rows);
   CCS_CHECK(windower.ok()) << windower.status().ToString();  // Create checked.
@@ -555,18 +597,50 @@ PipelineRunResult StreamPipeline::Run(
     pending_peak = std::max(pending_peak, pending.size());
   };
 
+  // Whether the calling thread owns the reader; a handoff marker passes
+  // it here.
+  bool caller_reads = false;
+  auto take_entry = [&](Queued queued) {
+    if (queued.reader_handoff) {
+      caller_reads = true;
+      ++stats.reader_handoffs;
+    } else {
+      window_chunk(queued.chunk);
+    }
+  };
+
   Status commit_status;
   const bool checkpointing = !options_.checkpoint_path.empty();
   while (true) {
-    // Block on the chunk queue only while no window is pending: a
-    // completed window is never held back waiting for the next chunk.
-    while (pending.empty() && chunks_open) {
-      std::optional<StampedFrame> chunk = chunk_queue.Pop();
-      if (!chunk) {
-        chunks_open = false;  // Ingest finished and every chunk drained.
-        break;
+    // Buffered bytes are a backlog: hand the reader back, so ingest
+    // parses them on its own thread while this one scores.
+    if (caller_reads && chunks_open && !reader.WouldBlock()) {
+      caller_reads = false;
+      ++stats.reader_handoffs;
+      {
+        MutexLock lock(&ingest.mu);
+        ingest.ingest_owns_reader = true;
       }
-      window_chunk(*chunk);
+      ingest.reader_back.NotifyOne();
+    }
+    // Take the next chunk only while no window is pending: a completed
+    // window is never held back waiting for it.
+    if (pending.empty() && chunks_open) {
+      if (caller_reads) {
+        StampedFrame parsed;
+        const ReadOutcome read = read_step(&parsed.frame);
+        if (read == ReadOutcome::kChunk) {
+          parsed.parsed_ns = obs::NowNanos();
+          window_chunk(parsed);
+        } else if (read == ReadOutcome::kEnd) {
+          chunks_open = false;
+        }
+      } else if (std::optional<Queued> queued = chunk_queue.Pop()) {
+        take_entry(std::move(*queued));
+      } else {
+        chunks_open = false;  // Ingest finished and every chunk drained.
+      }
+      continue;
     }
     if (pending.empty()) break;
     size_t cap = options_.max_batch_windows;
@@ -580,10 +654,10 @@ PipelineRunResult StreamPipeline::Run(
     }
     // Top the batch up from chunks already queued; windows past the cap
     // stay pending for the next batch.
-    while (chunks_open && pending.size() < cap) {
-      std::optional<StampedFrame> chunk = chunk_queue.TryPop();
-      if (!chunk) break;
-      window_chunk(*chunk);
+    while (chunks_open && !caller_reads && pending.size() < cap) {
+      std::optional<Queued> queued = chunk_queue.TryPop();
+      if (!queued) break;
+      take_entry(std::move(*queued));
     }
     const size_t take = std::min(cap, pending.size());
     std::vector<StampedFrame> batch(
@@ -601,29 +675,34 @@ PipelineRunResult StreamPipeline::Run(
         ++stats.checkpoints_written;
       }
     }
-    if (!commit_status.ok()) {
-      chunk_queue.Close();  // Cancel ingest: its blocked Push returns false.
-      break;
-    }
+    if (!commit_status.ok()) break;
   }
 
-  ingest.join();
+  // Whichever thread owns the reader, release ingest: a blocked Push
+  // returns false, and a thread parked for the reader exits.
+  chunk_queue.Close();
+  {
+    MutexLock lock(&ingest.mu);
+    ingest.done = true;
+  }
+  ingest.reader_back.NotifyOne();
+  ingest_thread.join();
 
   // Fold the stage outcomes into the stats FIRST, so a failing run still
   // reports everything it did (the whole point of PipelineRunResult).
   Status ingest_status;
   {
-    MutexLock lock(&ingest_result.mu);
-    ingest_status = std::move(ingest_result.status);
-    stats.rows_ingested = ingest_result.rows;
-    stats.retries += ingest_result.retries;
-    // Stopped if ingest saw the flag — or if it was raised while ingest
-    // was blocked on a read the stream then ended out from under (the
+    MutexLock lock(&ingest.mu);
+    ingest_status = std::move(ingest.status);
+    stats.rows_ingested = ingest.rows;
+    stats.retries += ingest.retries;
+    // Stopped if a read saw the flag — or if it was raised while a read
+    // was blocked on a stream that then ended out from under it (the
     // stop still happened before the run finished, and the caller's
     // exit code should say so).
-    stats.stopped = ingest_result.stopped ||
+    stats.stopped = ingest.stopped ||
                     (stop != nullptr && stop->load(std::memory_order_relaxed));
-    for (QuarantineRecord& record : ingest_result.quarantined) {
+    for (QuarantineRecord& record : ingest.quarantined) {
       stats.rows_quarantined += record.rows_lost;
       stats.quarantine.push_back(std::move(record));
     }
@@ -679,6 +758,7 @@ PipelineRunResult StreamPipeline::Run(
   registry.GetCounter("stream.retries")->Add(stats.retries);
   registry.GetCounter("stream.faults_injected")->Add(stats.faults_injected);
   registry.GetCounter("stream.checkpoints")->Add(stats.checkpoints_written);
+  registry.GetCounter("stream.reader_handoffs")->Add(stats.reader_handoffs);
   registry.GetCounter("stream.window.rows_copied")
       ->Add(stats.window_rows_copied);
   registry.GetCounter("stream.window.buffer_reallocs")

@@ -7,8 +7,8 @@
 //   (+ pool)            (records located serially, converted in row
 //                       blocks on the pool lanes, committed in row order)
 //      │  BoundedQueue of parse-stamped chunks
-//   windowing, scoring  the calling thread pops each chunk and windows
-//   + commit            it (Windower: tumbling/sliding windows), then
+//   windowing, scoring  the calling thread windows each chunk
+//   + commit            (Windower: tumbling/sliding windows), then
 //   (caller + pool)     scores the pending windows in batches, each row
 //                       once (a sliding window scores only the rows it
 //                       adds and reuses the violations of the rows it
@@ -19,9 +19,17 @@
 //                       into an IncrementalSynthesizer and swaps the
 //                       reference profile (§4.3.2 streaming Gram sum).
 //
-// A chunk crosses one thread boundary on its way to a verdict, and a
-// window none: the calling thread blocks on the chunk queue only when no
-// completed window is pending.
+// The reader has one owner at a time. Ingest owns it while bytes are
+// buffered (a backlog: it parses ahead while the calling thread scores).
+// When the next read would wait for input (CsvChunkReader::WouldBlock),
+// ingest pushes a handoff marker behind the chunks it has queued and
+// parks; the calling thread then reads, windows, scores and commits
+// itself, so on a caught-up live stream the thread that waits for a
+// window's last row is the one that scores it, with no wake between.
+// Once bytes are buffered again it hands the reader back. A window
+// crosses no thread boundary, and a chunk one only while ingest owns the
+// reader; the calling thread blocks on the queue only when no completed
+// window is pending.
 //
 // Each stage runs under a FailurePolicy (stream/supervisor.h): fail-fast
 // (the default, and the only pre-robustness behavior), bounded retry of
@@ -120,10 +128,10 @@ struct StreamPipelineOptions {
   FailurePolicy score_policy;
   /// Invoked on the calling thread, in deterministic commit order, for
   /// every quarantined unit of the commit stage ("score" and "refresh"
-  /// records only: ingest quarantines happen on the ingest thread and
-  /// interleave nondeterministically with commits, and "window" records
-  /// are kept beside them, so both are only collected into
-  /// PipelineStats::quarantine).
+  /// records only: ingest quarantines happen on whichever thread owns the
+  /// reader and interleave nondeterministically with commits, and
+  /// "window" records are kept beside them, so both are only collected
+  /// into PipelineStats::quarantine).
   std::function<void(const QuarantineRecord&)> on_quarantine;
 
   /// Checkpoint file path; empty disables checkpointing.
@@ -165,6 +173,10 @@ struct PipelineStats {
   size_t window_rows_copied = 0;
   size_t window_buffer_reallocs = 0;
   size_t window_buffer_capacity_rows = 0;
+  /// Times the CSV reader changed owner between the ingest thread and
+  /// the calling thread (see the file comment). Timing-dependent and
+  /// out-of-band: it never feeds a result.
+  size_t reader_handoffs = 0;
   double elapsed_seconds = 0.0;
   /// rows_ingested / elapsed_seconds.
   double rows_per_second = 0.0;
@@ -268,8 +280,8 @@ class StreamPipeline {
         schema_(std::move(schema)),
         options_(options) {}
 
-  // A chunk, or a window it completed, stamped with the time ingest
-  // finished parsing that chunk. The stamp only feeds the
+  // A chunk, or a window it completed, stamped with the time the read
+  // of that chunk finished. The stamp only feeds the
   // stream.window_latency_us histogram (out-of-band).
   struct StampedFrame {
     dataframe::DataFrame frame;

@@ -5,6 +5,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dataframe/csv.h"
 
@@ -321,6 +325,78 @@ TEST(CsvChunkReaderTest, DelimiterThatCanContinueANumber) {
     ASSERT_EQ(chunk->num_rows(), 1u);
     EXPECT_EQ(chunk->NumericValue(0, "x").value(), c.x);
     EXPECT_EQ(chunk->NumericValue(0, "y").value(), c.y);
+  }
+}
+
+// A live source: each underflow releases the next piece (one or more
+// lines), and in_avail() reports 0 once the released bytes are taken.
+class PieceStreambuf : public std::streambuf {
+ public:
+  explicit PieceStreambuf(std::vector<std::string> pieces)
+      : pieces_(std::move(pieces)) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (next_ == pieces_.size()) return traits_type::eof();
+    std::string& piece = pieces_[next_++];
+    setg(piece.data(), piece.data(), piece.data() + piece.size());
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::vector<std::string> pieces_;
+  size_t next_ = 0;
+};
+
+TEST(CsvChunkReaderTest, WouldBlockOnlyWhenTheNextReadMustWaitForInput) {
+  const Schema schema = NumericSchema({"x", "y"});
+  {
+    // A stringstream's bytes are all available from the start.
+    std::istringstream in("x,y\n1,2\n");
+    CsvChunkReader reader(&in, schema);
+    EXPECT_FALSE(reader.WouldBlock());
+  }
+  {
+    // Bytes buffered in the tokenizer, then a drained live source whose
+    // next piece is not yet due.
+    PieceStreambuf buf({"x,y\n1,2\n3,4\n", "5,6\n"});
+    std::istream in(&buf);
+    CsvChunkReader reader(&in, schema);
+    EXPECT_TRUE(reader.WouldBlock());  // Nothing released yet.
+    ASSERT_EQ(reader.ReadChunk(1)->num_rows(), 1u);
+    EXPECT_FALSE(reader.WouldBlock());  // "3,4" is buffered.
+    ASSERT_EQ(reader.ReadChunk(1)->num_rows(), 1u);
+    EXPECT_TRUE(reader.WouldBlock());
+    ASSERT_EQ(reader.ReadChunk(5)->num_rows(), 1u);
+    EXPECT_TRUE(reader.WouldBlock());  // At end of stream, still drained.
+  }
+  {
+    // A malformed row after a good one: the good prefix is returned and
+    // the error deferred, so the next read returns at once.
+    PieceStreambuf buf({"x,y\n1,2\n", "bad,3\n"});
+    std::istream in(&buf);
+    CsvChunkReader reader(&in, schema);
+    ASSERT_EQ(reader.ReadChunk(10)->num_rows(), 1u);
+    EXPECT_FALSE(reader.WouldBlock());
+    EXPECT_EQ(reader.ReadChunk(10).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(reader.WouldBlock());
+  }
+  {
+    // A failing first row returns its error at once; the record located
+    // after it waits in the reader, not in the stream.
+    PieceStreambuf buf({"x,y\nbad,3\n4,5\n", "6,7\n"});
+    std::istream in(&buf);
+    CsvChunkReader reader(&in, schema);
+    EXPECT_EQ(reader.ReadChunk(10).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(reader.WouldBlock());
+    auto rest = reader.ReadChunk(1);
+    ASSERT_TRUE(rest.ok()) << rest.status();
+    ASSERT_EQ(rest->num_rows(), 1u);
+    EXPECT_EQ(rest->NumericValue(0, "x").value(), 4.0);
+    EXPECT_TRUE(reader.WouldBlock());
   }
 }
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -1825,6 +1826,311 @@ TEST_F(StreamPipelineTest, RetryPolicyMasksTransientFaults) {
   EXPECT_EQ(result->windows_quarantined, 0u);
   EXPECT_EQ(result->rows_quarantined, 0u);
   ExpectHistoriesBitwiseEqual(pipeline->history(), fault_free);
+}
+
+// ------------------------ Reader handoff oracles -----------------------
+//
+// An istringstream never would block before its end, so over one the
+// calling thread reads only the end of stream. Over a trickled source it
+// owns the reader for the whole run (one line per underflow), or takes
+// it and hands it back chunk after chunk (several lines per underflow,
+// so a chunk can leave bytes buffered). Whichever thread reads, the
+// results are those of the in-memory source.
+
+// `csv_text` cut into pieces of `lines` lines, one piece per underflow.
+std::vector<std::string> Pieces(const std::string& csv_text, size_t lines) {
+  std::vector<std::string> pieces;
+  size_t begin = 0;
+  while (begin < csv_text.size()) {
+    size_t end = begin;
+    for (size_t i = 0; i < lines && end < csv_text.size(); ++i) {
+      end = csv_text.find('\n', end);
+      end = end == std::string::npos ? csv_text.size() : end + 1;
+    }
+    pieces.push_back(csv_text.substr(begin, end - begin));
+    begin = end;
+  }
+  return pieces;
+}
+
+TEST_F(StreamPipelineTest, TrickledSourceMatchesSerialLoop) {
+  DataFrame reference = TrendFrame(300, 0.0, 80);
+  const std::string csv_text = ToCsv(TrendFrame(600, 5.0, 81, 300));
+  StreamPipelineOptions options;
+  options.window_rows = 50;
+  options.alarm_threshold = 0.25;
+  options.chunk_rows = 7;
+  options.max_batch_windows = 3;
+  struct Geometry {
+    size_t slide, refresh_every;
+  };
+  for (Geometry geometry : {Geometry{0, 0}, Geometry{9, 4}}) {
+    options.slide_rows = geometry.slide;
+    options.refresh_every = geometry.refresh_every;
+    const std::vector<WindowScore> serial =
+        SerialLoop(reference, {csv_text}, options);
+    ASSERT_FALSE(serial.empty());
+    for (size_t lines : {1u, 5u}) {
+      for (size_t capacity : {1u, 4u}) {
+        for (size_t threads : {1u, 4u}) {
+          SCOPED_TRACE("slide " + std::to_string(geometry.slide) + " lines " +
+                       std::to_string(lines) + " queue " +
+                       std::to_string(capacity) + " threads " +
+                       std::to_string(threads));
+          options.queue_capacity = capacity;
+          options.num_threads = threads;
+          auto pipeline = StreamPipeline::Create(reference, options);
+          ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+          LinePerUnderflowStreambuf buf(Pieces(csv_text, lines));
+          std::istream in(&buf);
+          auto result = pipeline->Run(in);
+          ASSERT_TRUE(result.ok()) << result.status;
+          EXPECT_EQ(result->rows_ingested, 600u);
+          EXPECT_EQ(result->refreshes, geometry.refresh_every == 0
+                                           ? 0u
+                                           : serial.size() /
+                                                 geometry.refresh_every);
+          // One line per underflow: the calling thread takes the reader
+          // at the start and keeps it. Five: a chunk of 7 rows leaves
+          // bytes buffered, so the reader also goes back to ingest.
+          EXPECT_GE(result->reader_handoffs, lines == 1 ? 1u : 2u);
+          ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(StreamPipelineTest, TrickledIngestQuarantineMatchesInMemorySource) {
+  // Three malformed rows under ingest quarantine: the records (index,
+  // rows lost, reason) and the history do not depend on which thread
+  // read them.
+  DataFrame reference = TrendFrame(100, 0.0, 82);
+  std::string csv_text = ToCsv(TrendFrame(90, 0.0, 83));
+  for (size_t row : {70u, 41u, 12u}) {  // Back to front: offsets hold.
+    size_t pos = csv_text.find('\n') + 1;
+    for (size_t i = 0; i < row; ++i) pos = csv_text.find('\n', pos) + 1;
+    csv_text.insert(pos, row == 41 ? "1,oops\n" : "7\n");
+  }
+  StreamPipelineOptions options;
+  options.window_rows = 10;
+  options.alarm_threshold = 0.9;
+  options.ingest_policy.mode = FailureMode::kQuarantine;
+  for (size_t chunk_rows : {4u, 10u}) {
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("chunk " + std::to_string(chunk_rows) + " threads " +
+                   std::to_string(threads));
+      options.chunk_rows = chunk_rows;
+      options.num_threads = threads;
+      auto in_memory = StreamPipeline::Create(reference, options);
+      ASSERT_TRUE(in_memory.ok());
+      std::istringstream whole(csv_text);
+      auto want = in_memory->Run(whole);
+      ASSERT_TRUE(want.ok()) << want.status;
+      ASSERT_EQ(want->quarantine.size(), 3u);
+
+      auto trickled = StreamPipeline::Create(reference, options);
+      ASSERT_TRUE(trickled.ok());
+      LinePerUnderflowStreambuf buf(Pieces(csv_text, 1));
+      std::istream in(&buf);
+      auto got = trickled->Run(in);
+      ASSERT_TRUE(got.ok()) << got.status;
+      EXPECT_GE(got->reader_handoffs, 1u);
+      EXPECT_EQ(got->rows_ingested, want->rows_ingested);
+      EXPECT_EQ(got->rows_quarantined, 3u);
+      ASSERT_EQ(got->quarantine.size(), want->quarantine.size());
+      for (size_t i = 0; i < want->quarantine.size(); ++i) {
+        EXPECT_EQ(got->quarantine[i].stage, "ingest");
+        EXPECT_EQ(got->quarantine[i].index, want->quarantine[i].index);
+        EXPECT_EQ(got->quarantine[i].rows_lost, want->quarantine[i].rows_lost);
+        EXPECT_EQ(got->quarantine[i].reason.ToString(),
+                  want->quarantine[i].reason.ToString());
+      }
+      ExpectHistoriesBitwiseEqual(trickled->history(), in_memory->history());
+    }
+  }
+}
+
+TEST_F(StreamPipelineTest, TrickledReadRetriesTransientFault) {
+  DataFrame reference = TrendFrame(200, 0.0, 84);
+  const std::string csv_text = ToCsv(TrendFrame(300, 0.0, 85));
+  StreamPipelineOptions options;
+  options.window_rows = 30;
+  options.alarm_threshold = 0.9;
+  options.chunk_rows = 11;
+  auto parsed = FailurePolicy::Parse("retry:2");
+  ASSERT_TRUE(parsed.ok());
+  options.ingest_policy = *parsed;
+  const std::vector<WindowScore> serial =
+      SerialLoop(reference, {csv_text}, options);
+
+  common::fault::FaultSpec spec;
+  common::fault::FaultPoint p;
+  p.point = "stream.ingest.read";
+  p.at = 5;  // Transient (kUnavailable) by default.
+  spec.points.push_back(p);
+  ASSERT_TRUE(common::fault::Injector::Global().Arm(spec).ok());
+  auto pipeline = StreamPipeline::Create(reference, options);
+  ASSERT_TRUE(pipeline.ok());
+  LinePerUnderflowStreambuf buf(Pieces(csv_text, 1));
+  std::istream in(&buf);
+  auto result = pipeline->Run(in);
+  common::fault::Injector::Global().Disarm();
+  ASSERT_TRUE(result.ok()) << result.status;
+  EXPECT_GE(result->reader_handoffs, 1u);
+  EXPECT_EQ(result->faults_injected, 1u);
+  EXPECT_EQ(result->retries, 1u);
+  EXPECT_EQ(result->rows_quarantined, 0u);
+  EXPECT_EQ(result->rows_ingested, 300u);
+  ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
+}
+
+TEST_F(StreamPipelineTest, TrickledStopDrainsAndWritesFinalCheckpoint) {
+  // The stop is raised from on_score, on the thread that owns the
+  // reader: the next read ends the stream, the windows already pending
+  // are still committed, and the final checkpoint records them.
+  DataFrame reference = TrendFrame(200, 0.0, 86);
+  const std::string csv_text = ToCsv(TrendFrame(400, 0.0, 87));
+  const std::string path =
+      ::testing::TempDir() + "/ccs_stream_test_trickled_stop.ck";
+  StreamPipelineOptions options;
+  options.window_rows = 20;
+  options.slide_rows = 5;
+  options.alarm_threshold = 0.9;
+  options.chunk_rows = 8;
+  options.checkpoint_path = path;
+  std::atomic<bool> stop{false};
+  options.stop = &stop;
+  const std::vector<WindowScore> serial =
+      SerialLoop(reference, {csv_text}, options);
+  constexpr size_t kStopAfter = 10;
+  for (size_t capacity : {1u, 4u}) {
+    SCOPED_TRACE("queue " + std::to_string(capacity));
+    std::remove(path.c_str());
+    stop.store(false);
+    options.queue_capacity = capacity;
+    auto pipeline = StreamPipeline::Create(reference, options);
+    ASSERT_TRUE(pipeline.ok());
+    LinePerUnderflowStreambuf buf(Pieces(csv_text, 1));
+    std::istream in(&buf);
+    auto result = pipeline->Run(in, [&](const WindowScore& score) {
+      if (score.window_index + 1 == kStopAfter) stop.store(true);
+    });
+    ASSERT_TRUE(result.ok()) << result.status;
+    EXPECT_TRUE(result->stopped);
+    EXPECT_GE(result->reader_handoffs, 1u);
+    EXPECT_EQ(result->checkpoints_written, 1u);
+    const std::vector<WindowScore> history = pipeline->history();
+    // Cut short: the read after the stop never happens.
+    EXPECT_GE(history.size(), kStopAfter);
+    EXPECT_LT(history.size(), serial.size());
+    ExpectHistoriesBitwiseEqual(
+        history, std::vector<WindowScore>(serial.begin(),
+                                          serial.begin() + history.size()));
+    auto written = ReadCheckpointFile(path);
+    ASSERT_TRUE(written.ok()) << written.status();
+    EXPECT_EQ(written->windows_committed, history.size());
+    EXPECT_EQ(written->rows_consumed,
+              written->windows_consumed * options.slide_rows);
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(StreamPipelineTest, TrickledResumeMatchesUninterruptedRun) {
+  DataFrame reference = TrendFrame(200, 0.0, 88);
+  const std::string csv_text = ToCsv(TrendFrame(500, 4.0, 89, 250));
+  StreamPipelineOptions options;
+  options.window_rows = 40;
+  options.slide_rows = 20;
+  options.refresh_every = 5;
+  options.alarm_threshold = 0.25;
+  options.chunk_rows = 13;
+  options.num_threads = 2;
+
+  auto run_trickled = [&](StreamPipeline* pipeline, const std::string& text) {
+    LinePerUnderflowStreambuf buf(Pieces(text, 1));
+    std::istream in(&buf);
+    auto result = pipeline->Run(in);
+    CCS_CHECK(result.ok()) << result.status.ToString();
+    EXPECT_GE(result->reader_handoffs, 1u);
+  };
+  auto full = StreamPipeline::Create(reference, options);
+  ASSERT_TRUE(full.ok());
+  run_trickled(&*full, csv_text);
+  const std::vector<WindowScore> want = full->history();
+
+  // A prefix cut mid-window, checkpointed, then resumed over the whole
+  // trickled stream: the resume skip reads on the ingest thread.
+  size_t split = csv_text.find('\n') + 1;
+  for (size_t row = 0; row < 230; ++row) split = csv_text.find('\n', split) + 1;
+  auto prefix = StreamPipeline::Create(reference, options);
+  ASSERT_TRUE(prefix.ok());
+  run_trickled(&*prefix, csv_text.substr(0, split));
+  const CheckpointData snap = prefix->Snapshot();
+  ASSERT_GT(snap.refreshes, 0u);
+  auto resumed = StreamPipeline::Create(reference, options);
+  ASSERT_TRUE(resumed.ok());
+  ASSERT_TRUE(resumed->Restore(snap).ok());
+  run_trickled(&*resumed, csv_text);
+
+  std::vector<WindowScore> got = prefix->history();
+  const std::vector<WindowScore> rest = resumed->history();
+  got.insert(got.end(), rest.begin(), rest.end());
+  ExpectHistoriesBitwiseEqual(got, want);
+}
+
+TEST_F(StreamPipelineTest, FailuresWhileTheCallingThreadReadsReturn) {
+  // A read failure, a window fail-fast and a commit failure, each while
+  // the calling thread owns the reader and ingest is parked for it: Run
+  // returns the error (the join does not hang) after committing exactly
+  // the windows before the failure.
+  DataFrame reference = TrendFrame(100, 0.0, 90);
+  std::string csv_text = ToCsv(TrendFrame(200, 0.0, 91));
+  StreamPipelineOptions options;
+  options.window_rows = 10;
+  options.alarm_threshold = 0.9;
+  options.chunk_rows = 10;
+  struct Case {
+    const char* point;  // Empty: a ragged row after data row 60.
+    size_t at;
+    size_t committed;
+  };
+  std::string ragged = csv_text;
+  {
+    size_t pos = ragged.find('\n') + 1;
+    for (size_t i = 0; i < 60; ++i) pos = ragged.find('\n', pos) + 1;
+    ragged.insert(pos, "7\n");
+  }
+  for (const Case& c : {Case{"", 0, 6}, Case{"stream.window.push", 4, 3},
+                        Case{"stream.score.window", 5, 4}}) {
+    for (size_t capacity : {1u, 4u}) {
+      SCOPED_TRACE(std::string("point '") + c.point + "' queue " +
+                   std::to_string(capacity));
+      options.queue_capacity = capacity;
+      common::fault::FaultSpec spec;
+      if (*c.point != '\0') {
+        common::fault::FaultPoint p;
+        p.point = c.point;
+        p.at = c.at;
+        p.code = "internal";
+        spec.points.push_back(p);
+      }
+      ASSERT_TRUE(common::fault::Injector::Global().Arm(spec).ok());
+      auto pipeline = StreamPipeline::Create(reference, options);
+      ASSERT_TRUE(pipeline.ok());
+      LinePerUnderflowStreambuf buf(
+          Pieces(*c.point == '\0' ? ragged : csv_text, 1));
+      std::istream in(&buf);
+      auto result = pipeline->Run(in);
+      common::fault::Injector::Global().Disarm();
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status.code(), *c.point == '\0'
+                                          ? StatusCode::kInvalidArgument
+                                          : StatusCode::kInternal);
+      EXPECT_GE(result->reader_handoffs, 1u);
+      EXPECT_EQ(pipeline->history().size(), c.committed);
+    }
+  }
 }
 
 TEST_F(StreamPipelineTest, RejectsBadOptions) {

@@ -22,7 +22,8 @@
 //       periodic incremental re-synthesis of the reference profile.
 //       --stats additionally reports per-window allocation behaviour
 //       (rows copied per emit, rolling-buffer reallocations and
-//       capacity), the rows actually scored, peak RSS, and the kernel
+//       capacity), the rows actually scored, the reader handoffs
+//       between the ingest and scoring threads, peak RSS, and the kernel
 //       instance the host selected (sse2 or avx2), making the zero-copy
 //       windowing and score-once scoring observable from the CLI.
 //       --trace records stage spans into a Chrome trace-event
@@ -505,6 +506,11 @@ int RunMonitor(const std::vector<std::string>& args) {
                  "changes (capacity %zu rows)\n",
                  stats->window_rows_copied, stats->window_buffer_reallocs,
                  stats->window_buffer_capacity_rows);
+    // Which thread read the stream: a caught-up (live) stream hands the
+    // reader to the scoring thread at least once; a file is read ahead
+    // on the ingest thread and hands it over only at its end.
+    std::fprintf(stderr, "ccsynth: reader handoffs %zu\n",
+                 stats->reader_handoffs);
     // The score-once confirmation: a sliding window scores only the
     // rows it adds, so rows scored per window falls to about the slide.
     std::fprintf(stderr,
