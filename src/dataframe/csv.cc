@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <streambuf>
 #include <vector>
 
@@ -14,11 +15,14 @@ namespace ccs::dataframe {
 
 namespace {
 
-// Numeric-cell conversion shared by ReadCsv and CsvChunkReader: empty
-// cells map to `missing`; nullopt means a non-empty cell that does not
-// parse as a double.
-std::optional<double> NumericCell(std::string_view cell, double missing) {
-  if (Trim(cell).empty()) return missing;
+// The one field separator (see csv.h).
+constexpr char kDelimiter = ',';
+
+// CsvChunkReader's numeric cell (ReadCsv's inference keeps the same
+// rule): an empty cell reads as +0.0; nullopt means a non-empty cell that
+// does not parse as a double.
+std::optional<double> NumericCell(std::string_view cell) {
+  if (Trim(cell).empty()) return 0.0;
   return ParseDouble(cell);
 }
 
@@ -32,14 +36,14 @@ constexpr size_t kBlockCells = 1024;
 
 namespace internal {
 
-void SplitFields(std::string_view record, char delimiter,
+void SplitFields(std::string_view record,
                  std::vector<std::string_view>* fields) {
   fields->clear();
   const char* field = record.data();
   const char* const record_end = field + record.size();
   while (field != record_end) {
     const void* cut =
-        std::memchr(field, delimiter, static_cast<size_t>(record_end - field));
+        std::memchr(field, kDelimiter, static_cast<size_t>(record_end - field));
     if (cut == nullptr) break;
     const char* at = static_cast<const char*>(cut);
     fields->emplace_back(field, static_cast<size_t>(at - field));
@@ -48,8 +52,8 @@ void SplitFields(std::string_view record, char delimiter,
   fields->emplace_back(field, static_cast<size_t>(record_end - field));
 }
 
-CsvTokenizer::CsvTokenizer(std::istream* in, char delimiter)
-    : in_(in), delimiter_(delimiter), buffer_(kBlockBytes) {}
+CsvTokenizer::CsvTokenizer(std::istream* in)
+    : in_(in), buffer_(kBlockBytes) {}
 
 bool CsvTokenizer::Refill() {
   using traits = std::char_traits<char>;
@@ -68,12 +72,7 @@ bool CsvTokenizer::Refill() {
   if (available <= 0) {
     // Nothing buffered upstream: wait in one underflow for one byte, as a
     // byte-wise read would, then take whatever that underflow buffered.
-    // The wait has its own span, so a caught-up live reader's idle time
-    // shows as waiting rather than tokenizing.
-    const traits::int_type first = [&] {
-      obs::ObsSpan wait_span("csv.wait", "dataframe");
-      return source->sbumpc();
-    }();
+    const traits::int_type first = source->sbumpc();
     if (traits::eq_int_type(first, traits::eof())) return false;
     buffer_[end_++] = traits::to_char_type(first);
     available = source->in_avail();
@@ -109,7 +108,7 @@ bool CsvTokenizer::WouldBlock() {
 
 StatusOr<bool> CsvTokenizer::Next() {
   StatusOr<bool> got = Locate();
-  if (got.ok() && *got && !quoted_) SplitFields(record_, delimiter_, &fields_);
+  if (got.ok() && *got && !quoted_) SplitFields(record_, &fields_);
   return got;
 }
 
@@ -119,11 +118,6 @@ StatusOr<bool> CsvTokenizer::Locate() {
   quoted_ = false;
   record_ = std::string_view();
   if (begin_ == end_ && !Refill()) return false;
-  // A delimiter that is itself a structural byte only the state machine
-  // orders correctly.
-  if (delimiter_ == '"' || delimiter_ == '\n' || delimiter_ == '\r') {
-    return LocateQuoted();
-  }
   // Find the record's first structural byte, refilling while the buffer
   // ends first. `scan` is relative to begin_, which a refill moves.
   size_t scan = 0;
@@ -185,7 +179,7 @@ StatusOr<bool> CsvTokenizer::LocateQuoted() {
     }
     if (c == '"') {
       in_quotes = true;
-    } else if (c == static_cast<unsigned char>(delimiter_)) {
+    } else if (c == kDelimiter) {
       field_ends_.push_back(write);
     } else if (c == '\n') {
       break;
@@ -212,8 +206,8 @@ StatusOr<bool> CsvTokenizer::LocateQuoted() {
 
 }  // namespace internal
 
-StatusOr<DataFrame> ReadCsv(std::istream& in, const CsvOptions& options) {
-  internal::CsvTokenizer tokenizer(&in, options.delimiter);
+StatusOr<DataFrame> ReadCsv(std::istream& in) {
+  internal::CsvTokenizer tokenizer(&in);
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> cells;  // Column-major.
   size_t num_cols = 0;
@@ -232,16 +226,13 @@ StatusOr<DataFrame> ReadCsv(std::istream& in, const CsvOptions& options) {
     if (records++ == 0) {
       num_cols = record.size();
       cells.resize(num_cols);
-      if (options.has_header) {
-        header.assign(record.begin(), record.end());
-        continue;
-      }
+      header.assign(record.begin(), record.end());
+      continue;
     }
     if (record.size() != num_cols) {
-      const size_t data_row = options.has_header ? records - 1 : records;
       return Status::InvalidArgument(
           "CSV: line " + std::to_string(record_line) + " (data row " +
-          std::to_string(data_row) + "): has " +
+          std::to_string(records - 1) + "): has " +
           std::to_string(record.size()) + " fields, expected " +
           std::to_string(num_cols));
     }
@@ -250,34 +241,27 @@ StatusOr<DataFrame> ReadCsv(std::istream& in, const CsvOptions& options) {
   if (num_cols == 0) {
     return Status::InvalidArgument("CSV: empty input");
   }
-  if (header.empty()) {
-    for (size_t c = 0; c < num_cols; ++c) {
-      header.push_back("c" + std::to_string(c));
-    }
-  }
 
   DataFrame df;
   for (size_t c = 0; c < num_cols; ++c) {
     // A column is numeric iff some cell is non-empty and every non-empty
     // cell parses; the values inference parsed are the column's.
-    bool numeric = options.infer_types && !cells[c].empty();
+    bool numeric = !cells[c].empty();
     bool any_value = false;
     std::vector<double> values;
-    if (numeric) {
-      values.reserve(cells[c].size());
-      for (const std::string& cell : cells[c]) {
-        if (Trim(cell).empty()) {
-          values.push_back(options.missing_numeric);
-          continue;
-        }
-        const std::optional<double> parsed = ParseDouble(cell);
-        if (!parsed.has_value()) {
-          numeric = false;
-          break;
-        }
-        any_value = true;
-        values.push_back(*parsed);
+    values.reserve(cells[c].size());
+    for (const std::string& cell : cells[c]) {
+      if (Trim(cell).empty()) {
+        values.push_back(0.0);
+        continue;
       }
+      const std::optional<double> parsed = ParseDouble(cell);
+      if (!parsed.has_value()) {
+        numeric = false;
+        break;
+      }
+      any_value = true;
+      values.push_back(*parsed);
     }
     if (numeric && any_value) {
       CCS_RETURN_IF_ERROR(df.AddNumericColumn(header[c], std::move(values)));
@@ -289,20 +273,15 @@ StatusOr<DataFrame> ReadCsv(std::istream& in, const CsvOptions& options) {
   return df;
 }
 
-StatusOr<DataFrame> ReadCsvFile(const std::string& path,
-                                const CsvOptions& options) {
+StatusOr<DataFrame> ReadCsvFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open file: " + path);
-  return ReadCsv(in, options);
+  return ReadCsv(in);
 }
 
-CsvChunkReader::CsvChunkReader(std::istream* in, Schema schema,
-                               CsvOptions options)
-    : tokenizer_(in, options.delimiter),
+CsvChunkReader::CsvChunkReader(std::istream* in, Schema schema)
+    : tokenizer_(in),
       schema_(std::move(schema)),
-      options_(options),
-      numeric_delimiter_((options.delimiter >= '0' && options.delimiter <= '9') ||
-                         options.delimiter == '.' || options.delimiter == '-'),
       dicts_(schema_.num_attributes()),
       numeric_(schema_.num_attributes()),
       codes_(schema_.num_attributes()) {
@@ -315,13 +294,6 @@ CsvChunkReader::CsvChunkReader(std::istream* in, Schema schema,
 
 Status CsvChunkReader::ReadHeader() {
   col_map_.assign(schema_.num_attributes(), 0);
-  if (!options_.has_header) {
-    // Positional mapping: schema attribute i <- stream field i.
-    stream_columns_ = schema_.num_attributes();
-    for (size_t i = 0; i < schema_.num_attributes(); ++i) col_map_[i] = i;
-    MapFields();
-    return Status::OK();
-  }
   StatusOr<bool> got = tokenizer_.Next();
   if (!got.ok()) {
     return Status::InvalidArgument("CsvChunkReader: header (line 1): " +
@@ -349,11 +321,6 @@ Status CsvChunkReader::ReadHeader() {
           "'");
     }
   }
-  MapFields();
-  return Status::OK();
-}
-
-void CsvChunkReader::MapFields() {
   // Schema names are unique, so no two attributes share a field.
   targets_.assign(stream_columns_, FieldTarget());
   uint32_t slot = 0;
@@ -368,6 +335,7 @@ void CsvChunkReader::MapFields() {
     }
   }
   header_done_ = true;
+  return Status::OK();
 }
 
 StatusOr<DataFrame> CsvChunkReader::ReadChunk(size_t max_rows,
@@ -413,6 +381,9 @@ bool CsvChunkReader::WouldBlock() {
 }
 
 void CsvChunkReader::LocateRecords(size_t max_rows, size_t num_threads) {
+  // Opened at the chunk's first wait for the stream and closed on return,
+  // so a paced stream records one wait span per chunk, not one per row.
+  std::optional<obs::ObsSpan> wait_span;
   while (located_.size() < max_rows && stream_error_.ok()) {
     // Convert and intern what is here before waiting for more: on a
     // live stream only the chunk's last row is handled after it arrives.
@@ -420,6 +391,7 @@ void CsvChunkReader::LocateRecords(size_t max_rows, size_t num_threads) {
     if (tokenizer_.WouldBlock()) {
       if (ConvertRows(located_.size(), num_threads)) return;
       InternRows(located_.size());
+      if (!wait_span.has_value()) wait_span.emplace("csv.wait", "dataframe");
     }
     StatusOr<bool> got = tokenizer_.Locate();
     if (!got.ok()) {
@@ -481,31 +453,26 @@ const char* CsvChunkReader::ConvertField(FieldTarget target, size_t r,
                                          const char* cell, const char* end,
                                          bool split, Span* cells,
                                          size_t* bad) {
-  // The field ends at the next delimiter of an unquoted record, or at
+  // The field ends at the next comma of an unquoted record, or at
   // `end`, a quoted field's own end.
   auto field_end = [&] {
     // No memchr over 0 bytes: an empty arena's data() may be null.
     if (!split || cell == end) return end;
-    const void* cut = std::memchr(cell, options_.delimiter,
-                                  static_cast<size_t>(end - cell));
+    const void* cut =
+        std::memchr(cell, kDelimiter, static_cast<size_t>(end - cell));
     return cut == nullptr ? end : static_cast<const char*>(cut);
   };
   if (target.kind == FieldTarget::kNumeric) {
-    // Straight from the cursor, unless the delimiter could continue a
-    // number: then the number must fill the field.
-    const char* const limit =
-        split && numeric_delimiter_ ? field_end() : end;
+    // Straight from the cursor: the number must end the field.
     double value = 0.0;
-    const char* stop = ParseExactDecimal(cell, limit, &value);
-    if (stop != nullptr &&
-        (stop == limit || (split && *stop == options_.delimiter))) {
+    const char* stop = ParseExactDecimal(cell, end, &value);
+    if (stop != nullptr && (stop == end || (split && *stop == kDelimiter))) {
       numeric_[target.attr][r] = value;
       return stop;
     }
     const char* const stop_at = field_end();
     const std::optional<double> parsed = NumericCell(
-        std::string_view(cell, static_cast<size_t>(stop_at - cell)),
-        options_.missing_numeric);
+        std::string_view(cell, static_cast<size_t>(stop_at - cell)));
     if (parsed.has_value()) {
       numeric_[target.attr][r] = *parsed;
     } else {
@@ -552,11 +519,10 @@ bool CsvChunkReader::ConvertRow(size_t r) {
   }
   RowFailure& failure = failures_[r];
   failure = RowFailure();
-  // Header-mapped streams must match the header width exactly (the
-  // ragged-row rule of ReadCsv); headerless streams may carry extra
-  // trailing fields beyond the schema's. A ragged row wins over a bad
-  // cell, and the first bad cell in schema order over the others.
-  if (fields < stream_columns_ || (options_.has_header && extra)) {
+  // A row must match the header width exactly (the ragged-row rule of
+  // ReadCsv). A ragged row wins over a bad cell, and the first bad cell
+  // in schema order over the others.
+  if (fields < stream_columns_ || extra) {
     failure.kind = RowFailure::kRagged;
   } else if (bad < schema_.num_attributes()) {
     failure.kind = RowFailure::kCell;
@@ -655,8 +621,7 @@ void CsvChunkReader::Fields(size_t r,
                             std::vector<std::string_view>* fields) const {
   const Located& record = located_[r];
   if (record.num_spans == 0) {
-    internal::SplitFields(ArenaView({record.begin, record.size}),
-                          options_.delimiter, fields);
+    internal::SplitFields(ArenaView({record.begin, record.size}), fields);
     return;
   }
   fields->clear();
@@ -687,8 +652,8 @@ void CsvChunkReader::DropLocated(size_t count) {
 
 namespace {
 
-void WriteField(std::ostream& out, const std::string& field, char delimiter) {
-  bool needs_quotes = field.find(delimiter) != std::string::npos ||
+void WriteField(std::ostream& out, const std::string& field) {
+  bool needs_quotes = field.find(kDelimiter) != std::string::npos ||
                       field.find('"') != std::string::npos ||
                       field.find('\n') != std::string::npos ||
                       field.find('\r') != std::string::npos;
@@ -706,24 +671,20 @@ void WriteField(std::ostream& out, const std::string& field, char delimiter) {
 
 }  // namespace
 
-Status WriteCsv(const DataFrame& df, std::ostream& out,
-                const CsvOptions& options) {
-  const char d = options.delimiter;
-  if (options.has_header) {
-    for (size_t c = 0; c < df.num_columns(); ++c) {
-      if (c > 0) out << d;
-      WriteField(out, df.schema().attribute(c).name, d);
-    }
-    out << '\n';
+Status WriteCsv(const DataFrame& df, std::ostream& out) {
+  for (size_t c = 0; c < df.num_columns(); ++c) {
+    if (c > 0) out << kDelimiter;
+    WriteField(out, df.schema().attribute(c).name);
   }
+  out << '\n';
   for (size_t r = 0; r < df.num_rows(); ++r) {
     for (size_t c = 0; c < df.num_columns(); ++c) {
-      if (c > 0) out << d;
+      if (c > 0) out << kDelimiter;
       const Column& col = df.column(c);
       if (col.is_numeric()) {
         out << FormatDouble(col.NumericAt(r));
       } else {
-        WriteField(out, col.CategoricalAt(r), d);
+        WriteField(out, col.CategoricalAt(r));
       }
     }
     out << '\n';
@@ -732,11 +693,10 @@ Status WriteCsv(const DataFrame& df, std::ostream& out,
   return Status::OK();
 }
 
-Status WriteCsvFile(const DataFrame& df, const std::string& path,
-                    const CsvOptions& options) {
+Status WriteCsvFile(const DataFrame& df, const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IoError("cannot open file for write: " + path);
-  return WriteCsv(df, out, options);
+  return WriteCsv(df, out);
 }
 
 }  // namespace ccs::dataframe

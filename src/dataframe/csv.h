@@ -1,4 +1,10 @@
 // CSV reader (with type inference) and writer for DataFrames.
+//
+// Every CSV CCSynth reads or writes has one dialect: fields separated by
+// ',', a header row naming the columns, RFC-4180 double quotes ("" escapes,
+// embedded commas and newlines), records ending at "\n", "\r\n" or a
+// lone "\r". ReadCsv infers each column's type; an empty cell of a
+// numeric column reads as +0.0.
 
 #ifndef CCS_DATAFRAME_CSV_H_
 #define CCS_DATAFRAME_CSV_H_
@@ -15,25 +21,12 @@
 
 namespace ccs::dataframe {
 
-/// CSV parsing options.
-struct CsvOptions {
-  char delimiter = ',';
-  /// First line holds column names. When false, columns are named c0..cK.
-  bool has_header = true;
-  /// A column is inferred numeric iff every non-empty cell parses as a
-  /// double; otherwise it is categorical. When false, all columns are
-  /// categorical.
-  bool infer_types = true;
-  /// Replacement for empty cells in a column inferred numeric.
-  double missing_numeric = 0.0;
-};
-
 namespace internal {
 
-/// Splits an unquoted record at every `delimiter` into `fields`
-/// (cleared first; views into `record`). Behind CsvTokenizer::Next and
-/// the text of CsvChunkReader's row errors.
-void SplitFields(std::string_view record, char delimiter,
+/// Splits an unquoted record at every ',' into `fields` (cleared first;
+/// views into `record`). Behind CsvTokenizer::Next and the text of
+/// CsvChunkReader's row errors.
+void SplitFields(std::string_view record,
                  std::vector<std::string_view>* fields);
 
 /// The record tokenizer behind ReadCsv and CsvChunkReader.
@@ -47,7 +40,7 @@ void SplitFields(std::string_view record, char delimiter,
 /// stream therefore returns as soon as its last record is complete.
 /// Records without a '"' are located by a structural-byte scan and left
 /// unsplit; a record containing one takes the RFC-4180 state machine
-/// ("" escapes, embedded delimiters and newlines), unescaping its fields
+/// ("" escapes, embedded commas and newlines), unescaping its fields
 /// in place.
 class CsvTokenizer {
  public:
@@ -56,7 +49,7 @@ class CsvTokenizer {
   /// Reads `in` (not owned; must outlive the tokenizer). The tokenizer
   /// buffers ahead: bytes it consumed but has not yet tokenized are lost
   /// to other readers of `in`.
-  CsvTokenizer(std::istream* in, char delimiter);
+  explicit CsvTokenizer(std::istream* in);
 
   /// Locates the next record without splitting it. Returns false at end
   /// of stream (nothing consumed); InvalidArgument("unterminated quoted
@@ -99,7 +92,6 @@ class CsvTokenizer {
   StatusOr<bool> LocateQuoted();
 
   std::istream* in_;
-  char delimiter_;
   std::vector<char> buffer_;
   size_t begin_ = 0;  // First byte not yet tokenized.
   size_t end_ = 0;    // One past the last buffered byte.
@@ -114,16 +106,15 @@ class CsvTokenizer {
 
 /// Parses a CSV stream into a DataFrame.
 ///
-/// Supports RFC-4180-style double-quoted fields with embedded delimiters,
-/// quotes ("" escaping), and newlines. Returns InvalidArgument on ragged
-/// rows (reporting the 1-based physical line and data row) or
+/// The first record names the columns. A column is numeric iff some cell
+/// is non-empty and every non-empty cell parses as a double (empty cells
+/// read as +0.0); otherwise it is categorical. Returns InvalidArgument on
+/// ragged rows (reporting the 1-based physical line and data row) or
 /// unterminated quotes.
-StatusOr<DataFrame> ReadCsv(std::istream& in,
-                            const CsvOptions& options = CsvOptions());
+StatusOr<DataFrame> ReadCsv(std::istream& in);
 
 /// Reads a CSV file from disk. IoError if the file cannot be opened.
-StatusOr<DataFrame> ReadCsvFile(const std::string& path,
-                                const CsvOptions& options = CsvOptions());
+StatusOr<DataFrame> ReadCsvFile(const std::string& path);
 
 /// Incremental, schema-driven CSV reader for streaming ingestion.
 ///
@@ -131,11 +122,11 @@ StatusOr<DataFrame> ReadCsvFile(const std::string& path,
 /// CsvChunkReader is instead given the schema up front (typically the
 /// reference DataFrame's) and parses a bounded number of rows per call,
 /// so a serving pipeline can start scoring long before EOF and its
-/// memory stays proportional to the chunk size. The stream must carry
-/// every schema column: matched by header name when options.has_header
-/// is true (extra stream columns are ignored), positionally otherwise.
-/// Numeric cells must parse as doubles; empty numeric cells map to
-/// options.missing_numeric. The reader buffers ahead of the rows it has
+/// memory stays proportional to the chunk size. The stream's header must
+/// name every schema column (extra stream columns are ignored), and each
+/// row must be as wide as the header. Numeric cells must parse as
+/// doubles; an empty numeric cell reads as +0.0. The reader buffers ahead
+/// of the rows it has
 /// returned (see internal::CsvTokenizer), so `in` belongs to it until it
 /// is destroyed.
 ///
@@ -172,8 +163,7 @@ class CsvChunkReader {
  public:
   /// Reads from `in` (not owned; must outlive the reader) rows shaped
   /// like `schema`.
-  CsvChunkReader(std::istream* in, Schema schema,
-                 CsvOptions options = CsvOptions());
+  CsvChunkReader(std::istream* in, Schema schema);
 
   /// Parses up to `max_rows` data rows into a DataFrame with exactly
   /// the schema's columns in schema order. Returns a 0-row frame at end
@@ -238,9 +228,8 @@ class CsvChunkReader {
     uint32_t slot = 0;  // kCategorical: its index in a row's cells_.
   };
 
+  // Maps each schema attribute to its stream field (col_map_, targets_).
   Status ReadHeader();
-  // Builds targets_ from col_map_ once stream_columns_ is known.
-  void MapFields();
   // Stage 1: locates records until `max_rows` are queued, the stream
   // ends, or a row converted before a wait failed.
   void LocateRecords(size_t max_rows, size_t num_threads);
@@ -253,7 +242,7 @@ class CsvChunkReader {
   // Converts the field starting at `cell` into row `r` as `target` says,
   // lowering `*bad` to a numeric attribute whose cell does not parse.
   // `split`: an unquoted record ending at `end`, whose field ends at the
-  // next delimiter; otherwise the field is exactly [cell, end). Returns
+  // next ','; otherwise the field is exactly [cell, end). Returns
   // the field's end.
   const char* ConvertField(FieldTarget target, size_t r, const char* cell,
                            const char* end, bool split, Span* cells,
@@ -275,12 +264,8 @@ class CsvChunkReader {
 
   internal::CsvTokenizer tokenizer_;
   Schema schema_;
-  CsvOptions options_;
   std::vector<size_t> col_map_;  // schema index -> stream field index
   std::vector<FieldTarget> targets_;  // stream field -> what it feeds
-  // The delimiter is a byte a number can hold ('0'-'9', '.', '-'), so a
-  // numeric cell is bounded before it is parsed.
-  bool numeric_delimiter_ = false;
   std::vector<size_t> categorical_attrs_;  // Schema indices, in order.
   // One persistent interner per categorical schema slot (unused entries
   // stay empty for numeric slots).
@@ -316,13 +301,11 @@ class CsvChunkReader {
 };
 
 /// Writes a DataFrame as CSV (header row + data rows). Fields containing
-/// the delimiter, quotes, or newlines are quoted.
-Status WriteCsv(const DataFrame& df, std::ostream& out,
-                const CsvOptions& options = CsvOptions());
+/// commas, quotes, or newlines are quoted.
+Status WriteCsv(const DataFrame& df, std::ostream& out);
 
 /// Writes a DataFrame to a file.
-Status WriteCsvFile(const DataFrame& df, const std::string& path,
-                    const CsvOptions& options = CsvOptions());
+Status WriteCsvFile(const DataFrame& df, const std::string& path);
 
 }  // namespace ccs::dataframe
 

@@ -191,8 +191,7 @@ Status StreamPipeline::CommitBatch(
       CCS_FAULT_POINT("stream.score.window");
       return Status::OK();
     };
-    SuperviseResult supervised =
-        Supervise(options_.score_policy, gate, options_.stop);
+    SuperviseResult supervised = Supervise(options_.score_policy, gate);
     stats->retries += supervised.retries;
     if (supervised.action == SuperviseAction::kFail) {
       gate_failure = std::move(supervised.status);
@@ -371,8 +370,7 @@ Status StreamPipeline::CommitBatch(
                            profile_.Synthesize());
       return monitor_.RefreshReference(refreshed);
     };
-    SuperviseResult supervised =
-        Supervise(options_.score_policy, attempt, options_.stop);
+    SuperviseResult supervised = Supervise(options_.score_policy, attempt);
     stats->retries += supervised.retries;
     if (supervised.action == SuperviseAction::kFail) {
       return std::move(supervised.status);
@@ -399,8 +397,7 @@ Status StreamPipeline::CommitBatch(
 
 PipelineRunResult StreamPipeline::Run(
     std::istream& in,
-    const std::function<void(const WindowScore&)>& on_score,
-    const dataframe::CsvOptions& csv_options) {
+    const std::function<void(const WindowScore&)>& on_score) {
   PipelineRunResult result;
   PipelineStats& stats = result.stats;
   const uint64_t start_ns = obs::NowNanos();
@@ -422,7 +419,7 @@ PipelineRunResult StreamPipeline::Run(
   // on a caught-up live stream the thread that waits for a window's last
   // row is the thread that windows, scores and commits it. Chunk
   // contents depend only on the bytes, never on the reading thread.
-  dataframe::CsvChunkReader reader(&in, schema_, csv_options);
+  dataframe::CsvChunkReader reader(&in, schema_);
   IngestState ingest;
 
   // One supervised read, run by whichever thread owns the reader.
@@ -442,8 +439,7 @@ PipelineRunResult StreamPipeline::Run(
       *chunk = std::move(*next);
       return Status::OK();
     };
-    SuperviseResult supervised =
-        Supervise(options_.ingest_policy, attempt, stop);
+    SuperviseResult supervised = Supervise(options_.ingest_policy, attempt);
     MutexLock lock(&ingest.mu);
     ingest.retries += supervised.retries;
     if (supervised.action == SuperviseAction::kFail) {
@@ -573,8 +569,7 @@ PipelineRunResult StreamPipeline::Run(
       windows = std::move(*produced);
       return Status::OK();
     };
-    SuperviseResult supervised =
-        Supervise(options_.window_policy, attempt, stop);
+    SuperviseResult supervised = Supervise(options_.window_policy, attempt);
     stats.retries += supervised.retries;
     if (supervised.action == SuperviseAction::kFail) {
       window_status = std::move(supervised.status);

@@ -239,8 +239,7 @@ class StreamPipeline {
   /// carry across calls.
   PipelineRunResult Run(
       std::istream& in,
-      const std::function<void(const core::WindowScore&)>& on_score = nullptr,
-      const dataframe::CsvOptions& csv_options = dataframe::CsvOptions());
+      const std::function<void(const core::WindowScore&)>& on_score = nullptr);
 
   /// The monitor accumulating the score history across Run calls.
   const core::StreamMonitor& monitor() const { return monitor_; }

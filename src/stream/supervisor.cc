@@ -1,8 +1,7 @@
 #include "stream/supervisor.h"
 
-#include <chrono>
+#include <cstdint>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/string_util.h"
@@ -46,31 +45,12 @@ std::string FailurePolicy::ToString() const {
   return out;
 }
 
-namespace {
-
-// Sleeps base_ms * 2^attempt in 1ms slices, bailing as soon as `cancel`
-// is raised. The slice loop reads no clock (sleep_for takes a duration,
-// not a deadline), keeping the wall-clock lint rule honest: timing here
-// can stretch, never observe.
-void Backoff(uint64_t base_ms, size_t attempt, const std::atomic<bool>* cancel) {
-  if (base_ms == 0) return;
-  uint64_t total_ms = base_ms << (attempt < 20 ? attempt : 20);
-  for (uint64_t slept = 0; slept < total_ms; ++slept) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-}  // namespace
-
 SuperviseResult Supervise(const FailurePolicy& policy,
-                          const std::function<Status()>& attempt,
-                          const std::atomic<bool>* cancel) {
+                          const std::function<Status()>& attempt) {
   SuperviseResult result;
   Status status = attempt();
   while (!status.ok() && status.code() == StatusCode::kUnavailable &&
          result.retries < policy.max_retries) {
-    Backoff(policy.backoff_ms, result.retries, cancel);
     ++result.retries;
     status = attempt();
   }

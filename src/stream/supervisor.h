@@ -3,25 +3,23 @@
 // Fail-fast was the pipeline's only behavior before the robustness
 // layer: the first stage error cancelled the run. A FailurePolicy lets
 // each stage instead absorb a failure (quarantine-and-continue) or
-// re-attempt a transient one (bounded retry with deterministic
-// exponential backoff), so one malformed chunk or injected fault no
-// longer kills a monitor that should degrade gracefully.
+// re-attempt a transient one (bounded, immediate retry), so one malformed
+// chunk or injected fault no longer kills a monitor that should degrade
+// gracefully.
 //
 // Retry semantics: only StatusCode::kUnavailable is re-attempted — it
 // marks failures whose retry can succeed (injected transients, flaky
 // IO). A parse error is never retried: the CsvChunkReader has already
 // consumed the malformed record, so "retrying" would silently skip
 // data; such errors go straight to the policy's terminal decision
-// (quarantine or fail). Backoff sleeps base_ms * 2^attempt wall-clock
-// milliseconds but reads no clock, so it cannot perturb determinism —
-// the supervised outcome sequence is a pure function of the stream and
-// the armed fault spec at any thread count.
+// (quarantine or fail). A retry follows its failed attempt at once and
+// reads no clock, so the supervised outcome sequence is a pure function
+// of the stream and the armed fault spec at any thread count.
 
 #ifndef CCS_STREAM_SUPERVISOR_H_
 #define CCS_STREAM_SUPERVISOR_H_
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <string>
 
@@ -45,9 +43,6 @@ struct FailurePolicy {
   /// Re-attempts for transient (kUnavailable) failures, on top of the
   /// first attempt.
   size_t max_retries = 0;
-  /// Base of the deterministic exponential backoff between retries:
-  /// attempt k sleeps backoff_ms * 2^k milliseconds (0 = no sleep).
-  uint64_t backoff_ms = 0;
 
   /// Parses the CLI / scenario-spec string form:
   ///   "fail-fast"          | "quarantine"
@@ -94,13 +89,9 @@ struct SuperviseResult {
 };
 
 /// Runs `attempt` under `policy`: up to 1 + max_retries attempts,
-/// re-attempting only transient (kUnavailable) failures with the
-/// deterministic backoff between them. `cancel`, when non-null, aborts
-/// the backoff sleep early (graceful-shutdown path) — the attempt
-/// outcome is unaffected, only the waiting is cut short.
+/// re-attempting only transient (kUnavailable) failures, each at once.
 SuperviseResult Supervise(const FailurePolicy& policy,
-                          const std::function<Status()>& attempt,
-                          const std::atomic<bool>* cancel = nullptr);
+                          const std::function<Status()>& attempt);
 
 }  // namespace ccs::stream
 

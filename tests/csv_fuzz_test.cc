@@ -4,7 +4,7 @@
 // std::istream::get per byte, a std::string per field, one record
 // converted and interned at a time, numeric cells by std::from_chars
 // directly. Each draw renders a random CSV with the bytes that stress a
-// tokenizer — quotes, "" escapes, delimiters and CR/LF inside quotes,
+// tokenizer — quotes, "" escapes, commas and CR/LF inside quotes,
 // CRLF and lone-CR line ends, blank lines, a missing final newline,
 // space-padded numbers, NaN, inf, garbage cells, ragged rows,
 // unterminated quotes, and records longer than the tokenizer's block
@@ -61,7 +61,7 @@ uint64_t EnvOr(const char* name, uint64_t fallback) {
 // data consumed. `lines_consumed` receives the number of physical lines
 // the record spanned (>= 1 whenever a record was read, counting a final
 // unterminated line as one).
-StatusOr<bool> OracleReadRecord(std::istream& in, char delimiter,
+StatusOr<bool> OracleReadRecord(std::istream& in,
                                 std::vector<std::string>* fields,
                                 size_t* lines_consumed) {
   fields->clear();
@@ -93,7 +93,7 @@ StatusOr<bool> OracleReadRecord(std::istream& in, char delimiter,
     }
     if (c == '"') {
       in_quotes = true;
-    } else if (c == delimiter) {
+    } else if (c == ',') {
       fields->push_back(std::move(field));
       field.clear();
     } else if (c == '\n') {
@@ -133,19 +133,17 @@ std::optional<double> OracleParseDouble(const std::string& cell) {
   return value;
 }
 
-std::optional<double> OracleNumericCell(const std::string& cell,
-                                        double missing) {
-  if (Trim(cell).empty()) return missing;
+std::optional<double> OracleNumericCell(const std::string& cell) {
+  if (Trim(cell).empty()) return 0.0;
   return OracleParseDouble(cell);
 }
 
 // CsvChunkReader as it was before the block tokenizer, record for record.
 class OracleChunkReader {
  public:
-  OracleChunkReader(std::istream* in, Schema schema, CsvOptions options)
+  OracleChunkReader(std::istream* in, Schema schema)
       : in_(in),
         schema_(std::move(schema)),
-        options_(options),
         dicts_(schema_.num_attributes()) {}
 
   StatusOr<DataFrame> ReadChunk(size_t max_rows) {
@@ -164,8 +162,7 @@ class OracleChunkReader {
     Status malformed;
     while (rows < max_rows) {
       size_t record_lines = 0;
-      StatusOr<bool> got =
-          OracleReadRecord(*in_, options_.delimiter, &record, &record_lines);
+      StatusOr<bool> got = OracleReadRecord(*in_, &record, &record_lines);
       const size_t record_line = line_ + 1;
       line_ += record_lines;
       if (!got.ok()) {
@@ -176,9 +173,7 @@ class OracleChunkReader {
         break;
       }
       if (!*got) break;
-      bool ragged = options_.has_header ? record.size() != stream_columns_
-                                        : record.size() < stream_columns_;
-      if (ragged) {
+      if (record.size() != stream_columns_) {
         malformed = Status::InvalidArgument(
             "CsvChunkReader: line " + std::to_string(record_line) +
             " (data row " + std::to_string(rows_read_ + rows + 1) +
@@ -189,7 +184,7 @@ class OracleChunkReader {
       for (size_t i = 0; i < m; ++i) {
         const std::string& cell = record[col_map_[i]];
         if (schema_.attribute(i).type == AttributeType::kNumeric) {
-          auto parsed = OracleNumericCell(cell, options_.missing_numeric);
+          auto parsed = OracleNumericCell(cell);
           if (!parsed.has_value()) {
             malformed = Status::InvalidArgument(
                 "CsvChunkReader: line " + std::to_string(record_line) +
@@ -237,16 +232,9 @@ class OracleChunkReader {
  private:
   Status ReadHeader() {
     col_map_.assign(schema_.num_attributes(), 0);
-    if (!options_.has_header) {
-      stream_columns_ = schema_.num_attributes();
-      for (size_t i = 0; i < schema_.num_attributes(); ++i) col_map_[i] = i;
-      header_done_ = true;
-      return Status::OK();
-    }
     std::vector<std::string> header;
     size_t header_lines = 0;
-    StatusOr<bool> got =
-        OracleReadRecord(*in_, options_.delimiter, &header, &header_lines);
+    StatusOr<bool> got = OracleReadRecord(*in_, &header, &header_lines);
     if (!got.ok()) {
       return Status::InvalidArgument("CsvChunkReader: header (line 1): " +
                                      got.status().message());
@@ -276,7 +264,6 @@ class OracleChunkReader {
 
   std::istream* in_;
   Schema schema_;
-  CsvOptions options_;
   std::vector<size_t> col_map_;
   std::vector<DictionaryBuilder> dicts_;
   size_t stream_columns_ = 0;
@@ -288,7 +275,7 @@ class OracleChunkReader {
 
 // ReadCsv as it was before the block tokenizer, with the ragged-row
 // diagnostic in its current line/data-row form.
-StatusOr<DataFrame> OracleReadCsv(std::istream& in, const CsvOptions& options) {
+StatusOr<DataFrame> OracleReadCsv(std::istream& in) {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> cells;
   size_t num_cols = 0;
@@ -297,8 +284,7 @@ StatusOr<DataFrame> OracleReadCsv(std::istream& in, const CsvOptions& options) {
   std::vector<std::string> record;
   while (true) {
     size_t record_lines = 0;
-    StatusOr<bool> got =
-        OracleReadRecord(in, options.delimiter, &record, &record_lines);
+    StatusOr<bool> got = OracleReadRecord(in, &record, &record_lines);
     const size_t record_line = line + 1;
     line += record_lines;
     if (!got.ok()) {
@@ -308,16 +294,13 @@ StatusOr<DataFrame> OracleReadCsv(std::istream& in, const CsvOptions& options) {
     if (records++ == 0) {
       num_cols = record.size();
       cells.resize(num_cols);
-      if (options.has_header) {
-        header = record;
-        continue;
-      }
+      header = record;
+      continue;
     }
     if (record.size() != num_cols) {
-      const size_t data_row = options.has_header ? records - 1 : records;
       return Status::InvalidArgument(
           "CSV: line " + std::to_string(record_line) + " (data row " +
-          std::to_string(data_row) + "): has " +
+          std::to_string(records - 1) + "): has " +
           std::to_string(record.size()) + " fields, expected " +
           std::to_string(num_cols));
     }
@@ -326,14 +309,9 @@ StatusOr<DataFrame> OracleReadCsv(std::istream& in, const CsvOptions& options) {
     }
   }
   if (num_cols == 0) return Status::InvalidArgument("CSV: empty input");
-  if (header.empty()) {
-    for (size_t c = 0; c < num_cols; ++c) {
-      header.push_back("c" + std::to_string(c));
-    }
-  }
   DataFrame df;
   for (size_t c = 0; c < num_cols; ++c) {
-    bool numeric = options.infer_types && !cells[c].empty();
+    bool numeric = !cells[c].empty();
     if (numeric) {
       bool any_value = false;
       for (const std::string& cell : cells[c]) {
@@ -349,8 +327,7 @@ StatusOr<DataFrame> OracleReadCsv(std::istream& in, const CsvOptions& options) {
     if (numeric) {
       std::vector<double> values;
       for (const std::string& cell : cells[c]) {
-        values.push_back(OracleNumericCell(cell, options.missing_numeric)
-                             .value_or(options.missing_numeric));
+        values.push_back(OracleNumericCell(cell).value_or(0.0));
       }
       CCS_RETURN_IF_ERROR(df.AddNumericColumn(header[c], std::move(values)));
     } else {
@@ -436,7 +413,6 @@ void ExpectSameResult(const StatusOr<DataFrame>& got,
 
 struct Draw {
   Schema schema;
-  CsvOptions options;
   std::string csv;
 };
 
@@ -462,9 +438,7 @@ std::string Pick(Rng* rng, const std::vector<std::string>& items) {
 }
 
 // A cell's bytes as written, quoting and all.
-std::string RandomCell(Rng* rng, bool numeric, char delimiter,
-                       const Shape& shape) {
-  const std::string d(1, delimiter);
+std::string RandomCell(Rng* rng, bool numeric, const Shape& shape) {
   // Whether a rare format drawn is kept (no draw when all are).
   auto keep_rare = [&] {
     return shape.rare >= 1.0 || rng->Bernoulli(shape.rare);
@@ -514,7 +488,7 @@ std::string RandomCell(Rng* rng, bool numeric, char delimiter,
   if (format <= 6 && !keep_rare()) format = 7;
   switch (format) {
     case 0:
-      return "\"a" + d + "b\"";
+      return "\"a,b\"";
     case 1:
       return "\"say \"\"hi\"\"\"";
     case 2:
@@ -526,7 +500,7 @@ std::string RandomCell(Rng* rng, bool numeric, char delimiter,
     case 5:
       return "\"\"";
     case 6:
-      return "mid\"quo" + d + "ted\"tail";
+      return "mid\"quo,ted\"tail";
     default:
       return Pick(rng, {"red", "green", "blue", "", " pad ", "x", "42"});
   }
@@ -534,14 +508,6 @@ std::string RandomCell(Rng* rng, bool numeric, char delimiter,
 
 Draw RandomDraw(Rng* rng, const Shape& shape) {
   Draw draw;
-  // Mostly ',', sometimes another plain byte, rarely a structural one.
-  draw.options.delimiter = rng->Bernoulli(0.75)  ? ','
-                           : rng->Bernoulli(0.8) ? ';'
-                                                 : '\r';
-  draw.options.has_header = rng->Bernoulli(0.75);
-  draw.options.missing_numeric = rng->Bernoulli(0.5) ? 0.0 : -1.0;
-  const char d = draw.options.delimiter;
-
   const size_t attrs = static_cast<size_t>(rng->UniformInt(1, 4));
   std::vector<bool> numeric(attrs);
   for (size_t i = 0; i < attrs; ++i) {
@@ -555,9 +521,6 @@ Draw RandomDraw(Rng* rng, const Shape& shape) {
   // Stream field f carries schema attribute order[f] (a permutation with
   // an extra unmapped column sometimes appended).
   std::vector<size_t> order = rng->Permutation(attrs);
-  if (!draw.options.has_header) {
-    for (size_t i = 0; i < attrs; ++i) order[i] = i;
-  }
   const bool extra = rng->Bernoulli(0.3);
   const size_t fields = attrs + (extra ? 1 : 0);
 
@@ -568,19 +531,17 @@ Draw RandomDraw(Rng* rng, const Shape& shape) {
     return "\r";
   };
   std::string& csv = draw.csv;
-  if (draw.options.has_header) {
-    for (size_t f = 0; f < fields; ++f) {
-      if (f > 0) csv += d;
-      if (f < attrs) {
-        csv += "a" + std::to_string(order[f]);
-      } else {
-        csv += "junk";
-      }
+  for (size_t f = 0; f < fields; ++f) {
+    if (f > 0) csv += ',';
+    if (f < attrs) {
+      csv += "a" + std::to_string(order[f]);
+    } else {
+      csv += "junk";
     }
-    if (rng->Bernoulli(0.05)) csv += d + std::string("a0");  // Duplicate.
-    if (rng->Bernoulli(0.03)) csv = "zz";  // Missing schema columns.
-    csv += line_end();
   }
+  if (rng->Bernoulli(0.05)) csv += ",a0";  // Duplicate.
+  if (rng->Bernoulli(0.03)) csv = "zz";  // Missing schema columns.
+  csv += line_end();
   const size_t rows =
       static_cast<size_t>(rng->UniformInt(shape.min_rows, shape.max_rows));
   for (size_t r = 0; r < rows; ++r) {
@@ -594,13 +555,13 @@ Draw RandomDraw(Rng* rng, const Shape& shape) {
     }
     if (rng->Bernoulli(shape.bad_row)) ++width;
     for (size_t f = 0; f < width; ++f) {
-      if (f > 0) csv += d;
+      if (f > 0) csv += ',';
       const bool is_numeric = f < attrs && numeric[order[f]];
-      csv += RandomCell(rng, is_numeric, d, shape);
+      csv += RandomCell(rng, is_numeric, shape);
     }
     if (r + 1 < rows || rng->Bernoulli(0.7)) csv += line_end();
   }
-  if (rng->Bernoulli(0.08)) csv += "\"never closed" + std::string(1, d) + "x\n";
+  if (rng->Bernoulli(0.08)) csv += "\"never closed,x\n";
   return draw;
 }
 
@@ -615,8 +576,8 @@ void ExpectChunkReadersAgree(const Draw& draw, std::streambuf* want_buf,
                              int64_t max_rows, size_t lanes) {
   std::istream want_in(want_buf);
   std::istream got_in(got_buf);
-  OracleChunkReader want(&want_in, draw.schema, draw.options);
-  CsvChunkReader got(&got_in, draw.schema, draw.options);
+  OracleChunkReader want(&want_in, draw.schema);
+  CsvChunkReader got(&got_in, draw.schema);
   // Every call consumes at least one record or ends the stream, except
   // a header that stays unreadable at end of stream; the bound (more
   // calls than records) stops that case once both readers agree on it.
@@ -654,15 +615,12 @@ TEST(CsvFuzzTest, BlockTokenizerMatchesByteOracle) {
     ASSERT_NO_FATAL_FAILURE(ExpectChunkReadersAgree(
         draw, &want_buf, &got_buf, &rng, /*max_rows=*/12, /*lanes=*/0));
 
-    CsvOptions whole = draw.options;
-    whole.infer_types = rng.Bernoulli(0.8);
     TricklingStreambuf want_whole_buf(draw.csv, seed * 2);
     TricklingStreambuf got_whole_buf(draw.csv, seed * 2 + 1);
     std::istream want_whole_in(&want_whole_buf);
     std::istream got_whole_in(&got_whole_buf);
     ASSERT_NO_FATAL_FAILURE(
-        ExpectSameResult(ReadCsv(got_whole_in, whole),
-                         OracleReadCsv(want_whole_in, whole)));
+        ExpectSameResult(ReadCsv(got_whole_in), OracleReadCsv(want_whole_in)));
   }
 }
 
@@ -694,15 +652,12 @@ TEST(CsvFuzzTest, WholeBufferRowBlocksMatchByteOracle) {
       pool_tasks += tasks;
     }
 
-    CsvOptions whole = draw.options;
-    whole.infer_types = rng.Bernoulli(0.8);
     WholeStreambuf want_whole_buf(draw.csv);
     WholeStreambuf got_whole_buf(draw.csv);
     std::istream want_whole_in(&want_whole_buf);
     std::istream got_whole_in(&got_whole_buf);
     ASSERT_NO_FATAL_FAILURE(
-        ExpectSameResult(ReadCsv(got_whole_in, whole),
-                         OracleReadCsv(want_whole_in, whole)));
+        ExpectSameResult(ReadCsv(got_whole_in), OracleReadCsv(want_whole_in)));
   }
   // The draws reach the pool: the 4-lane runs are not serial ones.
   if (draws >= 20) {

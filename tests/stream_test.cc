@@ -823,22 +823,6 @@ TEST(CsvChunkReaderTest, GoodPrefixIsChunkSizeIndependent) {
   }
 }
 
-TEST(CsvChunkReaderTest, HeaderlessMapsPositionally) {
-  dataframe::Schema schema;
-  CCS_CHECK(schema.AddAttribute("x", dataframe::AttributeType::kNumeric).ok());
-  CCS_CHECK(
-      schema.AddAttribute("tag", dataframe::AttributeType::kCategorical).ok());
-  dataframe::CsvOptions options;
-  options.has_header = false;
-  std::istringstream in("1.25,hot\n2.5,cold\n");
-  dataframe::CsvChunkReader reader(&in, schema, options);
-  auto chunk = reader.ReadChunk(10);
-  ASSERT_TRUE(chunk.ok()) << chunk.status();
-  ASSERT_EQ(chunk->num_rows(), 2u);
-  EXPECT_EQ(chunk->NumericValue(1, "x").value(), 2.5);
-  EXPECT_EQ(chunk->CategoricalValue(0, "tag").value(), "hot");
-}
-
 // A live source: each underflow releases exactly one more line (as a
 // paced stream does when the next row falls due) and is counted, and
 // every bulk read is checked against what the get area holds.
@@ -1021,8 +1005,7 @@ TEST(IncrementalSynthesizerTest, SynthesizeWithNoObservationsFails) {
 // the whole history.
 std::vector<WindowScore> SerialLoop(
     const DataFrame& reference, const std::vector<std::string>& segments,
-    const StreamPipelineOptions& options,
-    const dataframe::CsvOptions& csv_options = dataframe::CsvOptions()) {
+    const StreamPipelineOptions& options) {
   auto monitor = StreamMonitor::Create(reference, options.alarm_threshold,
                                        options.synthesis);
   CCS_CHECK(monitor.ok());
@@ -1032,7 +1015,7 @@ std::vector<WindowScore> SerialLoop(
   }
   for (const std::string& csv_text : segments) {
     std::istringstream in(csv_text);
-    auto stream_df = dataframe::ReadCsv(in, csv_options);
+    auto stream_df = dataframe::ReadCsv(in);
     CCS_CHECK(stream_df.ok());
     auto windower = Windower::Create(options.window_rows, options.slide_rows);
     CCS_CHECK(windower.ok());
@@ -1322,7 +1305,7 @@ DataFrame ModeFrame(size_t n, uint64_t seed) {
 // A ModeFrame-shaped stream as CSV. From row `unseen_from` on, every
 // fifth row takes mode "c", which the reference never saw, so the
 // windower's dictionary grows inside a window. Row 70 has an empty x
-// cell (NaN under NanCells()); rows 140 and 141 hold +inf and -inf.
+// cell (+0.0); rows 140 and 141 hold +inf and -inf.
 std::string ModeStreamCsv(size_t n, uint64_t seed, size_t unseen_from) {
   Rng rng(seed);
   std::ostringstream out;
@@ -1339,13 +1322,6 @@ std::string ModeStreamCsv(size_t n, uint64_t seed, size_t unseen_from) {
   return out.str();
 }
 
-// Empty numeric cells parse as NaN.
-dataframe::CsvOptions NanCells() {
-  dataframe::CsvOptions options;
-  options.missing_numeric = std::numeric_limits<double>::quiet_NaN();
-  return options;
-}
-
 TEST_F(StreamPipelineTest, ScoreOnceMatchesSerialLoopOnDisjunctiveStream) {
   DataFrame reference = ModeFrame(400, 50);
   const std::string csv_text = ModeStreamCsv(240, 51, /*unseen_from=*/113);
@@ -1358,7 +1334,7 @@ TEST_F(StreamPipelineTest, ScoreOnceMatchesSerialLoopOnDisjunctiveStream) {
   for (size_t slide : {1u, 39u, 7u}) {
     options.slide_rows = slide;
     std::vector<WindowScore> serial =
-        SerialLoop(reference, {csv_text}, options, NanCells());
+        SerialLoop(reference, {csv_text}, options);
     ASSERT_EQ(serial.size(), (240 - 40) / slide + 1);
     // The scenario is meaningful: rows with the unseen value violate the
     // disjunction fully, so the tail scores above the head.
@@ -1378,7 +1354,7 @@ TEST_F(StreamPipelineTest, ScoreOnceMatchesSerialLoopOnDisjunctiveStream) {
                          .disjunctions()
                          .empty());
         std::istringstream in(csv_text);
-        auto result = pipeline->Run(in, nullptr, NanCells());
+        auto result = pipeline->Run(in);
         ASSERT_TRUE(result.ok()) << result.status;
         // Only the first window is scored whole.
         EXPECT_EQ(result->rows_scored,
@@ -1404,7 +1380,7 @@ TEST_F(StreamPipelineTest, ScoreOnceStartsFreshEachRun) {
   options.alarm_threshold = 0.25;
   options.chunk_rows = 11;
   std::vector<WindowScore> serial =
-      SerialLoop(reference, {first, second}, options, NanCells());
+      SerialLoop(reference, {first, second}, options);
   const size_t first_windows = (150 - 40) / 7 + 1;
   ASSERT_EQ(serial.size(), first_windows + (130 - 40) / 7 + 1);
 
@@ -1418,7 +1394,7 @@ TEST_F(StreamPipelineTest, ScoreOnceStartsFreshEachRun) {
       ASSERT_TRUE(pipeline.ok()) << pipeline.status();
       for (const std::string* segment : {&first, &second}) {
         std::istringstream in(*segment);
-        auto result = pipeline->Run(in, nullptr, NanCells());
+        auto result = pipeline->Run(in);
         ASSERT_TRUE(result.ok()) << result.status;
       }
       ExpectHistoriesBitwiseEqual(pipeline->history(), serial);
@@ -1883,9 +1859,21 @@ TEST_F(StreamPipelineTest, TrickledSourceMatchesSerialLoop) {
           ASSERT_TRUE(pipeline.ok()) << pipeline.status();
           LinePerUnderflowStreambuf buf(Pieces(csv_text, lines));
           std::istream in(&buf);
+          obs::ObsSession session;
           auto result = pipeline->Run(in);
           ASSERT_TRUE(result.ok()) << result.status;
           EXPECT_EQ(result->rows_ingested, 600u);
+          // A read that waits for the stream records one csv.wait, not
+          // one per underflow: the trace ring is not flooded per row.
+          size_t waits = 0, reads = 0;
+          for (const obs::TraceEvent& ev : session.Collect()) {
+            const std::string name = ev.name;
+            waits += name == "csv.wait";
+            reads += name == "stream.ingest";
+          }
+          EXPECT_EQ(session.dropped(), 0u);
+          EXPECT_GT(waits, 0u);
+          EXPECT_LE(waits, reads);
           EXPECT_EQ(result->refreshes, geometry.refresh_every == 0
                                            ? 0u
                                            : serial.size() /
