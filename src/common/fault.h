@@ -21,7 +21,7 @@
 //   {"seed": 7, "points": [
 //     {"point": "stream.score.window", "trigger": "once", "at": 5},
 //     {"point": "stream.ingest.read", "trigger": "every", "every": 100},
-//     {"point": "stream.window.push", "trigger": "probability",
+//     {"point": "stream.refresh.synthesize", "trigger": "probability",
 //      "probability": 0.05, "code": "internal"},
 //     {"point": "stream.score.window", "trigger": "once", "at": 30,
 //      "action": "crash"}]}

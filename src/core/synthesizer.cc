@@ -66,8 +66,18 @@ StatusOr<SimpleConstraint> Synthesizer::SynthesizeSimpleFromGram(
   // minimum-variance one. The additive constant the ones column would
   // capture is recovered through the bounds (mu(F(D)) = w . means).
   linalg::Vector means = gram.Means();
+  linalg::Matrix covariance = gram.Covariance();
+  // One inf or NaN cell makes its attribute's mean and variance
+  // non-finite, and every bound derived from them NaN.
+  for (size_t i = 0; i < attribute_names.size(); ++i) {
+    if (!std::isfinite(means[i]) || !std::isfinite(covariance.At(i, i))) {
+      return Status::InvalidArgument(
+          "SynthesizeSimpleFromGram: attribute '" + attribute_names[i] +
+          "' has a non-finite mean or variance (an inf or NaN cell)");
+    }
+  }
   CCS_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
-                       linalg::SymmetricEigen(gram.Covariance()));
+                       linalg::SymmetricEigen(covariance));
 
   struct Candidate {
     Projection projection;
@@ -134,8 +144,11 @@ StatusOr<SimpleConstraint> Synthesizer::SynthesizeSimpleFromGram(
   for (Candidate& c : candidates) {
     double lb = c.mean - big_c * c.stddev;
     double ub = c.mean + big_c * c.stddev;
-    conjuncts.emplace_back(std::move(c.projection), lb, ub, c.mean, c.stddev,
-                           c.raw_importance / z);
+    CCS_ASSIGN_OR_RETURN(
+        BoundedConstraint conjunct,
+        BoundedConstraint::Create(std::move(c.projection), lb, ub, c.mean,
+                                  c.stddev, c.raw_importance / z));
+    conjuncts.push_back(std::move(conjunct));
   }
   return SimpleConstraint::Create(attribute_names, std::move(conjuncts));
 }

@@ -127,10 +127,6 @@ StatusOr<ScenarioTrace> RunScenario(const ScenarioSpec& spec, uint64_t seed,
     CCS_ASSIGN_OR_RETURN(options.ingest_policy,
                          stream::FailurePolicy::Parse(spec.ingest_policy));
   }
-  if (!spec.window_policy.empty()) {
-    CCS_ASSIGN_OR_RETURN(options.window_policy,
-                         stream::FailurePolicy::Parse(spec.window_policy));
-  }
   if (!spec.score_policy.empty()) {
     CCS_ASSIGN_OR_RETURN(options.score_policy,
                          stream::FailurePolicy::Parse(spec.score_policy));
@@ -183,7 +179,7 @@ StatusOr<ScenarioTrace> RunScenario(const ScenarioSpec& spec, uint64_t seed,
   trace.retries = result->retries;
   trace.faults_injected = result->faults_injected;
   for (const stream::QuarantineRecord& record : result->quarantine) {
-    if (record.stage == "ingest" || record.stage == "window") {
+    if (record.stage == "ingest") {
       trace.stage_quarantine.push_back(record);
     }
   }

@@ -72,9 +72,9 @@ struct ScenarioTrace {
   size_t windows_quarantined = 0;
   size_t retries = 0;
   size_t faults_injected = 0;
-  /// Ingest/window-stage quarantine records: they happen on their own
-  /// threads, so they are printed as a block after the events rather
-  /// than interleaved (each stage's ordering is still deterministic).
+  /// Ingest quarantine records: they happen on whichever thread owns the
+  /// reader, so they are printed as a block after the events rather
+  /// than interleaved (their ordering is still deterministic).
   std::vector<stream::QuarantineRecord> stage_quarantine;
 
   /// Canonical text form (golden-file format, one event per line).

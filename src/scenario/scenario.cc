@@ -699,9 +699,6 @@ StatusOr<ScenarioSpec> ParseSpecJson(const std::string& text) {
     if (key == "ingest_policy") {
       return Store(reader.String(), &spec.ingest_policy);
     }
-    if (key == "window_policy") {
-      return Store(reader.String(), &spec.window_policy);
-    }
     if (key == "score_policy") {
       return Store(reader.String(), &spec.score_policy);
     }
@@ -732,10 +729,6 @@ std::string SpecToJson(const ScenarioSpec& spec) {
   if (!spec.ingest_policy.empty()) {
     out += ",\n  \"ingest_policy\": \"" +
            common::EscapeJson(spec.ingest_policy) + "\"";
-  }
-  if (!spec.window_policy.empty()) {
-    out += ",\n  \"window_policy\": \"" +
-           common::EscapeJson(spec.window_policy) + "\"";
   }
   if (!spec.score_policy.empty()) {
     out += ",\n  \"score_policy\": \"" +

@@ -91,11 +91,10 @@ struct ScenarioSpec {
   size_t refresh_every = 0;
   size_t chunk_rows = 64;
   std::vector<StageSpec> stages;
-  /// Per-stage failure policies handed to StreamPipeline by the runner,
-  /// in the stream/supervisor.h string grammar ("fail-fast",
+  /// Ingest and score failure policies handed to StreamPipeline by the
+  /// runner, in the stream/supervisor.h string grammar ("fail-fast",
   /// "quarantine", "retry:N", "retry:N+quarantine"). Empty = fail-fast.
   std::string ingest_policy;
-  std::string window_policy;
   std::string score_policy;
   /// Fault points armed for the run (common/fault.h). The injector seed
   /// is a fixed mix of the run seed, so injected faults are as

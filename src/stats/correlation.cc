@@ -47,21 +47,4 @@ StatusOr<CorrelationTest> PearsonTest(const linalg::Vector& x,
   return out;
 }
 
-StatusOr<linalg::Matrix> CorrelationMatrix(const linalg::Matrix& data) {
-  const size_t m = data.cols();
-  linalg::Matrix out(m, m);
-  std::vector<linalg::Vector> cols;
-  cols.reserve(m);
-  for (size_t j = 0; j < m; ++j) cols.push_back(data.Col(j));
-  for (size_t i = 0; i < m; ++i) {
-    out.At(i, i) = 1.0;
-    for (size_t j = i + 1; j < m; ++j) {
-      CCS_ASSIGN_OR_RETURN(double r, PearsonCorrelation(cols[i], cols[j]));
-      out.At(i, j) = r;
-      out.At(j, i) = r;
-    }
-  }
-  return out;
-}
-
 }  // namespace ccs::stats

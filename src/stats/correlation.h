@@ -4,7 +4,6 @@
 #define CCS_STATS_CORRELATION_H_
 
 #include "common/statusor.h"
-#include "linalg/matrix.h"
 #include "linalg/vector.h"
 
 namespace ccs::stats {
@@ -24,9 +23,6 @@ struct CorrelationTest {
 };
 StatusOr<CorrelationTest> PearsonTest(const linalg::Vector& x,
                                       const linalg::Vector& y);
-
-/// m x m correlation matrix of the columns of `data` (n x m).
-StatusOr<linalg::Matrix> CorrelationMatrix(const linalg::Matrix& data);
 
 }  // namespace ccs::stats
 

@@ -52,23 +52,4 @@ StatusOr<double> IntersectionArea(const std::vector<double>& p,
   return acc;
 }
 
-StatusOr<double> TotalVariation(const std::vector<double>& p,
-                                const std::vector<double>& q) {
-  CCS_RETURN_IF_ERROR(CheckSizes(p, q));
-  double acc = 0.0;
-  for (size_t i = 0; i < p.size(); ++i) acc += std::abs(p[i] - q[i]);
-  return 0.5 * acc;
-}
-
-StatusOr<double> Hellinger(const std::vector<double>& p,
-                           const std::vector<double>& q) {
-  CCS_RETURN_IF_ERROR(CheckSizes(p, q));
-  double acc = 0.0;
-  for (size_t i = 0; i < p.size(); ++i) {
-    double d = std::sqrt(std::max(0.0, p[i])) - std::sqrt(std::max(0.0, q[i]));
-    acc += d * d;
-  }
-  return std::sqrt(0.5 * acc);
-}
-
 }  // namespace ccs::stats

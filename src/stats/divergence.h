@@ -28,14 +28,6 @@ StatusOr<double> MaxKlDivergence(const std::vector<double>& p,
 StatusOr<double> IntersectionArea(const std::vector<double>& p,
                                   const std::vector<double>& q);
 
-/// Total variation distance: 0.5 * sum |p_i - q_i|, in [0,1].
-StatusOr<double> TotalVariation(const std::vector<double>& p,
-                                const std::vector<double>& q);
-
-/// Hellinger distance, in [0,1].
-StatusOr<double> Hellinger(const std::vector<double>& p,
-                           const std::vector<double>& q);
-
 }  // namespace ccs::stats
 
 #endif  // CCS_STATS_DIVERGENCE_H_

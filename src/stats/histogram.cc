@@ -14,19 +14,6 @@ StatusOr<Histogram> Histogram::Create(double lo, double hi, size_t num_bins) {
   return Histogram(lo, hi, num_bins);
 }
 
-StatusOr<Histogram> Histogram::FromData(const linalg::Vector& values,
-                                        size_t num_bins) {
-  if (values.empty()) {
-    return Status::InvalidArgument("Histogram::FromData: empty input");
-  }
-  double lo = values.Min();
-  double hi = values.Max();
-  if (lo == hi) hi = lo + 1.0;  // Degenerate constant data: one wide bin.
-  CCS_ASSIGN_OR_RETURN(Histogram h, Create(lo, hi, num_bins));
-  h.AddAll(values);
-  return h;
-}
-
 void Histogram::Add(double value) {
   double width = (hi_ - lo_) / static_cast<double>(counts_.size());
   auto bin = static_cast<int64_t>((value - lo_) / width);

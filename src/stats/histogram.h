@@ -21,10 +21,6 @@ class Histogram {
   /// out-of-range mass must still be counted).
   static StatusOr<Histogram> Create(double lo, double hi, size_t num_bins);
 
-  /// Builds over the min..max range of `values` directly.
-  static StatusOr<Histogram> FromData(const linalg::Vector& values,
-                                      size_t num_bins);
-
   void Add(double value);
   void AddAll(const linalg::Vector& values);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -60,15 +61,6 @@ StatusOr<StreamPipeline> StreamPipeline::Create(const DataFrame& reference,
   if (options.slide_rows > options.window_rows) {
     return Status::InvalidArgument(
         "StreamPipeline: slide_rows must not exceed window_rows");
-  }
-  if (!options.checkpoint_path.empty() &&
-      options.window_policy.mode == FailureMode::kQuarantine) {
-    // A quarantined chunk drops rows between windows, so the checkpoint
-    // equation rows_consumed = windows_consumed * step no longer locates
-    // the resume offset. Refuse rather than resume silently wrong.
-    return Status::InvalidArgument(
-        "StreamPipeline: window-stage quarantine cannot be combined with "
-        "checkpointing (dropped chunks break the resume row offset)");
   }
   if (options.chunk_rows == 0) options.chunk_rows = 1;
   if (options.queue_capacity == 0) options.queue_capacity = 1;
@@ -134,6 +126,14 @@ Status StreamPipeline::Restore(const CheckpointData& data) {
     return Status::InvalidArgument(
         "StreamPipeline::Restore: checkpoint attribute schema does not match "
         "the reference");
+  }
+  if (data.has_profile &&
+      data.profile.attribute_names() != data.attribute_names) {
+    // ParseCheckpoint checks this too; an in-memory CheckpointData has
+    // not been through it, and the adopted profile is what scores.
+    return Status::InvalidArgument(
+        "StreamPipeline::Restore: checkpoint profile attributes do not "
+        "match its attribute schema");
   }
   if (data.windows_consumed < data.windows_committed ||
       data.rows_consumed != data.windows_consumed * step_rows()) {
@@ -227,11 +227,9 @@ Status StreamPipeline::CommitBatch(
   // violation depends only on (profile, row), and the drift is
   // Vector::Mean over the window's violations in row order — exactly
   // what ObserveWindow computes — so the committed bits are identical.
-  // The batch is all-or-nothing: under a quarantine policy a failure
-  // falls back to scoring each window whole through ObserveWindow and
-  // quarantines only the windows that actually fail.
+  // The batch is all-or-nothing: a scoring error fails it under every
+  // policy.
   std::vector<WindowScore> scores;
-  std::vector<size_t> committed;  // Indices into `survivors`.
   {
     obs::ObsSpan score_span("stream.score", "stream");
     const size_t slide = step_rows();
@@ -262,81 +260,45 @@ Status StreamPipeline::CommitBatch(
           }
         },
         common::ParallelOptions{options_.num_threads, /*min_chunk=*/1});
-    Status batch_status;
     for (const StatusOr<linalg::Vector>& rows : fresh) {
-      if (!rows.ok()) {
-        batch_status = rows.status();
-        break;
-      }
+      if (!rows.ok()) return rows.status();
     }
-    if (batch_status.ok()) {
-      // Assemble each window's violations in order: shift out the
-      // previous window's first `slide` values, append the fresh rows.
-      std::vector<double> drifts;
-      drifts.reserve(survivors.size());
-      for (size_t i = 0; i < survivors.size(); ++i) {
-        std::vector<double>& rows = fresh[i]->data();
-        stats->rows_scored += rows.size();
-        if (fresh_from[i] == 0) {
-          window_violations_ = std::move(*fresh[i]);
-        } else {
-          std::vector<double>& window = window_violations_.data();
-          std::copy(window.begin() + slide, window.end(), window.begin());
-          std::copy(rows.begin(), rows.end(), window.begin() + overlap);
-        }
-        drifts.push_back(window_violations_.Mean());
+    // Assemble each window's violations in order: shift out the previous
+    // window's first `slide` values, append the fresh rows.
+    std::vector<double> drifts;
+    drifts.reserve(survivors.size());
+    for (size_t i = 0; i < survivors.size(); ++i) {
+      std::vector<double>& rows = fresh[i]->data();
+      stats->rows_scored += rows.size();
+      if (fresh_from[i] == 0) {
+        window_violations_ = std::move(*fresh[i]);
+      } else {
+        std::vector<double>& window = window_violations_.data();
+        std::copy(window.begin() + slide, window.end(), window.begin());
+        std::copy(rows.begin(), rows.end(), window.begin() + overlap);
       }
-      chain_ordinal_ = survivor_ordinals.back();
-      scores = monitor_.CommitDrifts(drifts);
-      committed.reserve(survivors.size());
-      for (size_t i = 0; i < survivors.size(); ++i) committed.push_back(i);
-    } else {
-      chain_ordinal_ = 0;
-      if (options_.score_policy.mode != FailureMode::kQuarantine) {
-        return batch_status;
-      }
-      for (size_t i = 0; i < survivors.size(); ++i) {
-        StatusOr<WindowScore> score = monitor_.ObserveWindow(survivors[i]);
-        if (score.ok()) {
-          stats->rows_scored += survivors[i].num_rows();
-          committed.push_back(i);
-          scores.push_back(*score);
-        } else {
-          QuarantineRecord record;
-          record.stage = "score";
-          record.index = survivor_ordinals[i];
-          record.rows_lost = survivors[i].num_rows();
-          record.reason = std::move(score).status();
-          pending_quarantine.push_back(std::move(record));
-        }
-      }
+      drifts.push_back(window_violations_.Mean());
     }
+    chain_ordinal_ = survivor_ordinals.back();
+    scores = monitor_.CommitDrifts(drifts);
   }
-  // The commit walk: scores and quarantine records emitted merged in
-  // consumed-ordinal order, so the observable event sequence — not just
-  // the committed bits — is independent of where the batch boundaries
-  // fell. Both sources are ordinal-sorted except when the Phase B
-  // fallback appended behind gate records; one sort restores it.
-  std::sort(pending_quarantine.begin(), pending_quarantine.end(),
-            [](const QuarantineRecord& a, const QuarantineRecord& b) {
-              return a.index < b.index;
-            });
+  // The commit walk: scores and gate quarantine records (both in
+  // consumed-ordinal order) emitted merged in that order, so the
+  // observable event sequence — not just the committed bits — is
+  // independent of where the batch boundaries fell.
   obs::Histogram* window_latency =
       obs::Registry::Global().GetHistogram("stream.window_latency_us");
   size_t next_pending = 0;
-  for (size_t i = 0; i < committed.size(); ++i) {
-    const size_t ordinal = survivor_ordinals[committed[i]];
+  for (size_t i = 0; i < survivors.size(); ++i) {
     while (next_pending < pending_quarantine.size() &&
-           pending_quarantine[next_pending].index < ordinal) {
+           pending_quarantine[next_pending].index < survivor_ordinals[i]) {
       RecordQuarantine(std::move(pending_quarantine[next_pending++]), stats);
     }
     const WindowScore& score = scores[i];
     ++stats->windows_scored;
     if (score.alarm) ++stats->alarms;
     window_latency->Observe(
-        static_cast<double>(obs::NowNanos() -
-                            survivor_parsed_ns[committed[i]]) *
-        1e-3);
+        static_cast<double>(obs::NowNanos() - survivor_parsed_ns[i]) * 1e-3);
     if (on_score) on_score(score);
   }
   while (next_pending < pending_quarantine.size()) {
@@ -351,18 +313,17 @@ Status StreamPipeline::CommitBatch(
   // acceptable for a drift profile and documented in docs/streaming.md.
   {
     obs::ObsSpan fold_span("stream.fold", "stream");
-    for (size_t i : committed) {
-      CCS_RETURN_IF_ERROR(profile_.ObserveAll(survivors[i]));
+    for (const DataFrame& window : survivors) {
+      CCS_RETURN_IF_ERROR(profile_.ObserveAll(window));
     }
   }
   // Cadence counts the monitor's whole history, not this Run's windows,
   // so a stream served in segments refreshes at the same absolute window
   // indices as the same stream served in one Run. Quarantined windows
   // never advance the history, so the boundary slides to the next
-  // committed window. The committed.empty() guard keeps an all-quarantine
-  // batch from re-firing a boundary the previous batch already handled.
-  if (!committed.empty() &&
-      monitor_.history_size() % options_.refresh_every == 0) {
+  // committed window; an all-quarantine batch returned above, so it
+  // cannot re-fire a boundary the previous batch already handled.
+  if (monitor_.history_size() % options_.refresh_every == 0) {
     obs::ObsSpan refresh_span("stream.refresh", "stream");
     auto attempt = [&]() -> Status {
       CCS_FAULT_POINT("stream.refresh.synthesize");
@@ -407,6 +368,7 @@ PipelineRunResult StreamPipeline::Run(
   obs::Registry& registry = obs::Registry::Global();
   const size_t skip_rows = resume_skip_rows_;
   resume_skip_rows_ = 0;
+  const size_t consumed_before_run = windows_consumed_;
   // Every Run windows its stream afresh, but consumed ordinals continue
   // across Runs: the first window of this Run must not chain onto the
   // last window of the previous one.
@@ -538,55 +500,36 @@ PipelineRunResult StreamPipeline::Run(
 
   // ---- Stage 2: windowing, scoring and ordered commit, all on the
   // calling thread, so a window crosses no thread boundary, and a chunk
-  // one only while ingest owns the reader. Each chunk is windowed under
-  // the window policy; the windows it completes wait in `pending`, in
-  // stream order, for a batch of at most max_batch_windows that never
-  // spans a refresh boundary, scored over the pool and committed in
-  // arrival order.
+  // one only while ingest owns the reader. The windows each chunk
+  // completes wait in `pending`, in stream order, for a batch of at most
+  // max_batch_windows that never spans a refresh boundary, scored over
+  // the pool and committed in arrival order.
   StatusOr<Windower> windower =
       Windower::Create(options_.window_rows, options_.slide_rows);
   CCS_CHECK(windower.ok()) << windower.status().ToString();  // Create checked.
   std::deque<StampedFrame> pending;
   size_t pending_peak = 0;
-  std::vector<QuarantineRecord> window_quarantined;
   Status window_status;
-  size_t chunk_ordinal = 0;
+  size_t rows_windowed = 0;  // Rows of the chunks handed to the windower.
   bool chunks_open = true;
-  // A fail-fast windowing failure ends the chunk stream (and cancels
-  // ingest); the windows already pending are still scored, as a serial
-  // loop would have scored them before reaching the failing chunk.
+  // A windowing failure ends the chunk stream (and cancels ingest); the
+  // windows already pending are still scored, as a serial loop would
+  // have scored them before reaching the failing chunk.
   auto window_chunk = [&](const StampedFrame& parsed) {
-    const DataFrame& chunk = parsed.frame;
-    ++chunk_ordinal;
-    std::vector<DataFrame> windows;
-    auto attempt = [&]() -> Status {
+    rows_windowed += parsed.frame.num_rows();
+    StatusOr<std::vector<DataFrame>> windows =
+        [&]() -> StatusOr<std::vector<DataFrame>> {
       CCS_FAULT_POINT("stream.window.push");
-      StatusOr<std::vector<DataFrame>> produced = [&] {
-        obs::ObsSpan window_span("stream.window", "stream");
-        return windower->Push(chunk);
-      }();
-      if (!produced.ok()) return std::move(produced).status();
-      windows = std::move(*produced);
-      return Status::OK();
-    };
-    SuperviseResult supervised = Supervise(options_.window_policy, attempt);
-    stats.retries += supervised.retries;
-    if (supervised.action == SuperviseAction::kFail) {
-      window_status = std::move(supervised.status);
+      obs::ObsSpan window_span("stream.window", "stream");
+      return windower->Push(parsed.frame);
+    }();
+    if (!windows.ok()) {
+      window_status = std::move(windows).status();
       chunks_open = false;
       chunk_queue.Close();  // Ingest's blocked Push returns false.
       return;
     }
-    if (supervised.action == SuperviseAction::kQuarantine) {
-      QuarantineRecord record;
-      record.stage = "window";
-      record.index = chunk_ordinal;
-      record.rows_lost = chunk.num_rows();
-      record.reason = std::move(supervised.status);
-      window_quarantined.push_back(std::move(record));
-      return;
-    }
-    for (DataFrame& window : windows) {
+    for (DataFrame& window : *windows) {
       pending.push_back({std::move(window), parsed.parsed_ns});
     }
     pending_peak = std::max(pending_peak, pending.size());
@@ -683,6 +626,19 @@ PipelineRunResult StreamPipeline::Run(
   ingest.reader_back.NotifyOne();
   ingest_thread.join();
 
+  // After a commit or window failure, how far ingest read ahead is
+  // timing; the ingest records before the last row the calling thread
+  // consumed (good-row index below `records_below`) are not.
+  size_t records_below = std::numeric_limits<size_t>::max();
+  if (!commit_status.ok()) {
+    records_below = skip_rows +
+                    (windows_consumed_ - consumed_before_run - 1) *
+                        step_rows() +
+                    options_.window_rows;
+  } else if (!window_status.ok()) {
+    records_below = skip_rows + rows_windowed;
+  }
+
   // Fold the stage outcomes into the stats FIRST, so a failing run still
   // reports everything it did (the whole point of PipelineRunResult).
   Status ingest_status;
@@ -698,23 +654,24 @@ PipelineRunResult StreamPipeline::Run(
     stats.stopped = ingest.stopped ||
                     (stop != nullptr && stop->load(std::memory_order_relaxed));
     for (QuarantineRecord& record : ingest.quarantined) {
+      if (record.index >= records_below) break;
       stats.rows_quarantined += record.rows_lost;
       stats.quarantine.push_back(std::move(record));
     }
   }
-  for (QuarantineRecord& record : window_quarantined) {
-    stats.rows_quarantined += record.rows_lost;
-    stats.quarantine.push_back(std::move(record));
-  }
   stats.window_rows_copied = windower->rows_copied_out();
   stats.window_buffer_reallocs = windower->buffer_reallocs();
   stats.window_buffer_capacity_rows = windower->buffer_capacity_rows();
-  if (!ingest_status.ok()) {
-    result.status = std::move(ingest_status);
+  // The earliest failure in stream order wins, whichever thread saw it
+  // first: a commit failure concerns windows completed before any chunk
+  // that failed to window, and a window failure a chunk read before any
+  // record that failed to parse (ingest may have read ahead of both).
+  if (!commit_status.ok()) {
+    result.status = std::move(commit_status);
   } else if (!window_status.ok()) {
     result.status = std::move(window_status);
   } else {
-    result.status = std::move(commit_status);
+    result.status = std::move(ingest_status);
   }
 
   // The final checkpoint marks a cleanly ended (or gracefully stopped)

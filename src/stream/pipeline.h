@@ -31,11 +31,15 @@
 // reader; the calling thread blocks on the queue only when no completed
 // window is pending.
 //
-// Each stage runs under a FailurePolicy (stream/supervisor.h): fail-fast
-// (the default, and the only pre-robustness behavior), bounded retry of
-// transient failures, or quarantine-and-continue — failed units are
-// recorded in PipelineStats::quarantine with structured reasons instead
-// of killing the run. CCS_FAULT_POINT sites (common/fault.h) in every
+// Ingest and commit, the stages that can fail on real data (a malformed
+// record, a non-finite refresh), each run under a FailurePolicy
+// (stream/supervisor.h): fail-fast (the default, and the only
+// pre-robustness behavior), bounded retry of transient failures, or
+// quarantine-and-continue — failed units are recorded in
+// PipelineStats::quarantine with structured reasons instead of killing
+// the run. Windowing fails only on a chunk-schema mismatch, which one
+// reader built on the reference schema never produces, so any window
+// error ends the run. CCS_FAULT_POINT sites (common/fault.h) in every
 // stage loop let tests and the scenario gauntlet inject deterministic
 // failures through exactly these paths.
 //
@@ -115,23 +119,17 @@ struct StreamPipelineOptions {
   /// records (the CsvChunkReader has already consumed them, so exactly
   /// one data row is lost per quarantined parse error).
   FailurePolicy ingest_policy;
-  /// Failure policy for the windowing stage. Quarantine drops the whole
-  /// failed chunk — incompatible with checkpointing (a dropped chunk
-  /// breaks the rows-per-window equation resume depends on; Create
-  /// rejects the combination).
-  FailurePolicy window_policy;
-  /// Failure policy for scoring, reference refresh, and the per-window
-  /// fault gate on the commit thread. Quarantined windows are consumed
-  /// from the stream but never scored (the history skips them);
-  /// a quarantined refresh defers the profile swap one full cadence
-  /// period.
+  /// Failure policy for the per-window fault gate and the reference
+  /// refresh on the commit thread. Gate-quarantined windows are consumed
+  /// from the stream but never scored (the history skips them); a
+  /// quarantined refresh defers the profile swap one full cadence period.
+  /// A scoring error fails the batch under every policy.
   FailurePolicy score_policy;
   /// Invoked on the calling thread, in deterministic commit order, for
   /// every quarantined unit of the commit stage ("score" and "refresh"
   /// records only: ingest quarantines happen on whichever thread owns the
-  /// reader and interleave nondeterministically with commits, and
-  /// "window" records are kept beside them, so both are only collected
-  /// into PipelineStats::quarantine).
+  /// reader and interleave nondeterministically with commits, so they
+  /// are only collected into PipelineStats::quarantine).
   std::function<void(const QuarantineRecord&)> on_quarantine;
 
   /// Checkpoint file path; empty disables checkpointing.
@@ -202,8 +200,10 @@ struct PipelineStats {
   bool stopped = false;
   /// Every quarantined unit, with structured reasons: commit-thread
   /// records ("score"/"refresh") in commit order first, then ingest
-  /// records, then windowing records (each stage's records are in its
-  /// own deterministic order).
+  /// records (each stage's records are in its own deterministic order).
+  /// After a commit or window failure, only the ingest records before
+  /// the last row the calling thread consumed are kept: how far ingest
+  /// read ahead of the failure is timing.
   std::vector<QuarantineRecord> quarantine;
 };
 
@@ -287,9 +287,9 @@ class StreamPipeline {
     uint64_t parsed_ns = 0;
   };
 
-  // Scores `batch` (never spanning a refresh boundary) under the score
-  // policy, commits survivors in order, feeds the profile, and refreshes
-  // it at the cadence boundary.
+  // Gates `batch` (never spanning a refresh boundary) under the score
+  // policy, scores and commits the survivors in order, feeds the
+  // profile, and refreshes it at the cadence boundary.
   Status CommitBatch(std::vector<StampedFrame> batch,
                      const std::function<void(const core::WindowScore&)>& on_score,
                      PipelineStats* stats);

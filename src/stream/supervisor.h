@@ -2,10 +2,12 @@
 //
 // Fail-fast was the pipeline's only behavior before the robustness
 // layer: the first stage error cancelled the run. A FailurePolicy lets
-// each stage instead absorb a failure (quarantine-and-continue) or
-// re-attempt a transient one (bounded, immediate retry), so one malformed
-// chunk or injected fault no longer kills a monitor that should degrade
-// gracefully.
+// the two stages that can fail on real data — ingest and commit — absorb
+// a failure (quarantine-and-continue) or re-attempt a transient one
+// (bounded, immediate retry), so one malformed record, a refresh that
+// cannot synthesize, or an injected fault no longer kills a monitor that
+// should degrade gracefully. Windowing has no policy: any window error
+// ends the run.
 //
 // Retry semantics: only StatusCode::kUnavailable is re-attempted — it
 // marks failures whose retry can succeed (injected transients, flaky
@@ -32,7 +34,7 @@ enum class FailureMode {
   /// Propagate the error and cancel the run (the pre-robustness
   /// behavior, and the default).
   kFailFast,
-  /// Record the failed unit (row, chunk, or window) in the quarantine
+  /// Record the failed unit (row, window, or refresh) in the quarantine
   /// channel and keep serving.
   kQuarantine,
 };
@@ -59,12 +61,12 @@ struct FailurePolicy {
 /// into PipelineStats::quarantine and mirrored into obs::Registry
 /// counters.
 struct QuarantineRecord {
-  /// "ingest" | "window" | "score" | "refresh".
+  /// "ingest" | "score" | "refresh".
   std::string stage;
   /// Stage-local ordinal of the failed unit: good-rows-read for ingest,
-  /// chunk ordinal for window, consumed-window ordinal for score, the
-  /// refresh boundary for refresh. Deterministic — each stage's ordinal
-  /// advances on its own thread only.
+  /// consumed-window ordinal for score, the refresh boundary for
+  /// refresh. Deterministic — each stage's ordinal advances in stream
+  /// order only.
   size_t index = 0;
   /// Data rows lost with the unit (0 when the failure consumed none,
   /// e.g. an injected fault before the read).

@@ -293,6 +293,28 @@ TEST_F(CheckpointResumeTest, RestoreGuardsGeometry) {
   EXPECT_TRUE(pipeline->Restore(snap).ok());
 }
 
+TEST_F(CheckpointResumeTest, RestoreRefusesProfileOverOtherAttributes) {
+  // ParseCheckpoint ties the profile to the attribute list; an in-memory
+  // CheckpointData has not been through it, so Restore checks it too.
+  dataframe::DataFrame reference = TrendFrame(200, 3);
+  auto pipeline = StreamPipeline::Create(reference, Options());
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+  const CheckpointData snap = pipeline->Snapshot();
+  ASSERT_EQ(snap.attribute_names, (std::vector<std::string>{"x", "y"}));
+
+  CheckpointData swapped = snap;
+  swapped.attribute_names = {"y", "x"};
+  CheckpointData wrong = snap;
+  wrong.profile =
+      WithProfile(swapped, linalg::Vector({1.0, -1.0}), 0.5).profile;
+  wrong.has_profile = true;
+  EXPECT_EQ(pipeline->Restore(wrong).code(), StatusCode::kInvalidArgument);
+  // The refused checkpoint changed nothing: the matching one restores.
+  EXPECT_TRUE(
+      pipeline->Restore(WithProfile(snap, linalg::Vector({1.0, -1.0}), 0.5))
+          .ok());
+}
+
 TEST_F(CheckpointResumeTest, RestoreRefusesAsymmetricGramSum) {
   // The Gram fold keeps its sum bitwise symmetric, so a checkpoint whose
   // sum is not (one bit flipped below the diagonal) is corrupt: re-sealed

@@ -232,6 +232,51 @@ TEST(ScenarioTraceTest, RefreshEventsLandAtTheCadence) {
   EXPECT_GT(refreshes, 0u);
 }
 
+TEST(ScenarioTraceTest, NonFiniteRefreshIsQuarantinedAtAnyLaneCount) {
+  // Fuzz draw 33: an inf burst lands in the streaming Gram sum, so every
+  // refresh after it fails with InvalidArgument. The score policy
+  // quarantines each failing boundary and scoring continues on the last
+  // good profile, identically at 1 and 4 lanes.
+  auto spec = ParseSpecJson(R"({
+  "name": "fuzz",
+  "generator": "trend",
+  "reference_rows": 273,
+  "stream_rows": 692,
+  "window_rows": 28,
+  "slide_rows": 0,
+  "alarm_threshold": 0.2291013125,
+  "refresh_every": 4,
+  "chunk_rows": 96,
+  "score_policy": "retry:1+quarantine",
+  "stages": [
+    {"kind": "abrupt-drift", "column": "x", "magnitude": 3.950702763, "fraction": 0.5862223488, "begin_row": 511, "end_row": 575, "period": 92},
+    {"kind": "inf-burst", "column": "x", "magnitude": 7.393076563, "fraction": 0.4843825259, "begin_row": 378, "end_row": 489, "period": 54},
+    {"kind": "garble", "column": "x", "magnitude": 4.540689754, "fraction": 0.8028605647, "begin_row": 585, "end_row": 937, "period": 122}
+  ],
+  "faults": [
+    {"point": "stream.score.window", "trigger": "every", "every": 8}
+  ]
+})");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  auto serial = RunScenario(*spec, 33, 1);
+  auto threaded = RunScenario(*spec, 33, 4);
+  ASSERT_TRUE(serial.ok() && threaded.ok());
+  EXPECT_TRUE(TracesIdentical(*serial, *threaded))
+      << "-- 1 thread --\n"
+      << serial->ToString() << "-- 4 threads --\n"
+      << threaded->ToString();
+  size_t refresh_quarantines = 0;
+  for (const TraceEvent& e : serial->events) {
+    if (e.kind != TraceEvent::Kind::kQuarantine) continue;
+    EXPECT_EQ(e.stage, "refresh");
+    EXPECT_EQ(e.reason, StatusCode::kInvalidArgument);
+    ++refresh_quarantines;
+  }
+  EXPECT_GT(refresh_quarantines, 0u);
+  // Scoring went on past the first failing boundary.
+  EXPECT_GT(serial->windows_scored, 16u);
+}
+
 // ---------------------------- golden traces ----------------------------
 
 // Every catalogue scenario's alarm trace is pinned byte-for-byte, under
@@ -304,6 +349,8 @@ TEST(ScenarioJsonTest, FuzzDrawsRoundTrip) {
 
 TEST(ScenarioJsonTest, RejectsUnknownKeysAndGarbage) {
   EXPECT_FALSE(ParseSpecJson("{\"no_such_key\": 1}").ok());
+  // The window stage has no policy to set.
+  EXPECT_FALSE(ParseSpecJson("{\"window_policy\": \"quarantine\"}").ok());
   EXPECT_FALSE(ParseSpecJson("{\"stages\": [{\"bogus\": 1}]}").ok());
   EXPECT_FALSE(ParseSpecJson("not json at all").ok());
   EXPECT_FALSE(ParseSpecJson("{\"name\": \"x\"} trailing").ok());

@@ -1459,36 +1459,16 @@ TEST_F(StreamPipelineTest, ScoreOnceRescoresWholeWindowAfterQuarantine) {
   }
 }
 
-// `csv_text` without data rows [begin, end) (0-based, header kept).
-std::string WithoutRows(const std::string& csv_text, size_t begin,
-                        size_t end) {
-  std::istringstream in(csv_text);
-  std::string line;
-  std::string out;
-  std::getline(in, line);
-  out += line + "\n";
-  for (size_t row = 0; std::getline(in, line); ++row) {
-    if (row < begin || row >= end) out += line + "\n";
-  }
-  return out;
-}
-
-TEST_F(StreamPipelineTest, WindowQuarantineDropsOneChunkAtAnyQueueDepth) {
-  // A window-stage fault on chunk k quarantines that chunk: one "window"
-  // record (index = chunk ordinal, rows_lost = its rows), and the
-  // Windower never sees its rows, so the history is the serial loop's
-  // over the stream without them. Each 64-row chunk completes more
-  // windows than one batch takes (window 8, cap 3), so windows wait
-  // pending across batches and refresh boundaries; none of that may
-  // move a bit at any queue depth or lane count.
+TEST_F(StreamPipelineTest, BatchesAcrossChunksMatchSerialLoopAtAnyQueueDepth) {
+  // Each 64-row chunk completes more windows than one batch takes
+  // (window 8, cap 3), so windows wait pending across batches and
+  // refresh boundaries; none of that may move a bit at any queue depth
+  // or lane count.
   constexpr size_t kRows = 640;
   constexpr size_t kChunk = 64;
-  constexpr size_t kDropped = 3;  // 1-based chunk ordinal.
   DataFrame reference = TrendFrame(300, 0.0, 62);
   const std::string csv_text =
       ToCsv(TrendFrame(kRows, 5.0, 63, /*drift_from=*/kRows / 2));
-  const std::string kept_text =
-      WithoutRows(csv_text, (kDropped - 1) * kChunk, kDropped * kChunk);
 
   StreamPipelineOptions options;
   options.window_rows = 8;
@@ -1496,18 +1476,11 @@ TEST_F(StreamPipelineTest, WindowQuarantineDropsOneChunkAtAnyQueueDepth) {
   options.chunk_rows = kChunk;
   options.max_batch_windows = 3;
   options.refresh_every = 5;
-  options.window_policy.mode = FailureMode::kQuarantine;
-  common::fault::FaultSpec spec;
-  common::fault::FaultPoint p;
-  p.point = "stream.window.push";
-  p.at = kDropped;
-  p.code = "internal";
-  spec.points.push_back(p);
 
   for (size_t slide : {0u, 3u}) {
     options.slide_rows = slide;
     const std::vector<WindowScore> expected =
-        SerialLoop(reference, {kept_text}, options);
+        SerialLoop(reference, {csv_text}, options);
     ASSERT_FALSE(expected.empty());
     // Meaningful: a clean head, and the drift alarms before the
     // refreshes absorb it.
@@ -1523,20 +1496,13 @@ TEST_F(StreamPipelineTest, WindowQuarantineDropsOneChunkAtAnyQueueDepth) {
         options.num_threads = threads;
         auto pipeline = StreamPipeline::Create(reference, options);
         ASSERT_TRUE(pipeline.ok()) << pipeline.status();
-        ASSERT_TRUE(common::fault::Injector::Global().Arm(spec).ok());
         std::istringstream in(csv_text);
         auto result = pipeline->Run(in);
-        common::fault::Injector::Global().Disarm();
         ASSERT_TRUE(result.ok()) << result.status;
         EXPECT_EQ(result->rows_ingested, kRows);
-        EXPECT_EQ(result->faults_injected, 1u);
-        ASSERT_EQ(result->quarantine.size(), 1u);
-        EXPECT_EQ(result->quarantine[0].stage, "window");
-        EXPECT_EQ(result->quarantine[0].index, kDropped);
-        EXPECT_EQ(result->quarantine[0].rows_lost, kChunk);
-        EXPECT_EQ(result->rows_quarantined, kChunk);
-        EXPECT_EQ(result->windows_quarantined, 0u);
+        EXPECT_TRUE(result->quarantine.empty());
         EXPECT_EQ(result->windows_scored, expected.size());
+        EXPECT_EQ(result->refreshes, expected.size() / options.refresh_every);
         if (slide == 0) {
           // A chunk's 8 windows are pending at once; at most cap - 1
           // more can be ahead of them.
@@ -1802,6 +1768,138 @@ TEST_F(StreamPipelineTest, RetryPolicyMasksTransientFaults) {
   EXPECT_EQ(result->windows_quarantined, 0u);
   EXPECT_EQ(result->rows_quarantined, 0u);
   ExpectHistoriesBitwiseEqual(pipeline->history(), fault_free);
+}
+
+// `csv_text` with the first cell of data row `row` (0-based) set to
+// `cell`.
+std::string WithFirstCell(const std::string& csv_text, size_t row,
+                          const std::string& cell) {
+  size_t pos = csv_text.find('\n') + 1;
+  for (size_t i = 0; i < row; ++i) pos = csv_text.find('\n', pos) + 1;
+  return csv_text.substr(0, pos) + cell +
+         csv_text.substr(csv_text.find(',', pos));
+}
+
+TEST_F(StreamPipelineTest, NonFiniteRefreshFailsFastOrIsQuarantined) {
+  // An inf cell in window 2 scores like any other row, but once folded
+  // into the streaming Gram sum every later refresh is InvalidArgument.
+  DataFrame reference = TrendFrame(200, 0.0, 66);
+  const std::string csv_text =
+      WithFirstCell(ToCsv(TrendFrame(400, 0.0, 67)), 100, "inf");
+  StreamPipelineOptions options;
+  options.window_rows = 40;
+  options.alarm_threshold = 0.5;
+  options.refresh_every = 2;
+  options.chunk_rows = 25;
+
+  // Fail-fast: the windows up to the first failing boundary (4, good
+  // row 160) commit, then Run returns the refresh's error, not the parse
+  // errors past it that ingest may have read ahead to. Under ingest
+  // quarantine, only the malformed row before that boundary is reported.
+  for (FailureMode ingest_mode :
+       {FailureMode::kFailFast, FailureMode::kQuarantine}) {
+    const bool quarantine_ingest = ingest_mode == FailureMode::kQuarantine;
+    std::string garbled = csv_text;
+    for (size_t row : {170u, 300u, 390u}) {
+      garbled = WithFirstCell(garbled, row, "oops");
+    }
+    if (quarantine_ingest) garbled = WithFirstCell(garbled, 50, "oops");
+    StreamPipelineOptions fail_fast = options;
+    fail_fast.ingest_policy.mode = ingest_mode;
+    for (size_t capacity : {1u, 4u}) {
+      for (size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string("fail-fast, ingest ") +
+                     (quarantine_ingest ? "quarantine" : "fail-fast") +
+                     " queue " + std::to_string(capacity) + " threads " +
+                     std::to_string(threads));
+        fail_fast.queue_capacity = capacity;
+        fail_fast.num_threads = threads;
+        auto pipeline = StreamPipeline::Create(reference, fail_fast);
+        ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+        std::istringstream in(garbled);
+        auto result = pipeline->Run(in);
+        EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+            << result.status;
+        EXPECT_NE(result.status.message().find("non-finite"),
+                  std::string::npos)
+            << result.status;
+        EXPECT_EQ(result->refreshes, 1u);
+        EXPECT_EQ(pipeline->history().size(), 4u);
+        ASSERT_EQ(result->quarantine.size(), quarantine_ingest ? 1u : 0u);
+        if (quarantine_ingest) {
+          EXPECT_EQ(result->quarantine[0].stage, "ingest");
+          EXPECT_EQ(result->quarantine[0].index, 50u);
+          EXPECT_EQ(result->rows_quarantined, 1u);
+        }
+      }
+    }
+  }
+
+  // The serial oracle under quarantine: the refresh at boundary 2 is the
+  // last that succeeds, and every later window scores against it.
+  std::vector<WindowScore> expected;
+  {
+    auto monitor = StreamMonitor::Create(reference, options.alarm_threshold,
+                                         options.synthesis);
+    ASSERT_TRUE(monitor.ok());
+    IncrementalSynthesizer profile(reference.NumericNames(),
+                                   options.synthesis);
+    ASSERT_TRUE(profile.ObserveAll(reference).ok());
+    std::istringstream in(csv_text);
+    auto stream_df = dataframe::ReadCsv(in);
+    ASSERT_TRUE(stream_df.ok()) << stream_df.status();
+    auto windower = Windower::Create(options.window_rows, 0);
+    ASSERT_TRUE(windower.ok());
+    auto windows = windower->Push(*stream_df);
+    ASSERT_TRUE(windows.ok());
+    ASSERT_EQ(windows->size(), 10u);
+    for (const DataFrame& window : *windows) {
+      ASSERT_TRUE(monitor->ObserveWindow(window).ok());
+      ASSERT_TRUE(profile.ObserveAll(window).ok());
+      if (monitor->history_size() % options.refresh_every != 0) continue;
+      auto refreshed = profile.Synthesize();
+      if (monitor->history_size() == 2) {
+        ASSERT_TRUE(refreshed.ok()) << refreshed.status();
+        ASSERT_TRUE(monitor->RefreshReference(*refreshed).ok());
+      } else {
+        EXPECT_EQ(refreshed.status().code(), StatusCode::kInvalidArgument);
+      }
+    }
+    expected = monitor->history();
+  }
+
+  // Quarantine: each failing boundary records one "refresh" record.
+  options.score_policy.mode = FailureMode::kQuarantine;
+  std::vector<QuarantineRecord> streamed;
+  options.on_quarantine = [&streamed](const QuarantineRecord& record) {
+    streamed.push_back(record);
+  };
+  for (size_t batch : {1u, 4u}) {
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("quarantine batch " + std::to_string(batch) +
+                   " threads " + std::to_string(threads));
+      options.max_batch_windows = batch;
+      options.num_threads = threads;
+      streamed.clear();
+      auto pipeline = StreamPipeline::Create(reference, options);
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+      std::istringstream in(csv_text);
+      auto result = pipeline->Run(in);
+      ASSERT_TRUE(result.ok()) << result.status;
+      EXPECT_EQ(result->refreshes, 1u);
+      EXPECT_EQ(result->windows_quarantined, 0u);
+      ASSERT_EQ(result->quarantine.size(), 4u);
+      for (size_t i = 0; i < result->quarantine.size(); ++i) {
+        const QuarantineRecord& record = result->quarantine[i];
+        EXPECT_EQ(record.stage, "refresh");
+        EXPECT_EQ(record.index, 4 + 2 * i);
+        EXPECT_EQ(record.rows_lost, 0u);
+        EXPECT_EQ(record.reason.code(), StatusCode::kInvalidArgument);
+      }
+      EXPECT_EQ(streamed.size(), 4u);
+      ExpectHistoriesBitwiseEqual(pipeline->history(), expected);
+    }
+  }
 }
 
 // ------------------------ Reader handoff oracles -----------------------

@@ -206,6 +206,32 @@ TEST(SynthesizerTest, ErrorsOnDegenerateInput) {
   EXPECT_FALSE(synth.SynthesizeSimple(categorical_only).ok());
 }
 
+TEST(SynthesizerTest, NonFiniteCellIsInvalidArgument) {
+  // One inf (or NaN) cell makes its attribute's mean and variance
+  // non-finite; synthesis names the attribute instead of building NaN
+  // bounds. Both entry points, and the compound synthesizer, agree.
+  for (double bad : {HUGE_VAL, -HUGE_VAL, std::nan("")}) {
+    std::vector<double> x(50), y(50);
+    for (size_t i = 0; i < x.size(); ++i) {
+      x[i] = static_cast<double>(i);
+      y[i] = 2.0 * x[i] + (i % 3 == 0 ? 0.1 : -0.1);
+    }
+    y[17] = bad;
+    DataFrame poisoned;
+    ASSERT_TRUE(poisoned.AddNumericColumn("x", std::move(x)).ok());
+    ASSERT_TRUE(poisoned.AddNumericColumn("y", std::move(y)).ok());
+    Synthesizer synth;
+    auto simple = synth.SynthesizeSimple(poisoned);
+    ASSERT_FALSE(simple.ok());
+    EXPECT_EQ(simple.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(simple.status().message().find("'y'"), std::string::npos)
+        << simple.status();
+    auto full = synth.Synthesize(poisoned);
+    ASSERT_FALSE(full.ok());
+    EXPECT_EQ(full.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(SynthesizerTest, ConstantAttributeYieldsEqualityLikeConstraint) {
   DataFrame df;
   ASSERT_TRUE(df.AddNumericColumn("k", {7.0, 7.0, 7.0, 7.0}).ok());

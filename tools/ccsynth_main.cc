@@ -15,7 +15,7 @@
 //                   [--metrics-json] [--heartbeat N]
 //                   [--checkpoint ckpt [--checkpoint-every K] [--resume]]
 //                   [--faults spec.json|'{...}'] [--ingest-policy P]
-//                   [--window-policy P] [--score-policy P]
+//                   [--score-policy P]
 //       Tail a CSV stream through the pipelined serving engine: one
 //       score line per window (CSV or JSON lines), alarms when a window
 //       exceeds the threshold (exit code 2 if any fired), optional
@@ -39,8 +39,8 @@
 //       resumed alarm trace bitwise identical to the uninterrupted run.
 //       --checkpoint-every and --resume without --checkpoint exit 1.
 //       --faults arms the deterministic fault injector from a JSON spec
-//       (a file path or an inline '{...}' literal); the per-stage
-//       --*-policy flags take "fail-fast" (default), "quarantine",
+//       (a file path or an inline '{...}' literal); --ingest-policy and
+//       --score-policy take "fail-fast" (default), "quarantine",
 //       "retry:N", or "retry:N+quarantine". SIGINT/SIGTERM drain
 //       in-flight windows, write the final checkpoint, and exit 3.
 //       Exit codes: 0 clean, 1 error, 2 alarms fired, 3 stopped by
@@ -117,8 +117,7 @@ int Usage() {
                "           [--trace out.json] [--metrics-json] [--heartbeat N]\n"
                "           [--checkpoint ckpt [--checkpoint-every K]\n"
                "           [--resume]] [--faults spec.json|'{...}']\n"
-               "           [--ingest-policy P] [--window-policy P]\n"
-               "           [--score-policy P]\n"
+               "           [--ingest-policy P] [--score-policy P]\n"
                "  explain  <train.csv> <serving.csv>\n"
                "  diff     <a.csv> <b.csv>\n"
                "  gauntlet [--scenario <name|spec.json>] [--seed N]\n"
@@ -319,10 +318,6 @@ int RunMonitor(const std::vector<std::string>& args) {
       auto policy = stream::FailurePolicy::Parse(*v);
       if (!policy.ok()) return Fail(policy.status());
       options.ingest_policy = *policy;
-    } else if (const std::string* v = flag_value("--window-policy")) {
-      auto policy = stream::FailurePolicy::Parse(*v);
-      if (!policy.ok()) return Fail(policy.status());
-      options.window_policy = *policy;
     } else if (const std::string* v = flag_value("--score-policy")) {
       auto policy = stream::FailurePolicy::Parse(*v);
       if (!policy.ok()) return Fail(policy.status());
